@@ -5,12 +5,13 @@
 //   bench_fleet [--instances=N] [--shards=N] [--messages=N] [--warmup=N]
 //               [--trace-export=PATH] [--json[=PATH]]
 //
-//   --instances=N   tenant count (default: TURNSTILE_BENCH_INSTANCES, then
-//                   1000). Tenants round-robin over the managed corpus apps
-//                   and fall into three rate classes: every third instance
-//                   receives half the base message count, every third double
-//                   — the mixed-rate fleet the paper's multi-tenant setting
-//                   implies.
+//   --instances=N   tenant count (default 1000). Tenants round-robin over the
+//                   managed corpus apps and fall into three rate classes:
+//                   every third instance receives half the base message
+//                   count, every third double — the mixed-rate fleet the
+//                   paper's multi-tenant setting implies. `--shards=M
+//                   --instances=M` gives one instance per thread, the
+//                   multi-instance scaling shape.
 //   --shards=N      worker shard count (default: TURNSTILE_FLEET_SHARDS,
 //                   then 4). Run with --shards=1 and --shards=N to measure
 //                   the sharding speedup; EXPERIMENTS.md records both.
@@ -74,7 +75,7 @@ int Main(int argc, char** argv) {
   // obs config on their own — opt the bench process in explicitly so
   // TURNSTILE_TELEMETRY=<port|path> works for live soaks (EXPERIMENTS.md).
   obs::ApplyEnvObsConfig();
-  int instances = static_cast<int>(EnvInt("TURNSTILE_BENCH_INSTANCES", 1000, 1, 100000));
+  int instances = 1000;
   int shards = 0;  // 0 = FleetRuntime resolves TURNSTILE_FLEET_SHARDS
   int base_messages = static_cast<int>(EnvInt("TURNSTILE_BENCH_MESSAGES", 200, 1, 1000000));
   int warmup = 5;

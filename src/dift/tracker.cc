@@ -288,18 +288,17 @@ Result<FunctionPtr> DiftTracker::CompileLabelFn(const LabellerSpec* spec) {
       program.root->children[0]->kind != NodeKind::kExprStmt) {
     return PolicyError("label function must be a single expression: " + spec->fn_source);
   }
-  // Resolve so the compiled closure uses slot-indexed frames like any other
-  // program code (labellers run on every labelled value).
-  ResolveProgram(program);
-  TURNSTILE_ASSIGN_OR_RETURN(
-      completion,
-      interp_->EvalExpression(program.root->children[0]->children[0], interp_->global_env()));
-  if (completion.IsAbrupt() || !completion.value.IsFunction()) {
+  const NodePtr& literal = program.root->children[0]->children[0];
+  if (literal->kind != NodeKind::kFunctionExpr && literal->kind != NodeKind::kArrowFunction) {
     return PolicyError("label function did not evaluate to a function: " + spec->fn_source);
   }
-  // Keep the AST alive for the closure's lifetime by retaining the function.
-  compiled_fns_[spec] = completion.value.AsFunction();
-  return completion.value.AsFunction();
+  // Resolve so the closure uses slot-indexed frames like any other program
+  // code (labellers run on every labelled value).
+  ResolveProgram(program);
+  // The closure retains the literal's AST for as long as it is cached.
+  FunctionPtr fn = interp_->MakeClosure(literal, interp_->global_env());
+  compiled_fns_[spec] = fn;
+  return fn;
 }
 
 Result<LabelSetRef> DiftTracker::LabelsFromValue(const Value& v) {

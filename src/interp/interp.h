@@ -1,5 +1,7 @@
-// Tree-walking interpreter for MiniScript with a virtual-time event loop and
-// simulated I/O modules.
+// The MiniScript runtime: a virtual-time event loop, simulated I/O modules,
+// and the runtime helpers the bytecode VM (src/vm) executes against. A
+// tree-walking evaluator stays here as the reference oracle, reachable only
+// through set_exec_tier(ExecTier::kTreeWalk).
 //
 // The interpreter is the "runtime platform" substrate of the reproduction: it
 // plays the role Node.js plays in the paper. Crucially it contains no IFC
@@ -63,17 +65,17 @@ struct IoWorld {
 
 // Execution tiers. The bytecode tier (default) compiles resolved function
 // bodies to register bytecode (src/vm) with `__dift.*` calls fused onto the
-// labelled opcodes; the tree-walker is retained unchanged as the reference
-// oracle (and as the escape hatch the VM uses for try/catch and class
-// declarations); the bytecode-lowered tier keeps every `__dift.*` hook as an
-// ordinary call, serving as the second differential oracle for the fused ISA.
-// Selected per interpreter via the TURNSTILE_EXEC_TIER environment variable
-// ("bytecode" / "bytecode-lowered" / "treewalk") or set_exec_tier().
+// labelled opcodes; the bytecode-lowered tier keeps every `__dift.*` hook as
+// an ordinary call, serving as the differential oracle for the fused ISA.
+// Both are selectable per interpreter via the TURNSTILE_EXEC_TIER
+// environment variable ("bytecode" / "bytecode-lowered") or set_exec_tier().
+// The tree-walker is the reference oracle for the VM as a whole; only
+// set_exec_tier() (tests, bench_tier_matrix) selects it.
 enum class ExecTier { kBytecode, kTreeWalk, kBytecodeLowered };
 
-// Parses a TURNSTILE_EXEC_TIER spelling ("bytecode", "bytecode-lowered",
-// "treewalk"); nullopt for null or unrecognized input. Shared by the
-// interpreter's environment probe and the CLI tools' --tier flags.
+// Parses a TURNSTILE_EXEC_TIER spelling ("bytecode", "bytecode-lowered");
+// nullopt for null or unrecognized input. Shared by the interpreter's
+// environment probe and the CLI tools' --tier flags.
 std::optional<ExecTier> ExecTierFromName(const char* name);
 
 // Re-arms the one-time unrecognized-TURNSTILE_EXEC_TIER warning (tests only).
@@ -93,6 +95,14 @@ enum class BinaryOp : uint8_t {
 
 // kInvalid for unknown spellings.
 BinaryOp BinaryOpFromString(const std::string& op);
+
+// Number -> integer conversion for the bitwise operators of both evaluators:
+// truncates toward zero, and maps NaN, ±Inf and values outside the int64
+// range to 0 (where a plain cast would be undefined behaviour).
+inline int64_t NumberToInt(double n) {
+  constexpr double kLimit = 9223372036854775808.0;  // 2^63, exact in a double
+  return n >= -kLimit && n < kLimit ? static_cast<int64_t>(n) : 0;
+}
 
 // Statement/expression completion record (JS-style abrupt completions).
 struct Completion {
@@ -169,11 +179,6 @@ class Interpreter {
                       std::function<Value(Interpreter&)> factory);
   Result<Value> RequireModule(const std::string& name);
 
-  // --- expression/statement evaluation (used by dift + tests) ---------------
-
-  Result<Completion> EvalStatement(const NodePtr& node, const EnvPtr& env);
-  Result<Completion> EvalExpression(const NodePtr& node, const EnvPtr& env);
-
   // Property access helpers shared with native modules. The Atom overloads are
   // the fast path for statically-known keys (resolved member expressions and
   // object-literal keys); they avoid re-hashing the key string on objects.
@@ -208,7 +213,7 @@ class Interpreter {
   FunctionPtr MakeClosure(const NodePtr& node, const EnvPtr& env);
 
   // Execution-tier selection (see ExecTier). Affects RunProgram and calls to
-  // MiniScript closures; EvalStatement/EvalExpression always tree-walk.
+  // MiniScript closures.
   ExecTier exec_tier() const { return exec_tier_; }
   void set_exec_tier(ExecTier tier) { exec_tier_ = tier; }
 
@@ -224,6 +229,9 @@ class Interpreter {
   // Throws a host-level error carrying a MiniScript-visible message.
   static Status TypeError(const std::string& message) {
     return RuntimeError("TypeError: " + message);
+  }
+  static Status RangeError(const std::string& message) {
+    return RuntimeError("RangeError: " + message);
   }
 
   // Total number of statements/expressions evaluated (a deterministic,
@@ -262,6 +270,15 @@ class Interpreter {
 
   Status ExecuteTask(const Task& task);
 
+  // Binds the class declared by `node` (a kClassDecl) in `env`; TypeError when
+  // the superclass is not a class. Shared by the VM's kClass instruction and
+  // the tree-walker.
+  Status DeclareClass(const Node& node, const EnvPtr& env);
+
+  // The tree-walking reference oracle (ExecTier::kTreeWalk only).
+  Result<Completion> EvalStatement(const NodePtr& node, const EnvPtr& env);
+  Result<Completion> EvalExpression(const NodePtr& node, const EnvPtr& env);
+  void HoistFunctionDeclarations(const NodePtr& scope_node, const EnvPtr& env);
   Result<Completion> EvalBlock(const NodePtr& block, const EnvPtr& env);
   Result<Completion> EvalCall(const NodePtr& node, const EnvPtr& env);
   Result<Completion> EvalNew(const NodePtr& node, const EnvPtr& env);

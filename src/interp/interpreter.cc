@@ -30,6 +30,11 @@ namespace turnstile {
 namespace {
 constexpr int kMaxCallDepth = 400;
 
+// Largest length a property write (`a.length = n`, `a[i] = v`) may grow an
+// array to. Arrays are dense vectors, so without a cap one write such as
+// `a[1e12] = 1` would try to allocate terabytes and abort the process.
+constexpr size_t kMaxDenseArrayLength = size_t{1} << 20;
+
 // One warning per process for a bad TURNSTILE_EXEC_TIER: every Interpreter
 // construction re-probes the variable, and a misspelled tier would otherwise
 // spam one line per instance (the corpus harness builds hundreds).
@@ -46,9 +51,6 @@ std::optional<ExecTier> ExecTierFromName(const char* name) {
   if (std::strcmp(name, "bytecode-lowered") == 0) {
     return ExecTier::kBytecodeLowered;
   }
-  if (std::strcmp(name, "treewalk") == 0) {
-    return ExecTier::kTreeWalk;
-  }
   return std::nullopt;
 }
 
@@ -57,11 +59,10 @@ void ResetExecTierWarningForTest() { g_exec_tier_warned.store(false); }
 Interpreter::Interpreter() : Interpreter(RuntimeContext::Default()) {}
 
 Interpreter::Interpreter(RuntimeContext& context) : context_(&context) {
-  // TURNSTILE_EXEC_TIER selects the execution tier ("treewalk" for the
-  // reference oracle, "bytecode-lowered" for call-lowered DIFT, "bytecode"
-  // for the fused default). Unrecognized spellings keep the default but warn
-  // loudly once — a silently ignored "tree-walk" would invalidate a whole
-  // differential run.
+  // TURNSTILE_EXEC_TIER selects the execution tier ("bytecode-lowered" for
+  // call-lowered DIFT, "bytecode" for the fused default). Unrecognized
+  // spellings keep the default but warn loudly once — a silently ignored
+  // "bytecode_lowered" would invalidate a whole differential run.
   const char* tier = std::getenv("TURNSTILE_EXEC_TIER");
   if (tier != nullptr) {
     std::optional<ExecTier> parsed = ExecTierFromName(tier);
@@ -70,8 +71,8 @@ Interpreter::Interpreter(RuntimeContext& context) : context_(&context) {
     } else if (!g_exec_tier_warned.exchange(true)) {
       TURNSTILE_LOG(Warning)
           << "unrecognized TURNSTILE_EXEC_TIER value \"" << tier
-          << "\"; accepted values are \"bytecode\", \"bytecode-lowered\", and "
-             "\"treewalk\" — keeping the bytecode default";
+          << "\"; accepted values are \"bytecode\" and \"bytecode-lowered\" — "
+             "keeping the bytecode default";
     }
   }
   global_env_ = std::make_shared<Environment>();
@@ -360,7 +361,7 @@ Result<Value> Interpreter::CallFunction(const FunctionPtr& fn, const Value& this
   }
   Result<Completion> body_result =
       exec_tier_ != ExecTier::kTreeWalk
-          ? vm::Vm::ExecuteFunctionBody(*this, *fn, call_env)
+          ? vm::Vm::ExecuteBody(*this, fn->body, call_env)
           : fn->body->kind == NodeKind::kBlockStmt ? EvalBlock(fn->body, call_env)
                                                    : EvalExpression(fn->body, call_env);
   --call_depth_;
@@ -513,14 +514,23 @@ Status Interpreter::SetProperty(const Value& object, const std::string& key, Val
     BumpHeapWriteEpoch();
     auto& elements = object.AsArray()->elements;
     if (key == "length") {
-      size_t new_size = static_cast<size_t>(value.ToNumber());
-      elements.resize(new_size);
+      // JS accepts integral lengths in [0, 2^32 - 1]; growth is further
+      // capped because elements are stored densely.
+      double length = value.ToNumber();
+      if (!(length >= 0 && length <= 4294967295.0) || length != std::floor(length) ||
+          (length > kMaxDenseArrayLength && length > static_cast<double>(elements.size()))) {
+        return RangeError("invalid array length");
+      }
+      elements.resize(static_cast<size_t>(length));
       return Status::Ok();
     }
     char* end = nullptr;
     long index = std::strtol(key.c_str(), &end, 10);
     if (end != key.c_str() && *end == '\0' && index >= 0) {
       if (static_cast<size_t>(index) >= elements.size()) {
+        if (static_cast<size_t>(index) >= kMaxDenseArrayLength) {
+          return RangeError("invalid array length");
+        }
         elements.resize(static_cast<size_t>(index) + 1);
       }
       elements[static_cast<size_t>(index)] = std::move(value);
@@ -536,6 +546,43 @@ Value Interpreter::MakeError(const std::string& message) {
   err->Set("message", Value(message));
   err->debug_tag = "error";
   return Value(err);
+}
+
+// --- classes -----------------------------------------------------------------
+
+Status Interpreter::DeclareClass(const Node& node, const EnvPtr& env) {
+  auto info = std::make_shared<ClassInfo>();
+  info->name = node.str;
+  if (node.children[0]->kind != NodeKind::kEmpty) {
+    Value* super = ResolveIdentPtr(node.children[0], env);
+    if (super == nullptr || !super->IsFunction() ||
+        super->AsFunction()->construct_class == nullptr) {
+      return TypeError("superclass " + node.children[0]->str + " is not a class");
+    }
+    info->superclass = super->AsFunction()->construct_class;
+  }
+  for (size_t i = 1; i < node.children.size(); ++i) {
+    const NodePtr& method_node = node.children[i];
+    FunctionPtr method = MakeClosure(method_node, env);
+    info->methods[method_node->str] = method;
+  }
+  BumpHeapWriteEpoch();
+  FunctionPtr ctor = std::make_shared<FunctionObject>();
+  ctor->name = node.str;
+  ctor->construct_class = info;
+  // Calling the class object without `new` is a TypeError in JS; we model
+  // the constructor function as a native that reports this.
+  std::string class_name = node.str;
+  ctor->native = [class_name](Interpreter&, const Value&,
+                              std::vector<Value>&) -> Result<Value> {
+    return Interpreter::TypeError("class " + class_name + " must be called with new");
+  };
+  if (node.slot >= 0) {
+    env->slots[static_cast<size_t>(node.slot)] = Value(ctor);
+  } else {
+    env->Define(node.str, Value(ctor));
+  }
+  return Status::Ok();
 }
 
 // --- identifier storage ------------------------------------------------------
@@ -688,14 +735,6 @@ bool LooseEquals(const Value& a, const Value& b) {
   return a.StrictEquals(b);
 }
 
-int64_t ToInt(const Value& v) {
-  double n = v.ToNumber();
-  if (std::isnan(n) || std::isinf(n)) {
-    return 0;
-  }
-  return static_cast<int64_t>(n);
-}
-
 }  // namespace
 
 BinaryOp BinaryOpFromString(const std::string& op) {
@@ -794,22 +833,29 @@ Result<Completion> Interpreter::EvalBinaryOp(BinaryOp op, const Value& left_in,
       return Completion::Normal(Value(result));
     }
     case BinaryOp::kBitAnd:
-      return Completion::Normal(Value(static_cast<double>(ToInt(left) & ToInt(right))));
     case BinaryOp::kBitOr:
-      return Completion::Normal(Value(static_cast<double>(ToInt(left) | ToInt(right))));
     case BinaryOp::kBitXor:
-      return Completion::Normal(Value(static_cast<double>(ToInt(left) ^ ToInt(right))));
     case BinaryOp::kShl:
-      return Completion::Normal(Value(static_cast<double>(ToInt(left) << (ToInt(right) & 63))));
-    case BinaryOp::kShr:
-      return Completion::Normal(Value(static_cast<double>(ToInt(left) >> (ToInt(right) & 63))));
+    case BinaryOp::kShr: {
+      int64_t l = NumberToInt(left.ToNumber());
+      int64_t r = NumberToInt(right.ToNumber());
+      int64_t result = op == BinaryOp::kBitAnd   ? l & r
+                       : op == BinaryOp::kBitOr  ? l | r
+                       : op == BinaryOp::kBitXor ? l ^ r
+                       : op == BinaryOp::kShl    ? l << (r & 63)
+                                                 : l >> (r & 63);
+      return Completion::Normal(Value(static_cast<double>(result)));
+    }
     case BinaryOp::kIn:
       if (right.IsObject()) {
         return Completion::Normal(Value(right.AsObject()->Has(left.ToDisplayString())));
       }
       if (right.IsArray()) {
-        size_t index = static_cast<size_t>(left.ToNumber());
-        return Completion::Normal(Value(index < right.AsArray()->elements.size()));
+        // Comparing the double directly equals comparing its truncation, and
+        // NaN or negative indices (never present) need no cast.
+        double index = left.ToNumber();
+        return Completion::Normal(
+            Value(index >= 0 && index < static_cast<double>(right.AsArray()->elements.size())));
       }
       return TypeError("'in' requires an object operand");
     case BinaryOp::kInvalid:
@@ -1055,7 +1101,7 @@ Result<Completion> Interpreter::EvalExpression(const NodePtr& node, const EnvPtr
         return Completion::Normal(Value(v.ToNumber()));
       }
       if (node->str == "~") {
-        return Completion::Normal(Value(static_cast<double>(~ToInt(v))));
+        return Completion::Normal(Value(static_cast<double>(~NumberToInt(v.ToNumber()))));
       }
       return UnimplementedError("unary operator " + node->str);
     }
@@ -1113,7 +1159,8 @@ Result<Completion> Interpreter::EvalExpression(const NodePtr& node, const EnvPtr
       return Completion::Normal(last);
     }
     default:
-      return InternalError(std::string("EvalExpression on ") + NodeKindName(node->kind));
+      return InternalError(std::string("unexpected ") + NodeKindName(node->kind) +
+                           " in expression position");
   }
 }
 
@@ -1138,11 +1185,6 @@ Result<Completion> Interpreter::AwaitValue(const Value& operand) {
 
 // --- statement evaluation ----------------------------------------------------
 
-// JS function-declaration hoisting: function declarations that are immediate
-// statements of a scope are callable before their textual position.
-static void HoistFunctionDeclarations(Interpreter& interp, const NodePtr& scope_node,
-                                      const EnvPtr& env);
-
 Result<Completion> Interpreter::EvalBlock(const NodePtr& block, const EnvPtr& env) {
   // A resolved block that allocated no slots is transparent: the resolver did
   // not count it as a hop, so no Environment may be created for it. (It also
@@ -1157,7 +1199,7 @@ Result<Completion> Interpreter::EvalBlock(const NodePtr& block, const EnvPtr& en
     return Completion::Normal();
   }
   EnvPtr scope = Environment::MakeChild(env, block->frame_size);
-  HoistFunctionDeclarations(*this, block, scope);
+  HoistFunctionDeclarations(block, scope);
   for (const NodePtr& stmt : block->children) {
     TURNSTILE_ASSIGN_OR_RETURN(c, EvalStatement(stmt, scope));
     if (c.IsAbrupt()) {
@@ -1171,7 +1213,7 @@ Result<Completion> Interpreter::EvalStatement(const NodePtr& node, const EnvPtr&
   ++eval_count_;
   switch (node->kind) {
     case NodeKind::kProgram: {
-      HoistFunctionDeclarations(*this, node, env);
+      HoistFunctionDeclarations(node, env);
       for (const NodePtr& stmt : node->children) {
         TURNSTILE_ASSIGN_OR_RETURN(c, EvalStatement(stmt, env));
         if (c.IsAbrupt()) {
@@ -1312,40 +1354,9 @@ Result<Completion> Interpreter::EvalStatement(const NodePtr& node, const EnvPtr&
       }
       return Completion::Normal();
     }
-    case NodeKind::kClassDecl: {
-      auto info = std::make_shared<ClassInfo>();
-      info->name = node->str;
-      if (node->children[0]->kind != NodeKind::kEmpty) {
-        Value* super = ResolveIdentPtr(node->children[0], env);
-        if (super == nullptr || !super->IsFunction() ||
-            super->AsFunction()->construct_class == nullptr) {
-          return TypeError("superclass " + node->children[0]->str + " is not a class");
-        }
-        info->superclass = super->AsFunction()->construct_class;
-      }
-      for (size_t i = 1; i < node->children.size(); ++i) {
-        const NodePtr& method_node = node->children[i];
-        FunctionPtr method = MakeClosure(method_node, env);
-        info->methods[method_node->str] = method;
-      }
-      BumpHeapWriteEpoch();
-      FunctionPtr ctor = std::make_shared<FunctionObject>();
-      ctor->name = node->str;
-      ctor->construct_class = info;
-      // Calling the class object without `new` is a TypeError in JS; we model
-      // the constructor function as a native that reports this.
-      std::string class_name = node->str;
-      ctor->native = [class_name](Interpreter&, const Value&,
-                                  std::vector<Value>&) -> Result<Value> {
-        return Interpreter::TypeError("class " + class_name + " must be called with new");
-      };
-      if (node->slot >= 0) {
-        env->slots[static_cast<size_t>(node->slot)] = Value(ctor);
-      } else {
-        env->Define(node->str, Value(ctor));
-      }
+    case NodeKind::kClassDecl:
+      TURNSTILE_RETURN_IF_ERROR(DeclareClass(*node, env));
       return Completion::Normal();
-    }
     case NodeKind::kTryStmt: {
       TURNSTILE_ASSIGN_OR_RETURN(result, EvalBlock(node->children[0], env));
       Completion outcome = result;
@@ -1384,13 +1395,14 @@ Result<Completion> Interpreter::EvalStatement(const NodePtr& node, const EnvPtr&
 
 // --- hoisting ----------------------------------------------------------------
 
-static void HoistFunctionDeclarations(Interpreter& interp, const NodePtr& scope_node,
-                                      const EnvPtr& env) {
+// JS function-declaration hoisting: function declarations that are immediate
+// statements of a scope are callable before their textual position.
+void Interpreter::HoistFunctionDeclarations(const NodePtr& scope_node, const EnvPtr& env) {
   for (const NodePtr& stmt : scope_node->children) {
     if (stmt->kind == NodeKind::kFunctionDecl) {
       // EvalStatement re-defines the same closure at the declaration's
       // textual position; both definitions share this scope.
-      auto result = interp.EvalStatement(stmt, env);
+      auto result = EvalStatement(stmt, env);
       (void)result;
     }
   }

@@ -387,8 +387,11 @@ class Parser {
       TURNSTILE_ASSIGN_OR_RETURN(catch_block, ParseBlock());
       stmt->children.push_back(std::move(catch_block));
     } else {
+      // No catch clause: kEmpty, not an empty kBlockStmt — an empty catch
+      // block would swallow the exception instead of rethrowing it after
+      // the finally block.
       stmt->children.push_back(NewNode(NodeKind::kEmpty));
-      stmt->children.push_back(NewNode(NodeKind::kBlockStmt));
+      stmt->children.push_back(NewNode(NodeKind::kEmpty));
     }
     if (MatchKeyword("finally")) {
       TURNSTILE_ASSIGN_OR_RETURN(finally_block, ParseBlock());

@@ -345,7 +345,6 @@ void Profiler::EnterVm() {
   }
   LineFlush();
   line_stack_.push_back(current_line_);
-  current_line_ = -1;
   ++vm_depth_;
 }
 

@@ -156,6 +156,9 @@ class Profiler {
 
   // Brackets one Vm::Execute activation: saves the caller's current line so
   // nested activations attribute to their own lines, not the call site's.
+  // Until the activation's first instruction the call site's line stays
+  // current, so activation setup bills to it and line self time partitions
+  // nested VM wall time exactly.
   void EnterVm();
   void ExitVm();
   // The executing instruction's source line changed.

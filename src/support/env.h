@@ -1,5 +1,5 @@
 // Strict environment-variable parsing shared by benches and the fleet
-// runtime (TURNSTILE_BENCH_INSTANCES, TURNSTILE_FLEET_SHARDS, ...).
+// runtime (TURNSTILE_FLEET_SHARDS, TURNSTILE_BENCH_MESSAGES, ...).
 //
 // Follows the TURNSTILE_EXEC_TIER contract: a malformed value — trailing
 // garbage ("8x"), a negative count, out-of-range — keeps the fallback but

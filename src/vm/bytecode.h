@@ -1,14 +1,12 @@
 // Register-bytecode definitions for the compiled execution tier.
 //
-// A Chunk is the compiled form of one function body (or program top level).
-// Instructions address a per-activation register file holding expression
-// temporaries only; variables stay in the same slot-indexed Environment
-// frames the tree-walker uses (src/interp/environment.h), addressed by the
-// (hops, slot) coordinates the resolver annotated onto the AST. Sharing the
-// frame layout is what lets the two tiers interoperate: a closure compiled
-// here can capture an environment built by the tree-walker and vice versa,
-// and the escape-hatch instructions (kEvalNode / kEvalExpr) can hand any
-// subtree back to the tree-walker mid-chunk with full scope fidelity.
+// A Chunk is the compiled form of one function body, program top level, or
+// try/catch/finally block. Instructions address a per-activation register
+// file holding expression temporaries only; variables live in the
+// slot-indexed Environment frames of src/interp/environment.h, addressed by
+// the (hops, slot) coordinates the resolver annotated onto the AST. The
+// tree-walking reference oracle uses the same frames, so a closure created
+// by either evaluator can capture an environment built by the other.
 //
 // Operand conventions:
 //   - registers are indices into the activation's register file
@@ -129,12 +127,16 @@ enum class Op : uint8_t {
   kSetPropLabelled,  // as kSetProp, with an inline store path for plain
                      //   trap-free objects (still bumps the heap write epoch)
 
-  // --- escape hatches (tree-walker oracle) -----------------------------------
-  kEvalNode,         // interp.EvalStatement(nodes[a], cur_env); on break: pop c
-                     //   envs (+ the top iteration frame when d != 0) and pc = b;
-                     //   on continue: pop f envs and pc = e; b/e < 0 propagate
-                     //   the completion out of the chunk
-  kEvalExpr,         // r[a] = interp.EvalExpression(nodes[b], cur_env)
+  // --- exceptions, classes, static errors -----------------------------------
+  kTry,              // run the try statement nodes[a] (Vm::RunTry): each block
+                     //   is a sub-chunk run in cur_env (catch: in a fresh
+                     //   catch frame); on break: pop c envs (+ the top
+                     //   iteration frame when d != 0) and pc = b; on continue:
+                     //   pop f envs and pc = e; b/e < 0 propagate the
+                     //   completion out of the chunk
+  kClass,            // Interpreter::DeclareClass(nodes[a], cur_env)
+  kRaise,            // return Status(StatusCode a, names[b])  (statically
+                     //   known runtime errors, e.g. `++1`)
 
   // --- completions -----------------------------------------------------------
   kAwait,            // r[a] = await r[b]
@@ -158,7 +160,7 @@ struct Insn {
 struct Chunk {
   std::vector<Insn> code;
   std::vector<Value> constants;
-  std::vector<NodePtr> nodes;       // closure bodies and escape-hatch subtrees
+  std::vector<NodePtr> nodes;       // closure, try and class nodes
   std::vector<std::string> names;   // property keys and precompiled diagnostics
   uint32_t num_regs = 0;            // register-file size
 

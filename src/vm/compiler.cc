@@ -14,12 +14,13 @@ namespace vm {
 
 namespace {
 
-// The compiler mirrors the tree-walker's evaluation order and environment
-// discipline instruction for instruction: every Environment::MakeChild site in
-// the tree-walker has a matching kEnvPush here (and transparent blocks are
-// skipped under the same `slot == 0 && frame_size == 0` test), so the runtime
-// parent chain — and with it every (hops, slot) coordinate and every
-// escape-hatch hand-off — lines up between tiers.
+// The compiler mirrors the reference tree-walker's evaluation order and
+// environment discipline instruction for instruction: every
+// Environment::MakeChild site in the tree-walker has a matching kEnvPush here
+// (or, for catch frames, in Vm::RunTry), and transparent blocks are skipped
+// under the same `slot == 0 && frame_size == 0` test, so the runtime parent
+// chain — and with it every (hops, slot) coordinate — lines up between the
+// evaluators.
 class Compiler {
  public:
   // `fuse_dift` selects the fused compilation flavor: recognized `__dift.*`
@@ -137,23 +138,20 @@ class Compiler {
     int break_env_depth;     // env depth at the break landing site
     int continue_env_depth;  // env depth at the continue landing site
     bool pops_iter_on_break;
-    std::vector<size_t> break_jumps;       // kJump -> patch .a
-    std::vector<size_t> break_eval_nodes;  // kEvalNode -> patch .b
-    std::vector<size_t> cont_jumps;        // kJump -> patch .a
-    std::vector<size_t> cont_eval_nodes;   // kEvalNode -> patch .e
+    std::vector<size_t> break_jumps;  // kJump -> patch .a
+    std::vector<size_t> cont_jumps;   // kJump -> patch .a
+    std::vector<size_t> trys;         // kTry -> patch .b (break) and .e (continue)
   };
 
   void PatchLoop(LoopCtx& loop, int break_pc, int cont_pc) {
     for (size_t insn : loop.break_jumps) {
       chunk_->code[insn].a = break_pc;
     }
-    for (size_t insn : loop.break_eval_nodes) {
-      chunk_->code[insn].b = break_pc;
-    }
     for (size_t insn : loop.cont_jumps) {
       chunk_->code[insn].a = cont_pc;
     }
-    for (size_t insn : loop.cont_eval_nodes) {
+    for (size_t insn : loop.trys) {
+      chunk_->code[insn].b = break_pc;
       chunk_->code[insn].e = cont_pc;
     }
   }
@@ -190,24 +188,26 @@ class Compiler {
     loop.cont_jumps.push_back(Emit(dbg, Op::kJump, -1));
   }
 
-  // Hands a statement subtree to the tree-walking oracle. Inside a loop the
+  // A try statement runs its blocks as sub-chunks (Vm::RunTry), so a break or
+  // continue inside them surfaces as a completion. Inside a loop the
   // instruction carries break/continue trampolines (landing pc + how many
   // environments to unwind from this site); outside, abrupt loop completions
   // propagate out of the chunk.
-  void EmitEvalNode(const NodePtr& node) {
-    size_t insn = Emit(node.get(), Op::kEvalNode, NodeIdx(node), -1, 0, 0, -1, 0);
+  void EmitTry(const NodePtr& node) {
+    size_t insn = Emit(node.get(), Op::kTry, NodeIdx(node), -1, 0, 0, -1, 0);
     if (!loops_.empty()) {
       LoopCtx& loop = loops_.back();
       chunk_->code[insn].c = env_depth_ - loop.break_env_depth;
       chunk_->code[insn].d = loop.pops_iter_on_break ? 1 : 0;
       chunk_->code[insn].f = env_depth_ - loop.continue_env_depth;
-      loop.break_eval_nodes.push_back(insn);
-      loop.cont_eval_nodes.push_back(insn);
+      loop.trys.push_back(insn);
     }
   }
 
-  void EmitEvalExpr(int dst, const NodePtr& node) {
-    Emit(node.get(), Op::kEvalExpr, dst, NodeIdx(node));
+  // A runtime error known at compile time: the reference tree-walker's exact
+  // status, raised after whatever operands it evaluates first.
+  void EmitRaise(const NodePtr& node, const Status& status) {
+    Emit(node.get(), Op::kRaise, static_cast<int32_t>(status.code()), NameIdx(status.message()));
   }
 
   // --- identifiers -----------------------------------------------------------
@@ -311,15 +311,15 @@ class Compiler {
       }
       case NodeKind::kBinaryExpr: {
         BinaryOp op = BinaryOpFromString(node->str);
-        if (op == BinaryOp::kInvalid) {
-          EmitEvalExpr(dst, node);
-          return;
-        }
         RegScope scope(this);
         int left = AllocReg();
         CompileExprInto(left, node->children[0]);
         int right = AllocReg();
         CompileExprInto(right, node->children[1]);
+        if (op == BinaryOp::kInvalid) {
+          EmitRaise(node, UnimplementedError("binary operator " + node->str));
+          return;
+        }
         Emit(node.get(), Op::kBinary, dst, static_cast<int32_t>(op), left, right);
         return;
       }
@@ -373,10 +373,12 @@ class Compiler {
           CompileExprInto(dst, part);
         }
         return;
+      case NodeKind::kSpreadElement:
+        EmitRaise(node, Interpreter::TypeError("spread element outside call/array context"));
+        return;
       default:
-        // kSpreadElement outside call/array context and anything the compiler
-        // does not know: the oracle produces the exact runtime error.
-        EmitEvalExpr(dst, node);
+        EmitRaise(node, InternalError(std::string("unexpected ") + NodeKindName(node->kind) +
+                                      " in expression position"));
         return;
     }
   }
@@ -670,6 +672,9 @@ class Compiler {
       Emit(node.get(), Op::kLoadConst, dst, ConstIdx(Value(false)));
       return;
     }
+    RegScope scope(this);
+    int r = AllocReg();
+    CompileExprInto(r, node->children[0]);
     UnaryOp decoded;
     if (op == "!") {
       decoded = UnaryOp::kNot;
@@ -680,12 +685,9 @@ class Compiler {
     } else if (op == "~") {
       decoded = UnaryOp::kBitNot;
     } else {
-      EmitEvalExpr(dst, node);  // unknown unary -> oracle's UnimplementedError
+      EmitRaise(node, UnimplementedError("unary operator " + op));
       return;
     }
-    RegScope scope(this);
-    int r = AllocReg();
-    CompileExprInto(r, node->children[0]);
     Emit(node.get(), Op::kUnary, dst, static_cast<int32_t>(decoded), r);
   }
 
@@ -729,7 +731,7 @@ class Compiler {
       EmitUpdateArithmetic(node, target, step, prefix, dst, old_raw, obj, key, target.get());
       return;
     }
-    EmitEvalExpr(dst, node);  // invalid update target -> oracle's TypeError
+    EmitRaise(node, Interpreter::TypeError("invalid update target"));  // `++1`
   }
 
   // Shared tail of kUpdateExpr: coerce, step by one, store, pick the result
@@ -767,13 +769,11 @@ class Compiler {
     const std::string& op = node->str;
     bool plain = op == "=";
     bool logical = op == "&&=" || op == "||=" || op == "?\?=";
+    // kInvalid for an unknown compound spelling: EmitAssignValue raises after
+    // evaluating the target and RHS, as the oracle does.
     BinaryOp compound = BinaryOp::kInvalid;
     if (!plain && !logical) {
       compound = BinaryOpFromString(op.substr(0, op.size() - 1));
-      if (compound == BinaryOp::kInvalid) {
-        EmitEvalExpr(dst, node);
-        return;
-      }
     }
     if (target->kind == NodeKind::kIdentifier) {
       RegScope scope(this);
@@ -822,7 +822,7 @@ class Compiler {
       }
       return;
     }
-    EmitEvalExpr(dst, node);  // invalid assignment target -> oracle's TypeError
+    EmitRaise(node, Interpreter::TypeError("invalid assignment target"));
   }
 
   // Computes the stored value of an assignment into `dst`. The RHS is always
@@ -848,6 +848,10 @@ class Compiler {
     RegScope scope(this);
     int rhs = AllocReg();
     CompileExprInto(rhs, node->children[1]);
+    if (compound == BinaryOp::kInvalid) {
+      EmitRaise(node, UnimplementedError("binary operator " + op.substr(0, op.size() - 1)));
+      return;
+    }
     Emit(node.get(), Op::kBinary, dst, static_cast<int32_t>(compound), old_raw, rhs);
   }
 
@@ -949,21 +953,18 @@ class Compiler {
         return;
       }
       case NodeKind::kTryStmt:
+        EmitTry(node);
+        return;
       case NodeKind::kClassDecl:
-        // Exception handling and class construction run through the oracle:
-        // both are cold, and try/catch in particular would otherwise need an
-        // in-VM handler stack for no measurable gain.
-        EmitEvalNode(node);
+        Emit(node.get(), Op::kClass, NodeIdx(node));
         return;
-      default:
-        if (node->IsExpression()) {
-          RegScope scope(this);
-          int r = AllocReg();
-          CompileExprInto(r, node);
-          return;
-        }
-        EmitEvalNode(node);
+      default: {
+        // Expression in statement position (anything else raises there).
+        RegScope scope(this);
+        int r = AllocReg();
+        CompileExprInto(r, node);
         return;
+      }
     }
   }
 
@@ -990,7 +991,7 @@ class Compiler {
   }
 
   void CompileWhile(const NodePtr& node) {
-    loops_.push_back(LoopCtx{env_depth_, env_depth_, false, {}, {}, {}, {}});
+    loops_.push_back(LoopCtx{env_depth_, env_depth_, false, {}, {}, {}});
     int start = Here();
     size_t exit_jump;
     {
@@ -1016,7 +1017,7 @@ class Compiler {
     if (node->children[0]->kind != NodeKind::kEmpty) {
       CompileStmt(node->children[0]);
     }
-    loops_.push_back(LoopCtx{env_depth_, env_depth_, false, {}, {}, {}, {}});
+    loops_.push_back(LoopCtx{env_depth_, env_depth_, false, {}, {}, {}});
     int start = Here();
     size_t exit_jump = SIZE_MAX;
     if (node->children[1]->kind != NodeKind::kEmpty) {
@@ -1057,7 +1058,7 @@ class Compiler {
     // The per-iteration environment sits one deeper than the break landing
     // site; the iteration frame must be popped on break (kIterNext pops it on
     // normal exhaustion).
-    loops_.push_back(LoopCtx{env_depth_, env_depth_ + 1, true, {}, {}, {}, {}});
+    loops_.push_back(LoopCtx{env_depth_, env_depth_ + 1, true, {}, {}, {}});
     int start = Here();
     size_t next = Emit(node.get(), Op::kIterNext, -1, item);
     Emit(node.get(), Op::kEnvPush, static_cast<int32_t>(node->frame_size));
@@ -1184,8 +1185,9 @@ const char* OpName(Op op) {
     case Op::kCallLabelled: return "CallLabelled";
     case Op::kGetPropLabelled: return "GetPropLabelled";
     case Op::kSetPropLabelled: return "SetPropLabelled";
-    case Op::kEvalNode: return "EvalNode";
-    case Op::kEvalExpr: return "EvalExpr";
+    case Op::kTry: return "Try";
+    case Op::kClass: return "Class";
+    case Op::kRaise: return "Raise";
     case Op::kAwait: return "Await";
     case Op::kThrow: return "Throw";
     case Op::kReturn: return "Return";

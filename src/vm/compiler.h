@@ -1,13 +1,13 @@
 // Lowers resolved MiniScript ASTs to register bytecode (see bytecode.h).
 //
-// Compilation is per function body, on first execution, *after* any
-// instrumentation rewrite: the instrumentor re-resolves the tree it rewrote,
-// re-resolution clears the per-node chunk cache (src/lang/resolve.cc), and
-// the injected `__dift.*` calls are ordinary member calls by the time they
-// reach the compiler. Compilation never fails: statements the compiler does
-// not lower natively (try/catch, class declarations, anything unknown) are
-// emitted as kEvalNode escape hatches that run the subtree through the
-// tree-walking oracle with the current environment.
+// Compilation is per function body (and per try/catch/finally block), on
+// first execution, *after* any instrumentation rewrite: the instrumentor
+// re-resolves the tree it rewrote, re-resolution clears the per-node chunk
+// cache (src/lang/resolve.cc), and the injected `__dift.*` calls are ordinary
+// member calls by the time they reach the compiler. Compilation never fails:
+// every statement and expression kind lowers to bytecode, and node kinds that
+// cannot appear where they stand lower to a kRaise of the error the
+// reference tree-walker reports.
 #ifndef TURNSTILE_SRC_VM_COMPILER_H_
 #define TURNSTILE_SRC_VM_COMPILER_H_
 
@@ -22,11 +22,12 @@ namespace vm {
 // (Node::compiled_chunk) and is invalidated by ResolveProgram.
 ChunkPtr GetOrCompileProgram(const NodePtr& root);
 
-// Compiles (or returns the cached chunk of) a function body: a kBlockStmt
-// lowers like any block (ending in kHalt); an expression body lowers to the
-// expression followed by kHaltValue. The caller (Interpreter::CallFunction)
-// owns frame setup — `this`, self binding, parameters — exactly as for the
-// tree-walked tier, so the chunk starts with the call environment current.
+// Compiles (or returns the cached chunk of) a function body or a try, catch
+// or finally block: a kBlockStmt lowers like any block (ending in kHalt); an
+// expression body lowers to the expression followed by kHaltValue. The caller
+// owns frame setup — Interpreter::CallFunction binds `this`, the self binding
+// and parameters; Vm::RunTry builds the catch frame — so the chunk starts with
+// its environment current.
 ChunkPtr GetOrCompileFunctionBody(const NodePtr& body);
 
 // The DIFT-fused compilation flavor (default bytecode tier): recognized

@@ -28,6 +28,7 @@ namespace {
 //   n  Chunk::names index  k  Chunk::constants index
 //   j  jump target (pc)    d  Chunk::nodes index
 //   i  plain integer       b  BinaryOp    u  UnaryOp
+//   s  StatusCode
 //   .  unused (skip)
 const char* OperandSpec(Op op) {
   switch (op) {
@@ -86,8 +87,9 @@ const char* OperandSpec(Op op) {
     case Op::kCallLabelled:     return "rrrirn";
     case Op::kGetPropLabelled:  return "rra";
     case Op::kSetPropLabelled:  return "rar";
-    case Op::kEvalNode:         return "djiiji";
-    case Op::kEvalExpr:         return "rd";
+    case Op::kTry:              return "djiiji";
+    case Op::kClass:            return "d";
+    case Op::kRaise:            return "sn";
     case Op::kAwait:            return "rr";
     case Op::kThrow:            return "r";
     case Op::kReturn:           return "r";
@@ -189,6 +191,8 @@ std::string RenderOperand(const Chunk& chunk, char kind, int32_t value) {
       return std::string("op(") + BinaryOpName(static_cast<BinaryOp>(value)) + ")";
     case 'u':
       return std::string("op(") + UnaryOpName(static_cast<UnaryOp>(value)) + ")";
+    case 's':
+      return StatusCodeName(static_cast<StatusCode>(value));
     case 'i':
     default:
       return std::to_string(value);

@@ -23,12 +23,37 @@ Result<Completion> Vm::ExecuteProgram(Interpreter& interp, const NodePtr& root,
   return Execute(interp, *chunk, env);
 }
 
-Result<Completion> Vm::ExecuteFunctionBody(Interpreter& interp, const FunctionObject& fn,
-                                           const EnvPtr& call_env) {
+Result<Completion> Vm::ExecuteBody(Interpreter& interp, const NodePtr& body, const EnvPtr& env) {
   ChunkPtr chunk = interp.exec_tier() == ExecTier::kBytecodeLowered
-                       ? GetOrCompileFunctionBody(fn.body)
-                       : GetOrCompileFunctionBodyFused(fn.body);
-  return Execute(interp, *chunk, call_env);
+                       ? GetOrCompileFunctionBody(body)
+                       : GetOrCompileFunctionBodyFused(body);
+  return Execute(interp, *chunk, env);
+}
+
+Result<Completion> Vm::RunTry(Interpreter& interp, const Node& try_node, const EnvPtr& env) {
+  const NodePtr& catch_block = try_node.children[2];
+  TURNSTILE_ASSIGN_OR_RETURN(outcome, ExecuteBody(interp, try_node.children[0], env));
+  if (outcome.kind == Completion::Kind::kThrow && catch_block->kind == NodeKind::kBlockStmt) {
+    // The try node carries the catch frame's size (see resolve.h).
+    EnvPtr catch_env = Environment::MakeChild(env, try_node.frame_size);
+    const NodePtr& param = try_node.children[1];
+    if (param->kind != NodeKind::kEmpty) {
+      if (param->slot >= 0) {
+        catch_env->slots[static_cast<size_t>(param->slot)] = outcome.value;
+      } else {
+        catch_env->Define(param->str, outcome.value);
+      }
+    }
+    TURNSTILE_ASSIGN_OR_RETURN(caught, ExecuteBody(interp, catch_block, catch_env));
+    outcome = std::move(caught);
+  }
+  if (try_node.children.size() > 3 && try_node.children[3]->kind == NodeKind::kBlockStmt) {
+    TURNSTILE_ASSIGN_OR_RETURN(finally, ExecuteBody(interp, try_node.children[3], env));
+    if (finally.IsAbrupt()) {
+      return finally;  // finally overrides
+    }
+  }
+  return outcome;
 }
 
 // The profiled instantiation is compiled in vm_profiled.cc; keeping it out

@@ -1,6 +1,6 @@
-// The bytecode dispatch loop: executes Chunks (bytecode.h) against the same
-// runtime the tree-walker uses — Value, Environment frames, builtins, the
-// event-loop task queue — via the Interpreter's tier-shared helpers.
+// The bytecode dispatch loop: the production evaluator. Executes Chunks
+// (bytecode.h) against the Interpreter's runtime — Value, Environment frames,
+// builtins, the event-loop task queue — via its tier-shared helpers.
 #ifndef TURNSTILE_SRC_VM_VM_H_
 #define TURNSTILE_SRC_VM_VM_H_
 
@@ -17,25 +17,33 @@ namespace vm {
 
 class Vm {
  public:
-  // Compiles (cached) and runs a kProgram root in `env` (the global scope).
-  // Mirrors Interpreter::EvalStatement on the root for completion semantics.
+  // Compiles (cached) and runs a kProgram root in `env` (the global scope),
+  // returning the root's completion (an uncaught throw stays a Throw).
   static Result<Completion> ExecuteProgram(Interpreter& interp, const NodePtr& root,
                                            const EnvPtr& env);
 
-  // Compiles (cached) and runs a function body in the already-populated call
-  // environment (Interpreter::CallFunction owns frame setup for both tiers).
-  // Returns the same Completion shapes the tree-walked body dispatch does:
-  // Normal(undefined) for a block body falling off the end, Normal(value) for
-  // expression-body arrows, Return/Throw/Break/Continue passed through.
-  static Result<Completion> ExecuteFunctionBody(Interpreter& interp, const FunctionObject& fn,
-                                                const EnvPtr& call_env);
+  // Compiles (cached on the node) and runs a function body, or a try, catch
+  // or finally block, in its already-populated environment
+  // (Interpreter::CallFunction and RunTry own frame setup), in the flavor the
+  // interpreter's tier selects (fused or call-lowered). Returns the same
+  // Completion shapes the tree-walked body dispatch does: Normal(undefined)
+  // for a block falling off the end, Normal(value) for expression-body
+  // arrows, Return/Throw/Break/Continue passed through.
+  static Result<Completion> ExecuteBody(Interpreter& interp, const NodePtr& body,
+                                        const EnvPtr& env);
 
   // Runs one chunk. Host errors surface as Status; MiniScript throws as
-  // Completion::Throw. Never handles exceptions itself — try/catch runs in
-  // the tree-walking oracle via the kEvalNode escape hatch.
+  // Completion::Throw, which only a kTry instruction (RunTry) catches.
   static Result<Completion> Execute(Interpreter& interp, const Chunk& chunk, EnvPtr env);
 
  private:
+  // The kTry arm, kept out of line so the dispatch loop's inlining budget is
+  // unaffected. Runs the try block; on a throw with a catch block, runs it in
+  // a fresh catch frame (try->frame_size slots) binding the thrown value;
+  // then runs the finally block, whose abrupt completion overrides — the
+  // tree-walker's rule, block for block. Each block is its own sub-chunk.
+  static Result<Completion> RunTry(Interpreter& interp, const Node& try_node, const EnvPtr& env);
+
   // The dispatch loop is compiled twice: the kProfiled=false instantiation
   // carries no per-instruction profiling code at all, so the disabled-path
   // cost is the single tier-selection branch in Execute.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "src/analysis/analyzer.h"
@@ -126,6 +127,10 @@ struct RunCase {
   const char* version_name;
   AppVersion version;
 };
+
+// Print the name, not the raw bytes: those hold a load-address-dependent
+// pointer and would make the discovered test names unstable.
+void PrintTo(const RunCase& c, std::ostream* os) { *os << c.version_name; }
 
 class CorpusRunTest : public ::testing::TestWithParam<RunCase> {};
 

@@ -300,6 +300,40 @@ TEST_F(TrackerTest, UnknownLabellerIsAnError) {
   EXPECT_NE(status.message().find("nope"), std::string::npos);
 }
 
+// A `$fn` labeller must be a function literal. Any other expression — even
+// one naming a global function — is rejected with a PolicyError before
+// anything runs: the tracker builds labellers with MakeClosure and never
+// evaluates policy source.
+TEST(TrackerPolicyTest, NonLiteralFnLabellerIsAPolicyError) {
+  auto policy = Policy::FromJsonText(R"json({
+    "labellers": {
+      "byGlobal": { "$fn": "classify" },
+      "byCall": { "$fn": "pick()" },
+      "literal": { "$fn": "(v) => \"secret\"" }
+    },
+    "rules": []
+  })json");
+  ASSERT_TRUE(policy.ok()) << policy.status().ToString();
+  Interpreter interp;
+  DiftTracker tracker(&interp, std::shared_ptr<Policy>(std::move(policy).value().release()));
+  tracker.Install();
+  auto program = ParseProgram(
+      "function classify(v) { return \"secret\"; } function pick() { return classify; }");
+  ASSERT_TRUE(program.ok());
+  ASSERT_TRUE(interp.RunProgram(*program).ok());
+
+  for (const char* name : {"byGlobal", "byCall"}) {
+    SCOPED_TRACE(name);
+    auto labelled = tracker.Label(Value(MakeObject()), name);
+    ASSERT_FALSE(labelled.ok());
+    EXPECT_EQ(labelled.status().code(), StatusCode::kPolicyError);
+    EXPECT_NE(labelled.status().message().find("label function did not evaluate to a function"),
+              std::string::npos)
+        << labelled.status().message();
+  }
+  EXPECT_TRUE(tracker.Label(Value(MakeObject()), "literal").ok());
+}
+
 TEST_F(TrackerTest, StatsAreCounted) {
   RunSource(R"(
     let a = __dift.label("v", "secret");

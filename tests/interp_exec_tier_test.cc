@@ -1,7 +1,9 @@
 // TURNSTILE_EXEC_TIER parsing: the accepted spellings select their tier, and
 // an unrecognized value keeps the fused-bytecode default while logging one
 // loud warning naming the accepted values (a silent fall-through here once
-// made `TURNSTILE_EXEC_TIER=tree-walk` benchmark the wrong tier).
+// made `TURNSTILE_EXEC_TIER=tree-walk` benchmark the wrong tier). The
+// tree-walking oracle is not selectable from the environment: only
+// Interpreter::set_exec_tier reaches it.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -13,7 +15,7 @@
 namespace turnstile {
 namespace {
 
-// The CI tree-walk job exports TURNSTILE_EXEC_TIER for the whole suite, so
+// The CI lowered-tier job exports TURNSTILE_EXEC_TIER for the whole suite, so
 // every test here restores whatever value the process started with.
 class ScopedExecTierEnv {
  public:
@@ -45,10 +47,10 @@ class ScopedExecTierEnv {
 TEST(ExecTierFromNameTest, AcceptedSpellings) {
   EXPECT_EQ(ExecTierFromName("bytecode"), ExecTier::kBytecode);
   EXPECT_EQ(ExecTierFromName("bytecode-lowered"), ExecTier::kBytecodeLowered);
-  EXPECT_EQ(ExecTierFromName("treewalk"), ExecTier::kTreeWalk);
 }
 
 TEST(ExecTierFromNameTest, RejectsNearMisses) {
+  EXPECT_EQ(ExecTierFromName("treewalk"), std::nullopt);
   EXPECT_EQ(ExecTierFromName("tree-walk"), std::nullopt);
   EXPECT_EQ(ExecTierFromName("Bytecode"), std::nullopt);
   EXPECT_EQ(ExecTierFromName("vm"), std::nullopt);
@@ -56,11 +58,6 @@ TEST(ExecTierFromNameTest, RejectsNearMisses) {
 }
 
 TEST(ExecTierEnvTest, ValidValuesSelectTheTier) {
-  {
-    ScopedExecTierEnv env("treewalk");
-    Interpreter interp;
-    EXPECT_EQ(interp.exec_tier(), ExecTier::kTreeWalk);
-  }
   {
     ScopedExecTierEnv env("bytecode-lowered");
     Interpreter interp;
@@ -79,7 +76,7 @@ TEST(ExecTierEnvTest, ValidValuesSelectTheTier) {
 }
 
 TEST(ExecTierEnvTest, UnrecognizedValueWarnsOnceAndKeepsDefault) {
-  ScopedExecTierEnv env("tree-walk");
+  ScopedExecTierEnv env("treewalk");
   ResetExecTierWarningForTest();
 
   testing::internal::CaptureStderr();
@@ -88,10 +85,9 @@ TEST(ExecTierEnvTest, UnrecognizedValueWarnsOnceAndKeepsDefault) {
 
   EXPECT_EQ(interp.exec_tier(), ExecTier::kBytecode);
   EXPECT_NE(warning.find("TURNSTILE_EXEC_TIER"), std::string::npos) << warning;
-  EXPECT_NE(warning.find("tree-walk"), std::string::npos) << warning;
+  EXPECT_NE(warning.find("\"treewalk\""), std::string::npos) << warning;
   EXPECT_NE(warning.find("\"bytecode\""), std::string::npos) << warning;
   EXPECT_NE(warning.find("\"bytecode-lowered\""), std::string::npos) << warning;
-  EXPECT_NE(warning.find("\"treewalk\""), std::string::npos) << warning;
 
   // The warning is a process-wide one-shot: apps construct interpreters in
   // loops, and one line is a signal while a thousand is log spam.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/lang/parser.h"
 
 namespace turnstile {
@@ -57,6 +59,10 @@ struct RoundTripCase {
   const char* name;
   const char* source;
 };
+
+// Without this, gtest lists the param as raw pointer bytes, which change with
+// every load address and so make the discovered test names unstable.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.name; }
 
 class PrinterRoundTripTest : public ::testing::TestWithParam<RoundTripCase> {};
 

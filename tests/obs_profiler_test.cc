@@ -15,6 +15,8 @@
 
 #include "src/corpus/corpus.h"
 #include "src/corpus/driver.h"
+#include "src/interp/interp.h"
+#include "src/lang/parser.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/support/json.h"
@@ -269,6 +271,52 @@ TEST(ProfilerAttributionTest, LineSelfTimeCoversVmWallTime) {
   // the remainder is pre-first-instruction overhead per activation).
   EXPECT_GE(line_self_total, 0.95 * vm_seconds)
       << "line self " << line_self_total << "s vs vm wall " << vm_seconds << "s";
+}
+
+TEST(ProfilerAttributionTest, LineSelfTimeCoversVmWallTimeWithTryCatch) {
+  // try, catch and finally blocks run as VM sub-chunks whose activations nest
+  // inside the enclosing chunk's; the line clock must still partition VM
+  // wall time, and the catch block's lines must be attributed.
+  auto program = ParseProgram(R"(function work(n) {
+  let total = 0;
+  for (let i = 0; i < n; i++) {
+    try {
+      if (i % 3 === 0) { throw i; }
+      total += i;
+    } catch (e) {
+      total -= e;
+    } finally {
+      total += 1;
+    }
+  }
+  return total;
+}
+let result = 0;
+for (let k = 0; k < 200; k++) { result += work(60); }
+)");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  Interpreter interp;
+  interp.set_exec_tier(ExecTier::kBytecode);
+  Profiler& profiler = Profiler::Global();
+  profiler.Enable();
+  ASSERT_TRUE(interp.RunProgram(*program).ok());
+  double vm_seconds = profiler.vm_seconds();
+  std::vector<LineProfile> lines = profiler.LinesSnapshot();
+  profiler.Disable();
+
+  ASSERT_GT(vm_seconds, 0.0);
+  double line_self_total = 0.0;
+  bool catch_line = false;
+  for (const LineProfile& line : lines) {
+    line_self_total += line.self_s;
+    if (line.line == 8 && line.ticks > 0) {
+      catch_line = true;  // `total -= e;`
+    }
+  }
+  EXPECT_TRUE(catch_line) << "catch block line 8 was never attributed";
+  EXPECT_GE(line_self_total, 0.95 * vm_seconds)
+      << "line self " << line_self_total << "s vs vm wall " << vm_seconds << "s";
+  EXPECT_LE(line_self_total, vm_seconds * (1 + 1e-9));
 }
 
 TEST(ProfilerMetricsTest, PerNodeLatencyHistogramWithPercentiles) {

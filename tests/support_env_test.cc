@@ -1,6 +1,6 @@
 // Strict environment-variable parsing (src/support/env.h): the whole-string
 // integer contract behind TURNSTILE_FLEET_SHARDS and
-// TURNSTILE_BENCH_INSTANCES. Malformed values never half-parse — they keep
+// TURNSTILE_BENCH_MESSAGES. Malformed values never half-parse — they keep
 // the default and warn once per variable, the ExecTierFromName arrangement.
 #include <gtest/gtest.h>
 

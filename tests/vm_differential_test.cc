@@ -248,6 +248,27 @@ constexpr DiffProgram kEvalPrograms[] = {
     {"in-absent", "let result = \"b\" in { a: 1 };"},
     {"undeclared-ref", "let x = neverDeclared + 1;"},
     {"recursion-bound", "function f() { return f(); } f();"},
+    {"update-invalid-target", "let result = 1; ++1;"},
+    {"extends-non-class", "function NotAClass() {} class C extends NotAClass {}"},
+    {"extends-undeclared", "class C extends Missing {}"},
+    // Array writes that once aborted the process (std::length_error /
+    // std::bad_alloc) raise a RangeError status instead.
+    {"array-length-negative", "let a = [1, 2]; a.length = -1;"},
+    {"array-length-nan", "let a = [1, 2]; a.length = 0 / 0;"},
+    {"array-length-fraction", "let a = [1]; a.length = 1.5;"},
+    {"array-length-too-long", "let a = []; a.length = 4294967295;"},
+    {"array-index-too-far", "let a = []; a[1e12] = 1;"},
+    {"array-length-shrink",
+     "let a = [1, 2, 3]; a.length = 1; let result = a.length + \"/\" + a[0];"},
+    // Number -> integer conversion: NaN, infinities and values outside the
+    // int64 range convert to 0; `in` on arrays never casts a bad index.
+    {"bitwise-out-of-range",
+     "let result = (1e300 | 0) + \"/\" + (-1e300 | 0) + \"/\" + (1e19 & 7) + \"/\" + ~1e300;"},
+    {"bitwise-non-finite",
+     "let result = ((0 / 0) | 5) + \"/\" + ~(1 / 0) + \"/\" + ((1 / 0) >> 1);"},
+    {"in-array-index",
+     "let a = [1, 2]; let result = (1 in a) + \"/\" + (2 in a) + \"/\" + ((-1) in a) + \"/\" + "
+     "((0 / 0) in a) + \"/\" + (1.5 in a);"},
 };
 
 // --- interp_semantics_test programs ------------------------------------------
@@ -402,6 +423,175 @@ constexpr DiffProgram kSemanticsPrograms[] = {
         bump();
       }
       let result = total;
+    )"},
+    // try/catch/finally blocks run as VM sub-chunks: break and continue leave
+    // them as completions that the enclosing loop's trampoline must land,
+    // unwinding the loop-body frames (and, for for-of, the iteration frame).
+    {"try-finally-break-continue-for", R"(
+      let log = [];
+      for (let i = 0; i < 5; i++) {
+        let k = i * 2;
+        try {
+          if (i === 1) { continue; }
+          if (i === 3) { break; }
+          log.push("t" + k);
+        } finally {
+          log.push("f" + i);
+        }
+      }
+      let result = log.join(",");
+    )"},
+    {"try-finally-break-continue-while", R"(
+      let log = [];
+      let i = 0;
+      while (true) {
+        i++;
+        let tag = "w" + i;
+        try {
+          if (i % 2 === 0) { continue; }
+          if (i > 5) { break; }
+          log.push(tag);
+        } catch (e) {
+          log.push("never");
+        } finally {
+          log.push("f");
+        }
+      }
+      let result = log.join(",") + "/" + i;
+    )"},
+    {"try-finally-break-continue-for-of", R"(
+      let log = [];
+      for (let o of [1, 2]) {
+        for (let x of [10, 20, 30, 40]) {
+          let tag = o + ":" + x;
+          try {
+            if (x === 20) { continue; }
+            if (x === 30) { break; }
+            log.push(tag);
+          } finally {
+            log.push("f");
+          }
+        }
+        log.push("next");
+      }
+      let result = log.join(",");
+    )"},
+    {"return-through-finally-in-loop", R"(
+      let log = [];
+      function find(xs, want) {
+        for (let x of xs) {
+          try {
+            if (x === want) { return "found " + x; }
+          } finally {
+            log.push("f" + x);
+          }
+        }
+        return "missing";
+      }
+      let result = find([1, 2, 3], 2) + "/" + find([4], 9) + "/" + log.join(",");
+    )"},
+    {"finally-overrides-break", R"(
+      let log = [];
+      function f() {
+        for (let i = 0; i < 3; i++) {
+          try {
+            break;
+          } finally {
+            log.push("f" + i);
+            continue;
+          }
+        }
+        for (let x of [1, 2]) {
+          try {
+            break;
+          } finally {
+            return log.join(",") + "/returned " + x;
+          }
+        }
+        return "unreachable";
+      }
+      let result = f();
+    )"},
+    {"try-finally-without-catch-rethrows", R"(
+      let log = [];
+      function f() {
+        try {
+          throw "boom";
+        } finally {
+          log.push("finally");
+        }
+        log.push("unreachable");
+      }
+      try {
+        f();
+      } catch (e) {
+        log.push("caught " + e);
+      }
+      let result = log.join(",");
+    )"},
+    {"throw-from-catch-with-finally", R"(
+      let log = [];
+      try {
+        try {
+          throw "first";
+        } catch (e) {
+          log.push("caught " + e);
+          throw e + "-again";
+        } finally {
+          log.push("finally");
+        }
+      } catch (e2) {
+        log.push("outer " + e2);
+      }
+      let result = log.join(",");
+    )"},
+    {"try-in-loop-in-try", R"(
+      let log = [];
+      try {
+        for (let i = 0; i < 5; i++) {
+          try {
+            if (i === 1) { throw "odd" + i; }
+            if (i === 2) { continue; }
+            if (i === 3) { throw "escape"; }
+            log.push("ok" + i);
+          } catch (e) {
+            if (e === "escape") { throw e; }
+            log.push("c:" + e);
+          }
+        }
+      } catch (outer) {
+        log.push("outer:" + outer);
+      }
+      let result = log.join(",");
+    )"},
+    {"class-in-function", R"(
+      function make(v) {
+        class Local {
+          constructor() { this.v = v; }
+          get() { return this.v * 2; }
+        }
+        return new Local();
+      }
+      let result = make(4).get() + make(5).get();
+    )"},
+    {"class-in-loop-body", R"(
+      let out = [];
+      for (let i = 0; i < 3; i++) {
+        class Step { show() { return "s" + i; } }
+        out.push(new Step().show());
+      }
+      let result = out.join(",");
+    )"},
+    {"class-in-try", R"(
+      let result = "";
+      try {
+        class Boom { constructor() { throw "ctor"; } }
+        class Fine extends Boom { }
+        result += typeof Fine;
+        new Fine();
+      } catch (e) {
+        result += "/" + e;
+      }
     )"},
 };
 

@@ -2,6 +2,8 @@
 // function bodies that mention `__dift` compile onto the labelled opcodes,
 // clean ones alias the call-lowered chunk (one compile, pointer-equal cache
 // entries), and the lowered oracle flavor never contains a labelled opcode.
+// A golden listing pins the lowering of try/catch/finally, classes and
+// statically known errors.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -110,6 +112,86 @@ TEST_F(VmDisasmTest, ListingRendersOperandsAndLines) {
   EXPECT_NE(fused.find("r0"), std::string::npos) << fused;
   // Constant-pool rendering ("secret" is a string constant of the chunk).
   EXPECT_NE(fused.find("const \"secret\""), std::string::npos) << fused;
+}
+
+// try/catch/finally, a class declaration and a statically invalid update.
+constexpr const char* kTryClassSource =
+    "class Point {\n"
+    "  constructor(x) { this.x = x; }\n"
+    "}\n"
+    "for (let i = 0; i < 3; i++) {\n"
+    "  try {\n"
+    "    if (i === 1) { continue; }\n"
+    "    break;\n"
+    "  } catch (e) {\n"
+    "    throw e;\n"
+    "  } finally {\n"
+    "    ++1;\n"
+    "  }\n"
+    "}\n";
+
+// The program chunk declares the class with one kClass and runs the try
+// statement with one kTry whose break/continue trampolines land on the loop
+// exit (17) and the for-update (10); the try, catch and finally blocks are
+// sub-chunks of their own, where break/continue are kComplete and `++1` is a
+// kRaise of the tree-walker's exact status.
+constexpr const char* kTryClassGolden = R"(; chunk: 19 insns, 5 regs, 3 constants, 1 names, 2 nodes
+   0  Class             node[0](ClassDecl)  ; line 1
+   1  EnvPush           1  ; line 4
+   2  LoadConst         r0, const "0"  ; line 4
+   3  SetFnName         r0, "i"  ; line 4
+   4  StoreSlot         0, 0, r0  ; line 4
+   5  LoadSlot          r1, 0, 0  ; line 4
+   6  LoadConst         r2, const "3"  ; line 4
+   7  Binary            r0, op(<), r1, r2  ; line 4
+   8  JumpIfFalse       ->17, r0  ; line 4
+   9  Try               node[1](TryStmt), ->17, 0, 0, ->10, 0  ; line 5
+  10  LoadSlot          r1, 0, 0  ; line 4
+  11  Unary             r2, op(+), r1  ; line 4
+  12  LoadConst         r3, const "1"  ; line 4
+  13  Binary            r4, op(+), r2, r3  ; line 4
+  14  StoreSlot         0, 0, r4  ; line 4
+  15  Move              r0, r2  ; line 4
+  16  Jump              ->5  ; line 4
+  17  EnvPop              ; line 4
+  18  Halt                ; line 1
+-- try
+; chunk: 7 insns, 3 regs, 1 constants, 0 names, 0 nodes
+   0  LoadSlot          r1, 0, 0  ; line 6
+   1  LoadConst         r2, const "1"  ; line 6
+   2  Binary            r0, op(===), r1, r2  ; line 6
+   3  JumpIfFalse       ->5, r0  ; line 6
+   4  Complete          1  ; line 6
+   5  Complete          0  ; line 7
+   6  Halt                ; line 5
+-- catch
+; chunk: 3 insns, 1 regs, 0 constants, 0 names, 0 nodes
+   0  LoadSlot          r0, 0, 0  ; line 9
+   1  Throw             r0  ; line 9
+   2  Halt                ; line 8
+-- finally
+; chunk: 2 insns, 1 regs, 0 constants, 1 names, 0 nodes
+   0  Raise             RuntimeError, "TypeError: invalid update target"  ; line 11
+   1  Halt                ; line 10
+)";
+
+TEST(VmDisasmGoldenTest, TryCatchFinallyAndClassLowering) {
+  auto parsed = ParseProgram(kTryClassSource);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  Program program = std::move(parsed).value();
+  ResolveProgram(program);
+
+  std::string listing = vm::DisassembleChunk(*vm::GetOrCompileProgram(program.root));
+  const NodePtr& loop_body = program.root->children[1]->children[3];
+  ASSERT_EQ(loop_body->children.size(), 1u);
+  const NodePtr& try_stmt = loop_body->children[0];
+  ASSERT_EQ(try_stmt->kind, NodeKind::kTryStmt);
+  const char* labels[] = {"try", nullptr, "catch", "finally"};
+  for (size_t i : {0, 2, 3}) {
+    listing += std::string("-- ") + labels[i] + "\n" +
+               vm::DisassembleChunk(*vm::GetOrCompileFunctionBody(try_stmt->children[i]));
+  }
+  EXPECT_EQ(listing, kTryClassGolden);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Privacy-accounting queries over the flow-provenance audit ledger (ISSUE 6).
 //
-//   audit_query [<app>] [--messages=N] [--tier=bytecode|bytecode-lowered|treewalk]
+//   audit_query [<app>] [--messages=N] [--tier=bytecode|bytecode-lowered]
 //               [--source=LABEL] [--sink=NAME] [--out=PATH] [--check-fig10]
 //
 // Runs corpus apps (all 61 by default) under the selectively-instrumented
@@ -48,7 +48,7 @@ namespace {
 
 void PrintUsage(std::FILE* out) {
   std::fprintf(out,
-               "usage: audit_query [<app>] [--messages=N] [--tier=bytecode|bytecode-lowered|treewalk]\n"
+               "usage: audit_query [<app>] [--messages=N] [--tier=bytecode|bytecode-lowered]\n"
                "                   [--source=LABEL] [--sink=NAME] [--out=PATH]\n"
                "                   [--check-fig10] [--fleet-lineage]\n");
 }

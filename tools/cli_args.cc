@@ -83,10 +83,8 @@ FlagParse ParseTierFlag(const std::string& arg, const char* tool, std::optional<
   NoteFlagMatchForRepeatWarning(tool, "--tier");
   *out = ExecTierFromName(value);
   if (!out->has_value()) {
-    std::fprintf(stderr,
-                 "%s: unknown tier '%s' (accepted: bytecode, "
-                 "bytecode-lowered, treewalk)\n",
-                 tool, value);
+    std::fprintf(stderr, "%s: unknown tier '%s' (accepted: bytecode, bytecode-lowered)\n", tool,
+                 value);
     return FlagParse::kBad;
   }
   return FlagParse::kOk;

@@ -37,7 +37,7 @@ FlagParse ParseStringFlag(const std::string& arg, const char* flag, const char* 
 
 // Execution-tier flag: matches "--tier=T" against ExecTierFromName, rejecting
 // unknown names with
-//   "<tool>: unknown tier '<T>' (accepted: bytecode, bytecode-lowered, treewalk)"
+//   "<tool>: unknown tier '<T>' (accepted: bytecode, bytecode-lowered)"
 // on stderr.
 FlagParse ParseTierFlag(const std::string& arg, const char* tool, std::optional<ExecTier>* out);
 

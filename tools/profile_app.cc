@@ -2,7 +2,7 @@
 // exports its profile.
 //
 //   profile_app <app> [--messages=N] [--version=original|selective|exhaustive|roundtrip]
-//               [--tier=bytecode|bytecode-lowered|treewalk] [--disasm]
+//               [--tier=bytecode|bytecode-lowered] [--disasm]
 //               [--profile=PATH] [--trace-export=PATH] [--json[=PATH]]
 //
 //   --disasm             print the bytecode listing of the program and every
@@ -155,23 +155,33 @@ int Main(int argc, char** argv) {
 
   if (disasm) {
     // Compile-and-print, no execution: show exactly the chunks this runtime's
-    // tier would run (program top level plus every function body).
+    // tier would run (program top level, every function body, and every try,
+    // catch and finally block).
     bool lowered = (*runtime)->interp().exec_tier() == ExecTier::kBytecodeLowered;
     const NodePtr& root = (*runtime)->program_root();
     vm::ChunkPtr program_chunk =
         lowered ? vm::GetOrCompileProgram(root) : vm::GetOrCompileProgramFused(root);
     std::printf("=== %s: program (%s) ===\n%s", app->name.c_str(),
                 lowered ? "call-lowered" : "fused", vm::DisassembleChunk(*program_chunk).c_str());
-    ForEachNode(root, [&](const NodePtr& node) {
-      if (!node->IsFunctionLike()) {
-        return;
-      }
-      const NodePtr& body = node->children[1];
+    auto print_body = [&](const char* what, const std::string& name, const NodePtr& owner,
+                          const NodePtr& body) {
       vm::ChunkPtr chunk = lowered ? vm::GetOrCompileFunctionBody(body)
                                    : vm::GetOrCompileFunctionBodyFused(body);
-      std::printf("\n=== function %s (line %d) ===\n%s",
-                  node->str.empty() ? "<anonymous>" : node->str.c_str(), node->loc.line,
+      std::printf("\n=== %s %s (line %d) ===\n%s", what, name.c_str(), owner->loc.line,
                   vm::DisassembleChunk(*chunk).c_str());
+    };
+    ForEachNode(root, [&](const NodePtr& node) {
+      if (node->IsFunctionLike()) {
+        print_body("function", node->str.empty() ? "<anonymous>" : node->str, node,
+                   node->children[1]);
+      } else if (node->kind == NodeKind::kTryStmt) {
+        const char* blocks[] = {"try", nullptr, "catch", "finally"};
+        for (size_t i : {0, 2, 3}) {
+          if (node->children[i]->kind == NodeKind::kBlockStmt) {
+            print_body("block", blocks[i], node->children[i], node->children[i]);
+          }
+        }
+      }
     });
     return 0;
   }
