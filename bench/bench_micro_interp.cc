@@ -9,6 +9,7 @@
 #include "src/flow/workload.h"
 #include "src/interp/interp.h"
 #include "src/lang/parser.h"
+#include "src/runtime/fleet.h"
 
 namespace turnstile {
 namespace {
@@ -154,6 +155,38 @@ void BM_JsonParseNative(benchmark::State& state) {
   f.Run(state);
 }
 BENCHMARK(BM_JsonParseNative);
+
+// Width scaling of the two wide-object paths: JSON.parse of an N-key object
+// (the corpus parses ~900-key blobs per message) and the fleet wire's
+// serialization of an N-key message. Items are keys, so a linear build shows
+// a flat per-key time across widths.
+void BM_JsonParseWide(benchmark::State& state) {
+  const std::string source = "let blob = \"{\";\n"
+                             "for (let i = 0; i < " + std::to_string(state.range(0)) + "; i++) {\n"
+                             "  blob += (i == 0 ? '\"k' : ',\"k') + i + '\":' + (i % 97);\n"
+                             "}\n"
+                             "blob += \"}\";\n"
+                             "function tick() { return JSON.parse(blob); }\n";
+  TickFixture f(source.c_str());
+  f.Run(state);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_JsonParseWide)->ArgName("keys")->Arg(16)->Arg(256)->Arg(4096);
+
+void BM_WireSerializeWide(benchmark::State& state) {
+  ObjectPtr msg = MakeObject();
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    msg->Set("k" + std::to_string(i),
+             i % 2 == 0 ? Value(static_cast<double>(i % 97)) : Value("v" + std::to_string(i)));
+  }
+  const Value value(msg);
+  for (auto _ : state) {
+    Json payload = FleetSerializeMessage(value);
+    benchmark::DoNotOptimize(payload.is_object());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_WireSerializeWide)->ArgName("keys")->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_EventDispatch(benchmark::State& state) {
   Interpreter interp;

@@ -6,6 +6,7 @@
 
 #include "src/interp/interp.h"
 #include "src/support/json.h"
+#include "src/support/json_parser.h"
 #include "src/support/strings.h"
 
 namespace turnstile {
@@ -20,7 +21,7 @@ Value Arg(const std::vector<Value>& args, size_t i) {
 
 Json ValueToJson(const Value& value_in, int depth = 0) {
   Value value = UnboxDeep(value_in);
-  if (depth > 32) {
+  if (depth > kMaxSerializeDepth) {
     return Json(nullptr);
   }
   if (value.IsBool()) {
@@ -41,13 +42,17 @@ Json ValueToJson(const Value& value_in, int depth = 0) {
   }
   if (value.IsObject()) {
     Json out = Json::Object();
+    JsonObject& fields = out.object_items();
     const ObjectPtr& obj = value.AsObject();
+    fields.reserve(obj->insertion_order.size());
+    // insertion_order never repeats a key, so fields append without Set's
+    // duplicate scan.
     for (Atom atom : obj->insertion_order) {
       auto it = obj->properties.find(atom);
       const std::string& key = AtomName(atom);
       if (it != obj->properties.end() && !it->second.IsFunction() &&
           !StartsWith(key, "__")) {
-        out.Set(key, ValueToJson(it->second, depth + 1));
+        fields.emplace_back(key, ValueToJson(it->second, depth + 1));
       }
     }
     return out;
@@ -55,33 +60,28 @@ Json ValueToJson(const Value& value_in, int depth = 0) {
   return Json(nullptr);
 }
 
-Value JsonToValue(const Json& json) {
-  switch (json.type()) {
-    case Json::Type::kNull:
-      return Value::Null();
-    case Json::Type::kBool:
-      return Value(json.bool_value());
-    case Json::Type::kNumber:
-      return Value(json.number_value());
-    case Json::Type::kString:
-      return Value(json.string_value());
-    case Json::Type::kArray: {
-      std::vector<Value> elements;
-      for (const Json& item : json.array_items()) {
-        elements.push_back(JsonToValue(item));
-      }
-      return Value(MakeArray(std::move(elements)));
-    }
-    case Json::Type::kObject: {
-      ObjectPtr obj = MakeObject();
-      for (const auto& [key, item] : json.object_items()) {
-        obj->Set(key, JsonToValue(item));
-      }
-      return Value(obj);
-    }
+// Builds MiniScript values straight from JsonParser. Object::Set already
+// gives a repeated key its first position and last value.
+struct ValueTreeBuilder {
+  using Node = Value;
+  using Array = std::vector<Value>;
+  using Object = ObjectPtr;
+
+  Value Null() { return Value::Null(); }
+  Value Bool(bool value) { return Value(value); }
+  Value Number(double value) { return Value(value); }
+  Value String(std::string value) { return Value(std::move(value)); }
+
+  std::vector<Value> BeginArray() { return {}; }
+  void Append(std::vector<Value>& items, Value item) { items.push_back(std::move(item)); }
+  Value EndArray(std::vector<Value> items) { return Value(MakeArray(std::move(items))); }
+
+  ObjectPtr BeginObject() { return MakeObject(); }
+  void Put(ObjectPtr& object, std::string key, Value value) {
+    object->Set(InternAtom(key), std::move(value));
   }
-  return Value::Undefined();
-}
+  Value EndObject(ObjectPtr object) { return Value(std::move(object)); }
+};
 
 // --- promises ----------------------------------------------------------------
 
@@ -708,12 +708,14 @@ void Interpreter::InstallBuiltins() {
       })));
   json->Set("parse", Value(MakeNativeFunction(
       "JSON.parse", [](Interpreter& in, const Value&, std::vector<Value>& args) -> Result<Value> {
-        Result<Json> parsed = Json::Parse(UnboxDeep(Arg(args, 0)).ToDisplayString());
+        std::string text = UnboxDeep(Arg(args, 0)).ToDisplayString();
+        ValueTreeBuilder builder;
+        Result<Value> parsed = JsonParser<ValueTreeBuilder>(text, builder).Parse();
         if (!parsed.ok()) {
           in.SetPendingThrow(in.MakeError("JSON.parse: " + parsed.status().message()));
           return RuntimeError("uncaught exception: JSON.parse failure");
         }
-        return JsonToValue(*parsed);
+        return std::move(parsed).value();
       })));
   DefineGlobal("JSON", Value(json));
 

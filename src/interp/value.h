@@ -258,6 +258,10 @@ Value Unbox(const Value& value);
 // Fully unwraps nested boxes.
 Value UnboxDeep(const Value& value);
 
+// Serializing a Value to Json (JSON.stringify, the fleet wire) writes values
+// nested deeper than this as null, so a cyclic object graph terminates.
+inline constexpr int kMaxSerializeDepth = 32;
+
 }  // namespace turnstile
 
 #endif  // TURNSTILE_SRC_INTERP_VALUE_H_

@@ -11,12 +11,14 @@ namespace {
 uint64_t RouteKey(int shard, uint32_t instance) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(shard)) << 32) | instance;
 }
-}  // namespace
 
 // --- serialization -----------------------------------------------------------
 
-Json FleetSerializeMessage(const Value& msg) {
+Json SerializeAt(const Value& msg, int depth) {
   Value value = Unbox(msg);
+  if (depth > kMaxSerializeDepth) {
+    return Json(nullptr);
+  }
   if (value.IsBool()) {
     return Json(value.AsBool());
   }
@@ -29,16 +31,20 @@ Json FleetSerializeMessage(const Value& msg) {
   if (value.IsArray()) {
     Json out = Json::Array();
     for (const Value& element : value.AsArray()->elements) {
-      out.Append(FleetSerializeMessage(element));
+      out.Append(SerializeAt(element, depth + 1));
     }
     return out;
   }
   if (value.IsObject()) {
     Json out = Json::Object();
+    JsonObject& fields = out.object_items();
     const ObjectPtr& object = value.AsObject();
+    fields.reserve(object->insertion_order.size());
+    // insertion_order never repeats a key: append without Set's scan.
     for (Atom key : object->insertion_order) {
-      if (object->Has(key)) {
-        out.Set(AtomName(key), FleetSerializeMessage(object->Get(key)));
+      auto it = object->properties.find(key);
+      if (it != object->properties.end()) {
+        fields.emplace_back(AtomName(key), SerializeAt(it->second, depth + 1));
       }
     }
     return out;
@@ -47,6 +53,10 @@ Json FleetSerializeMessage(const Value& msg) {
   // matching what JSON.stringify would do to the first two.
   return Json(nullptr);
 }
+
+}  // namespace
+
+Json FleetSerializeMessage(const Value& msg) { return SerializeAt(msg, 0); }
 
 Value FleetMaterializeMessage(const Json& payload) {
   switch (payload.type()) {

@@ -51,7 +51,9 @@ namespace turnstile {
 // Serializes a flow output message for cross-shard transport: deep-unboxed
 // (labels never cross a tenant boundary — the receiving app re-labels its
 // own inputs), objects keep insertion order, arrays map element-wise,
-// undefined and functions degrade to null. Exposed so the differential test
+// undefined and functions degrade to null, and so do values nested deeper
+// than kMaxSerializeDepth (a cyclic message terminates, as it does in
+// JSON.stringify). Exposed so the differential test
 // can capture a single-threaded run's terminal sends through the identical
 // transformation.
 Json FleetSerializeMessage(const Value& msg);

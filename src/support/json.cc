@@ -1,10 +1,9 @@
 #include "src/support/json.h"
 
-#include <cctype>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <unordered_map>
 
+#include "src/support/json_parser.h"
 #include "src/support/strings.h"
 
 namespace turnstile {
@@ -210,260 +209,44 @@ std::string Json::Dump(bool pretty) const {
 
 namespace {
 
-// Recursive-descent JSON parser with // comments and trailing commas.
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
+// Builds a Json tree for JsonParser. Each object under construction keeps a
+// key→index map, so a repeated key keeps its first position and takes the
+// last value (what Set does) at one hash probe per field instead of Set's
+// linear scan.
+struct JsonTreeBuilder {
+  struct Object {
+    JsonObject fields;
+    std::unordered_map<std::string, size_t> index;
+  };
+  using Node = Json;
+  using Array = JsonArray;
 
-  Result<Json> Parse() {
-    SkipWhitespace();
-    TURNSTILE_ASSIGN_OR_RETURN(value, ParseValue());
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Fail("trailing characters after JSON document");
-    }
-    return value;
-  }
+  Json Null() { return Json(nullptr); }
+  Json Bool(bool value) { return Json(value); }
+  Json Number(double value) { return Json(value); }
+  Json String(std::string value) { return Json(std::move(value)); }
 
- private:
-  Status Fail(const std::string& message) const {
-    return ParseError(message + " at offset " + std::to_string(pos_));
-  }
+  JsonArray BeginArray() { return {}; }
+  void Append(JsonArray& items, Json item) { items.push_back(std::move(item)); }
+  Json EndArray(JsonArray items) { return Json(std::move(items)); }
 
-  void SkipWhitespace() {
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '/' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '/') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') {
-          ++pos_;
-        }
-      } else {
-        break;
-      }
+  Object BeginObject() { return {}; }
+  void Put(Object& object, std::string key, Json value) {
+    auto [it, inserted] = object.index.try_emplace(key, object.fields.size());
+    if (inserted) {
+      object.fields.emplace_back(std::move(key), std::move(value));
+    } else {
+      object.fields[it->second].second = std::move(value);
     }
   }
-
-  bool AtEnd() const { return pos_ >= text_.size(); }
-  char Peek() const { return text_[pos_]; }
-
-  bool ConsumeLiteral(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) == literal) {
-      pos_ += literal.size();
-      return true;
-    }
-    return false;
-  }
-
-  Result<Json> ParseValue() {
-    if (AtEnd()) {
-      return Fail("unexpected end of input");
-    }
-    char c = Peek();
-    switch (c) {
-      case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
-      case '"':
-        return ParseString();
-      case 't':
-        if (ConsumeLiteral("true")) {
-          return Json(true);
-        }
-        return Fail("invalid literal");
-      case 'f':
-        if (ConsumeLiteral("false")) {
-          return Json(false);
-        }
-        return Fail("invalid literal");
-      case 'n':
-        if (ConsumeLiteral("null")) {
-          return Json(nullptr);
-        }
-        return Fail("invalid literal");
-      default:
-        return ParseNumber();
-    }
-  }
-
-  Result<Json> ParseNumber() {
-    size_t start = pos_;
-    if (!AtEnd() && (Peek() == '-' || Peek() == '+')) {
-      ++pos_;
-    }
-    while (!AtEnd() && (std::isdigit(static_cast<unsigned char>(Peek())) || Peek() == '.' ||
-                        Peek() == 'e' || Peek() == 'E' || Peek() == '-' || Peek() == '+')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return Fail("expected a value");
-    }
-    std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      return Fail("malformed number '" + token + "'");
-    }
-    return Json(value);
-  }
-
-  Result<Json> ParseString() {
-    ++pos_;  // opening quote
-    std::string out;
-    while (true) {
-      if (AtEnd()) {
-        return Fail("unterminated string");
-      }
-      char c = text_[pos_++];
-      if (c == '"') {
-        return Json(std::move(out));
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (AtEnd()) {
-        return Fail("unterminated escape");
-      }
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-          out += '"';
-          break;
-        case '\\':
-          out += '\\';
-          break;
-        case '/':
-          out += '/';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 'b':
-          out += '\b';
-          break;
-        case 'f':
-          out += '\f';
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return Fail("truncated \\u escape");
-          }
-          std::string hex(text_.substr(pos_, 4));
-          pos_ += 4;
-          unsigned code = 0;
-          if (std::sscanf(hex.c_str(), "%4x", &code) != 1) {
-            return Fail("malformed \\u escape");
-          }
-          // UTF-8 encode (BMP only; surrogate pairs are not needed here).
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default:
-          return Fail("unknown escape");
-      }
-    }
-  }
-
-  Result<Json> ParseArray() {
-    ++pos_;  // '['
-    Json out = Json::Array();
-    SkipWhitespace();
-    if (!AtEnd() && Peek() == ']') {
-      ++pos_;
-      return out;
-    }
-    while (true) {
-      SkipWhitespace();
-      if (!AtEnd() && Peek() == ']') {  // trailing comma
-        ++pos_;
-        return out;
-      }
-      TURNSTILE_ASSIGN_OR_RETURN(item, ParseValue());
-      out.Append(std::move(item));
-      SkipWhitespace();
-      if (AtEnd()) {
-        return Fail("unterminated array");
-      }
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == ']') {
-        ++pos_;
-        return out;
-      }
-      return Fail("expected ',' or ']'");
-    }
-  }
-
-  Result<Json> ParseObject() {
-    ++pos_;  // '{'
-    Json out = Json::Object();
-    SkipWhitespace();
-    if (!AtEnd() && Peek() == '}') {
-      ++pos_;
-      return out;
-    }
-    while (true) {
-      SkipWhitespace();
-      if (!AtEnd() && Peek() == '}') {  // trailing comma
-        ++pos_;
-        return out;
-      }
-      if (AtEnd() || Peek() != '"') {
-        return Fail("expected object key");
-      }
-      TURNSTILE_ASSIGN_OR_RETURN(key, ParseString());
-      SkipWhitespace();
-      if (AtEnd() || Peek() != ':') {
-        return Fail("expected ':'");
-      }
-      ++pos_;
-      SkipWhitespace();
-      TURNSTILE_ASSIGN_OR_RETURN(value, ParseValue());
-      out.Set(key.string_value(), std::move(value));
-      SkipWhitespace();
-      if (AtEnd()) {
-        return Fail("unterminated object");
-      }
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == '}') {
-        ++pos_;
-        return out;
-      }
-      return Fail("expected ',' or '}'");
-    }
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
+  Json EndObject(Object object) { return Json(std::move(object.fields)); }
 };
 
 }  // namespace
 
 Result<Json> Json::Parse(std::string_view text) {
-  return JsonParser(text).Parse();
+  JsonTreeBuilder builder;
+  return JsonParser<JsonTreeBuilder>(text, builder).Parse();
 }
 
 }  // namespace turnstile

@@ -20,7 +20,8 @@ namespace turnstile {
 class Json;
 
 using JsonArray = std::vector<Json>;
-// Ordered list of key/value pairs; keys are unique (last write wins).
+// Ordered list of key/value pairs; keys are unique. A repeated key keeps its
+// first position and takes the last value (Set and Parse agree on this).
 using JsonObject = std::vector<std::pair<std::string, Json>>;
 
 // A JSON document node. Value semantics; cheap to move.
@@ -82,7 +83,8 @@ class Json {
   std::string Dump(bool pretty = false) const;
 
   // Parses a JSON document. Accepts // line comments (policies are written by
-  // hand) and trailing commas.
+  // hand) and trailing commas; nesting deeper than kMaxJsonNesting is a
+  // ParseError. Linear in the input size (see src/support/json_parser.h).
   static Result<Json> Parse(std::string_view text);
 
   bool operator==(const Json& other) const { return data_ == other.data_; }

@@ -286,6 +286,69 @@ TEST(FleetRuntimeTest, CrossShardWireMatchesSerializedReplay) {
   EXPECT_EQ(fleet_a.audit, reference_a.audit);
 }
 
+// A one-node Node-RED app whose input handler is `body` (it sees `msg` and
+// `node`), under the placeholder-label policy the corpus uses.
+CorpusApp OneNodeApp(const std::string& name, const std::string& body) {
+  CorpusApp app;
+  app.name = name;
+  app.category = "test";
+  app.bucket = CorpusBucket::kTurnstileOnly;
+  app.source = "module.exports = function(RED) {\n"
+               "  function TestNode(config) {\n"
+               "    RED.nodes.createNode(this, config);\n"
+               "    let node = this;\n"
+               "    node.on(\"input\", msg => {\n" +
+               body +
+               "\n    });\n"
+               "  }\n"
+               "  RED.nodes.registerType(\"" + name + "\", TestNode);\n"
+               "};\n";
+  app.flow_json = R"([{ "id": "n1", "type": ")" + name + R"(", "wires": [] }])";
+  app.entry_kind = "node";
+  app.entry_ref = "n1";
+  app.entry_event = "input";
+  app.message_template = R"({ "payload": "$frame", "seq": "$seq" })";
+  app.policy_json = R"json({
+    "labellers": {
+      "inputLabel": { "payload": {
+        "$fn": "p => (String(p).includes(\"employee\") ? \"Alpha\" : \"Beta\")" } }
+    },
+    "rules": ["Alpha -> Beta", "Beta -> Gamma"],
+    "injections": [{ "object": "msg", "labeller": "inputLabel" }]
+  })json";
+  return app;
+}
+
+TEST(FleetRuntimeTest, CyclicMessageOverAWireIsCutAtTheSerializeDepth) {
+  const CorpusApp sender = OneNodeApp("cyclic-sender", "msg.self = msg; node.send(msg);");
+  const CorpusApp probe = OneNodeApp(
+      "cycle-probe",
+      "let depth = 0; let m = msg;"
+      "while (m.self !== null) { m = m.self; depth = depth + 1; }"
+      "console.log(\"cut at \" + depth + \", seq \" + msg.seq + \" then \" + m.seq);");
+
+  FleetRuntime fleet(TestOptions(/*shards=*/2));
+  std::string a = fleet.AddApp(sender, /*shard=*/0);
+  std::string b = fleet.AddApp(probe, /*shard=*/1);
+  ASSERT_TRUE(fleet.Wire(a, b).ok());
+  ASSERT_TRUE(fleet.Start().ok());
+  ASSERT_TRUE(fleet.Post(a, 0));
+  fleet.Drain();
+  fleet.Stop();
+  EXPECT_EQ(fleet.errors(), std::vector<std::string>{});
+  EXPECT_EQ(fleet.messages_processed(), 2u);
+
+  // The delivered message is the cycle unrolled kMaxSerializeDepth times:
+  // the fields of the last object, one level past the cap, are null.
+  AppRuntime* routed = fleet.runtime_of(b);
+  ASSERT_NE(routed, nullptr);
+  const std::vector<IoRecord>& records = routed->interp().io_world().records;
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].channel, "console");
+  EXPECT_EQ(records[0].payload,
+            "cut at " + std::to_string(kMaxSerializeDepth) + ", seq 0 then null");
+}
+
 TEST(FleetRuntimeTest, MailboxBoundsExternalProducersAndDrainsOnClose) {
   ShardMailbox mailbox(/*capacity=*/2);
   std::atomic<int> pushed{0};

@@ -68,6 +68,66 @@ TEST(BuiltinsTest, JsonParseFailureIsCatchable) {
   EXPECT_EQ(RunString("let result = \"no\"; try { JSON.parse(\"{bad\"); } "
                       "catch (e) { result = \"caught\"; }"),
             "caught");
+  // The message is the grammar's, unchanged.
+  EXPECT_EQ(RunString("let result = \"\"; try { JSON.parse(\"[1 2]\"); } "
+                      "catch (e) { result = e.message; }"),
+            "JSON.parse: expected ',' or ']' at offset 3");
+  EXPECT_EQ(RunString("let result = \"\"; try { JSON.parse('{\"a\":1'); } "
+                      "catch (e) { result = e.message; }"),
+            "JSON.parse: unterminated object at offset 6");
+}
+
+TEST(BuiltinsTest, JsonParseDuplicateKeyKeepsFirstPositionAndLastValue) {
+  EXPECT_EQ(RunString("let o = JSON.parse('{\"a\": 1, \"b\": 2, \"a\": 3, \"c\": 4}');"
+                      "let result = Object.keys(o).join(\",\") + \"|\" + o.a + \"|\" + o.b;"),
+            "a,b,c|3|2");
+}
+
+TEST(BuiltinsTest, JsonParseBuildsNestedValues) {
+  const std::string parse =
+      "let o = JSON.parse('{ // sensor frame\\n"
+      "\"id\": \"cam\\\\u00e9\", \"dims\": [640, 480.5, -1e3,], \"on\": true,"
+      " \"meta\": {\"tags\": [\"a\", [\"b\", null]], \"empty\": {}, \"none\": []},"
+      " \"esc\": \"q\\\\\"t\\\\\\\\n\\\\t\", }');";
+  EXPECT_EQ(RunString(parse + "let result = JSON.stringify(o);"),
+            R"({"id":"camé","dims":[640,480.5,-1000],"on":true,)"
+            R"("meta":{"tags":["a",["b",null]],"empty":{},"none":[]},"esc":"q\"t\\n\t"})");
+  EXPECT_EQ(RunString(parse + "let result = o.meta.tags[1][0] + o.dims.length + typeof o.on;"),
+            "b3boolean");
+  EXPECT_EQ(RunString(parse + "let result = o.meta.tags[1][1] === null;"), "true");
+  EXPECT_DOUBLE_EQ(RunNumber("let result = JSON.parse(\"[1, [2, [3]]]\")[1][1][0];"), 3);
+  EXPECT_EQ(RunString("let result = JSON.parse('\"plain\"');"), "plain");
+}
+
+TEST(BuiltinsTest, JsonParseWideObjectRoundTrips) {
+  std::string text = "{";
+  for (int i = 0; i < 10000; ++i) {
+    text += (i == 0 ? "\"k" : ",\"k") + std::to_string(i) + "\":" + std::to_string(i % 97);
+  }
+  text += "}";
+  EXPECT_EQ(RunString("let text = '" + text + "'; let o = JSON.parse(text);"
+                      "let result = (JSON.stringify(o) == text) + \"|\" + Object.keys(o).length"
+                      " + \"|\" + o.k9999;"),
+            "true|10000|8");
+}
+
+TEST(BuiltinsTest, JsonParseNestingLimitThrowsCatchableError) {
+  const std::string deep(100000, '[');
+  EXPECT_EQ(RunString("let result = \"\"; try { JSON.parse(\"" + deep + "\"); } "
+                      "catch (e) { result = e.message; }"),
+            "JSON.parse: nesting deeper than 512 levels at offset 512");
+  EXPECT_DOUBLE_EQ(RunNumber("let result = JSON.parse(\"" + std::string(512, '[') + "7" +
+                             std::string(512, ']') + "\").length;"),
+                   1);
+}
+
+TEST(BuiltinsTest, JsonStringifyCutsCyclesAtTheSerializeDepth) {
+  // Objects nested deeper than kMaxSerializeDepth serialize as null.
+  EXPECT_EQ(RunString("let o = { v: 1 }; o.self = o;"
+                      "let back = JSON.parse(JSON.stringify(o)); let depth = 0;"
+                      "while (back.self !== null) { back = back.self; depth++; }"
+                      "let result = depth;"),
+            std::to_string(kMaxSerializeDepth));
 }
 
 TEST(BuiltinsTest, ObjectKeysValuesAssign) {
