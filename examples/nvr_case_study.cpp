@@ -208,11 +208,10 @@ int main() {
     std::printf("\nwhy was the first flow blocked?\n%s",
                 ExplainViolation(tracker.violations().front()).c_str());
   }
-  std::printf("\ntracker stats: %llu labels, %llu invokes, %llu boxes, %zu tracked objects\n",
+  std::printf("\ntracker stats: %llu labels, %llu invokes, %llu boxes\n",
               static_cast<unsigned long long>(tracker.stats().label_calls),
               static_cast<unsigned long long>(tracker.stats().invokes),
-              static_cast<unsigned long long>(tracker.stats().boxes_created),
-              tracker.tracked_count());
+              static_cast<unsigned long long>(tracker.stats().boxes_created));
   tracker.PublishMetrics();
   std::printf("\nmetrics snapshot:\n%s\n",
               obs::Metrics::Global().ToJson().Dump(/*pretty=*/true).c_str());

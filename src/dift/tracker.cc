@@ -14,6 +14,46 @@ namespace {
 Value ArgAt(const std::vector<Value>& args, size_t i) {
   return i < args.size() ? args[i] : Value::Undefined();
 }
+
+// `v`'s labels as a handle of `pool`. A value type has no slot, and a slot
+// written under another pool holds handles this pool cannot read: both are
+// unlabelled here.
+LabelSetRef SlotLabels(const Value& v, const LabelSetPool& pool) {
+  const LabelSlot* slot = v.label_slot();
+  return slot != nullptr && slot->pool == pool.id() ? slot->labels : kEmptyLabelSetRef;
+}
+
+// Unions non-empty `labels` into `slot`, claiming it for `pool` if another
+// pool wrote it. A change bumps the heap write epoch, which is what drops the
+// deep-label memo.
+void UnionIntoSlot(LabelSlot* slot, LabelSetRef labels, LabelSetPool& pool) {
+  LabelSetRef current = slot->pool == pool.id() ? slot->labels : kEmptyLabelSetRef;
+  LabelSetRef merged = pool.Union(current, labels);
+  if (merged != current) {
+    slot->labels = merged;
+    slot->pool = pool.id();
+    BumpHeapWriteEpoch();
+  }
+}
+
+// The proxy trap on tracked objects (dynamic property support, §4.4): a
+// property written onto the object folds its value's labels into the
+// object's own, so sink checks on the container observe them. Deletion keeps
+// the container label (conservative — labels only grow, as in the paper).
+// The trap owns the policy rather than pointing at a tracker, so it stays
+// safe to fire after the tracker is gone.
+struct FoldLabelsTrap {
+  std::shared_ptr<Policy> policy;
+
+  void operator()(Object& object, const std::string&, const Value& value) const {
+    LabelSetPool& pool = policy->pool();
+    LabelSetRef value_labels = SlotLabels(value, pool);
+    if (value_labels != kEmptyLabelSetRef) {
+      UnionIntoSlot(&object.label_slot, value_labels, pool);
+    }
+  }
+};
+
 }  // namespace
 
 DiftTracker::DiftTracker(Interpreter* interp, std::shared_ptr<Policy> policy)
@@ -41,40 +81,10 @@ DiftTracker::DiftTracker(Interpreter* interp, std::shared_ptr<Policy> policy, Op
 }
 
 DiftTracker::~DiftTracker() {
-  // The proxy traps installed on tracked objects capture `this`, and the
-  // objects usually outlive the tracker (they live on in the interpreter's
-  // environments). Clear the traps so no dangling tracker pointer can ever
-  // fire, and release the anchors eagerly so the tracker stops pinning object
-  // graphs — anchored objects can reach closure environments and, through
-  // them, the `__dift` bridge object whose natives point back here.
-  store_.ForEach([](LabelStore::Entry& entry) {
-    if (entry.proxied && entry.anchor.IsObject()) {
-      Object& object = *entry.anchor.AsObject();
-      object.set_trap = nullptr;
-      object.delete_trap = nullptr;
-    }
-    entry.anchor = Value();
-  });
   // Deregister from the fused-ISA dispatch (the interpreter outlives the
   // tracker everywhere in the codebase — see AppRuntime's member order).
   if (interp_->dift_hook() == this) {
     interp_->set_dift_hook(nullptr);
-  }
-}
-
-void DiftTracker::LabelStore::Grow() {
-  std::vector<Entry> old = std::move(slots_);
-  slots_.assign(old.size() * 2, Entry{});
-  size_t mask = slots_.size() - 1;
-  for (Entry& entry : old) {
-    if (entry.key == nullptr) {
-      continue;
-    }
-    size_t i = Hash(entry.key) & mask;
-    while (slots_[i].key != nullptr) {
-      i = (i + 1) & mask;
-    }
-    slots_[i] = std::move(entry);
   }
 }
 
@@ -99,7 +109,7 @@ const DiftTracker::LabelOrigin* DiftTracker::OriginOf(LabelId id) const {
 }
 
 void DiftTracker::RecordOrigins(LabelSetRef labels, const std::string& labeller_name) {
-  if (!options_.record_provenance || labels == kEmptyLabelSetRef) {
+  if (labels == kEmptyLabelSetRef) {
     return;
   }
   for (LabelId id : pool_->Ids(labels)) {
@@ -118,76 +128,32 @@ void DiftTracker::RecordOrigins(LabelSetRef labels, const std::string& labeller_
 // --- label plumbing ----------------------------------------------------------
 
 LabelSetRef DiftTracker::GetLabelRef(const Value& v) const {
-  if (v.IsObject()) {
-    // Boxes carry their labels inline (they are tracker-created temporaries;
-    // going through the store would accumulate one dead entry per boxed
-    // result). The handle is only meaningful against the pool that wrote it.
-    const Object* obj = v.AsObject().get();
-    if (obj->is_box && obj->box_label_pool == pool_) {
-      return obj->box_labels;
-    }
-  }
-  const void* key = v.IdentityKey();
-  if (key == nullptr) {
-    return kEmptyLabelSetRef;
-  }
-  const LabelStore::Entry* entry = store_.Find(key);
-  return entry == nullptr ? kEmptyLabelSetRef : entry->labels;
+  return SlotLabels(v, *pool_);
 }
 
 void DiftTracker::AttachLabelRef(const Value& v, LabelSetRef labels) {
-  const void* key = v.IdentityKey();
-  if (key == nullptr || labels == kEmptyLabelSetRef) {
-    return;
-  }
-  if (v.IsObject()) {
-    Object* obj = v.AsObject().get();
-    if (obj->is_box &&
-        (obj->box_label_pool == nullptr || obj->box_label_pool == pool_)) {
-      obj->box_label_pool = pool_;
-      LabelSetRef merged = pool_->Union(obj->box_labels, labels);
-      if (merged != obj->box_labels) {
-        obj->box_labels = merged;
-        ++mutation_epoch_;  // deep-label memo entries may now be stale
-      }
-      return;
-    }
-  }
-  LabelStore::Entry& entry = store_.FindOrInsert(key);
-  if (entry.anchor.IsUndefined()) {
-    entry.anchor = v;
-  }
-  LabelSetRef merged = pool_->Union(entry.labels, labels);
-  if (merged != entry.labels) {
-    entry.labels = merged;
-    ++mutation_epoch_;  // deep-label memo entries may now be stale
+  LabelSlot* slot = v.label_slot();
+  if (slot != nullptr && labels != kEmptyLabelSetRef) {
+    UnionIntoSlot(slot, labels, *pool_);
   }
 }
 
 void DiftTracker::DeepLabelInto(const Value& v, LabelSetRef* out, int depth) const {
-  if (depth < 0) {
+  if (depth < 0 || v.label_slot() == nullptr) {
+    return;  // value types carry labels only via boxes
+  }
+  // A box carries exactly one value-type payload: its labels are the whole
+  // contribution, no visited-set bookkeeping needed (a payload cannot cycle).
+  bool is_box = v.IsObject() && v.AsObject()->is_box;
+  if (!is_box && !deep_visited_.insert(v.IdentityKey()).second) {
     return;
   }
-  if (v.IsObject() && v.AsObject()->is_box) {
-    // A box carries exactly one value-type payload: its inline labels are
-    // the whole contribution, no visited-set bookkeeping needed (a value
-    // payload cannot cycle).
-    *out = pool_->Union(*out, GetLabelRef(v));
+  *out = pool_->Union(*out, GetLabelRef(v));
+  if (is_box) {
     return;
-  }
-  const void* key = v.IdentityKey();
-  if (key != nullptr) {
-    if (!deep_visited_.insert(key).second) {
-      return;
-    }
-    const LabelStore::Entry* entry = store_.Find(key);
-    if (entry != nullptr && entry->labels != kEmptyLabelSetRef) {
-      *out = pool_->Union(*out, entry->labels);
-    }
   }
   if (v.IsObject()) {
-    const ObjectPtr& obj = v.AsObject();
-    for (const auto& [prop_key, prop_value] : obj->properties) {
+    for (const auto& [prop_key, prop_value] : v.AsObject()->properties) {
       (void)prop_key;
       DeepLabelInto(prop_value, out, depth - 1);
     }
@@ -208,10 +174,10 @@ LabelSetRef DiftTracker::DeepLabelRef(const Value& v, int max_depth) const {
   if (key == nullptr) {
     return kEmptyLabelSetRef;  // value types carry labels only via boxes
   }
-  // The memo is valid for exactly one combined epoch: any label-map mutation
-  // (tracker side) or heap shape/allocation change (interpreter side, see
-  // HeapWriteEpoch) could alter a deep union or recycle an identity pointer.
-  uint64_t epoch = mutation_epoch_ + HeapWriteEpoch();
+  // The memo is valid for exactly one heap write epoch: a label write, a
+  // heap shape change or a free (see HeapWriteEpoch) could alter a deep
+  // union or recycle an identity pointer.
+  uint64_t epoch = HeapWriteEpoch();
   if (deep_memo_epoch_ != epoch) {
     deep_memo_.clear();
     deep_memo_epoch_ = epoch;
@@ -244,36 +210,12 @@ void DiftTracker::AttachLabel(const Value& v, const LabelSet& labels) {
   AttachLabelRef(v, pool_->Intern(labels));
 }
 
-void DiftTracker::InstallProxy(const ObjectPtr& object) {
-  if (object->set_trap) {
-    return;  // already proxied
+void DiftTracker::InstallProxy(Object& object) {
+  // A trap folding under another policy would drop this policy's labels.
+  const auto* trap = object.set_trap.target<FoldLabelsTrap>();
+  if (trap == nullptr || trap->policy != policy_) {
+    object.set_trap = FoldLabelsTrap{policy_};
   }
-  // Dynamic-property support (§4.4): when a property is created or updated on
-  // a tracked object, the property value's label is folded into the object's
-  // own label so sink checks on the container observe it. Deletion keeps the
-  // container label (conservative — labels only grow, as in the paper).
-  //
-  // Anchor the object now: the trap is keyed by identity pointer, and an
-  // unanchored key could be recycled by a later allocation.
-  LabelStore::Entry& entry = store_.FindOrInsert(object.get());
-  if (entry.anchor.IsUndefined()) {
-    entry.anchor = Value(object);
-  }
-  entry.proxied = true;
-  DiftTracker* tracker = this;
-  // weak_ptr, not ObjectPtr: a strong capture would make the object retain
-  // its own trap retain the object — an uncollectable cycle.
-  std::weak_ptr<Object> weak = object;
-  object->set_trap = [tracker, weak](Object&, const std::string&, const Value& value) {
-    LabelSetRef value_labels = tracker->GetLabelRef(value);
-    if (value_labels == kEmptyLabelSetRef) {
-      return;
-    }
-    if (ObjectPtr self = weak.lock()) {
-      tracker->AttachLabelRef(Value(std::move(self)), value_labels);
-    }
-  };
-  object->delete_trap = [](Object&, const std::string&) {};
 }
 
 // --- labeller evaluation -----------------------------------------------------
@@ -355,7 +297,7 @@ Result<Value> DiftTracker::ApplySpec(const LabellerSpec* spec, Value target,
       }
       AttachLabelRef(target, labels);
       if (target.IsObject()) {
-        InstallProxy(target.AsObject());
+        InstallProxy(*target.AsObject());
       }
       return target;
     }
@@ -381,7 +323,7 @@ Result<Value> DiftTracker::ApplySpec(const LabellerSpec* spec, Value target,
       }
       AttachLabelRef(target, labels);
       if (target.IsObject()) {
-        InstallProxy(target.AsObject());
+        InstallProxy(*target.AsObject());
       }
       return target;
     }
@@ -415,7 +357,7 @@ Result<Value> DiftTracker::ApplySpec(const LabellerSpec* spec, Value target,
         if (sub_spec->kind == LabellerSpec::Kind::kInvoke) {
           // Call-time labeller for obj.field(...): registered, not evaluated.
           invoke_labellers_[{obj.get(), InternAtom(field)}] = {sub_spec.get(),
-                                                              labeller_name};
+                                                              labeller_name, unboxed};
           continue;
         }
         Value field_value = obj->Get(field);
@@ -432,7 +374,7 @@ Result<Value> DiftTracker::ApplySpec(const LabellerSpec* spec, Value target,
         field_union = pool_->Union(field_union, field_labels);
       }
       AttachLabelRef(unboxed, field_union);
-      InstallProxy(obj);
+      InstallProxy(*obj);
       *out_labels = pool_->Union(*out_labels, field_union);
       return target;
     }
@@ -441,7 +383,7 @@ Result<Value> DiftTracker::ApplySpec(const LabellerSpec* spec, Value target,
       // to any method of the target object (kAtomEmpty = wildcard method).
       const void* key = target.IdentityKey();
       if (key != nullptr) {
-        invoke_labellers_[{key, kAtomEmpty}] = {spec, labeller_name};
+        invoke_labellers_[{key, kAtomEmpty}] = {spec, labeller_name, target};
       }
       return target;
     }
@@ -875,17 +817,10 @@ Value DiftTracker::Track(Value v) {
     ++stats_.boxes_created;
     return Value(box);
   }
-  // Register reference types in the label map with an empty label set so the
-  // tracker pays the bookkeeping cost of managing them.
-  const void* key = v.IdentityKey();
-  if (key != nullptr) {
-    LabelStore::Entry& entry = store_.FindOrInsert(key);
-    if (entry.anchor.IsUndefined()) {
-      entry.anchor = v;
-    }
-    if (v.IsObject() && !v.AsObject()->is_box) {
-      InstallProxy(v.AsObject());
-    }
+  // Reference types already carry a label slot; objects also get the proxy
+  // trap so properties written later fold their labels in.
+  if (v.IsObject() && !v.AsObject()->is_box) {
+    InstallProxy(*v.AsObject());
   }
   return v;
 }

@@ -9,17 +9,19 @@
 // Implemented semantics (Fig. 5):
 //   label(v, l)        —  v ↦ l(v)
 //   binaryOp(⊙, v1,v2) —  v3 = v1 ⊙ v2,  v3 ↦ P1 ∪ P2
-//   assignment         —  handled structurally: labels ride on object
-//                         identity; value types are boxed
+//   assignment         —  handled structurally: labels ride on the
+//                         reference itself; value types are boxed
 //   invoke(f, v...)    —  check ∀args ⊑ receiver, call, result ↦ ∪ Pi
 //   check(d, r)        —  rule query without a call
 //
 // Hot-path representation: every label set the tracker carries is interned in
 // the policy's LabelSetPool and handled as a LabelSetRef, so per-op unions,
 // subset tests and rule checks are handle compares / flat-cache lookups with
-// no per-op allocation. The label map itself is one open-addressed table
-// keyed by identity pointer holding {labels, anchor} — a single probe per op
-// where the old design probed two unordered_maps.
+// no per-op allocation. There is no label map: each object, array and
+// function carries its labels in its own LabelSlot (src/interp/value.h), the
+// paper's identity-keyed map with JavaScript WeakMap semantics. A label read
+// is a field load, and a labelled value is reclaimed as soon as the program
+// drops it (an unreachable value reaches no sink, so no verdict changes).
 #ifndef TURNSTILE_SRC_DIFT_TRACKER_H_
 #define TURNSTILE_SRC_DIFT_TRACKER_H_
 
@@ -81,20 +83,13 @@ class DiftTracker : public DiftHook {
     // as violations (fail-closed). Default fail-open: selective
     // instrumentation routinely wraps calls whose receiver is unmanaged.
     bool strict_unlabeled_receivers = false;
-    // When true (default), every labeller-driven label attachment records
-    // its origin (labeller name, source node, sequence number) so recorded
-    // violations carry a provenance chain. One small map insert per label()
-    // call; set false to shave it off micro-benchmarks.
-    bool record_provenance = true;
   };
 
   DiftTracker(Interpreter* interp, std::shared_ptr<Policy> policy);
   DiftTracker(Interpreter* interp, std::shared_ptr<Policy> policy, Options options);
-  // Breaks tracker-side anchor cycles: clears the proxy traps installed on
-  // every anchored object (they point back into this tracker) and releases
-  // the anchors, so a destroyed tracker neither dangles from surviving
-  // objects nor keeps closure graphs (which can reach `__dift`) alive. Also
-  // deregisters this tracker as the interpreter's fused-ISA hook.
+  // Deregisters this tracker as the interpreter's fused-ISA hook. Labels and
+  // proxy traps stay on the values: the traps own the policy, not the
+  // tracker, so they remain safe to fire.
   ~DiftTracker() override;
 
   // Defines the `__dift` global and registers this tracker as the
@@ -128,11 +123,12 @@ class DiftTracker : public DiftHook {
   Result<Value> FusedInvoke(const Value& target, const std::string& func,
                             std::vector<Value> args) override;
 
-  // Pure tracking (exhaustive instrumentation): registers `v` in the label
-  // map without assigning labels, boxing value types. TrackDeep additionally
-  // boxes every value-type property/element reachable from `v` — this is the
-  // cost model for exhaustively-managed applications (§6.2: nlp.js converts
-  // every dictionary string into a heap-allocated object).
+  // Pure tracking (exhaustive instrumentation): puts `v` under management
+  // without assigning labels — value types are boxed, objects get the proxy
+  // trap. TrackDeep additionally boxes every value-type property/element
+  // reachable from `v` — this is the cost model for exhaustively-managed
+  // applications (§6.2: nlp.js converts every dictionary string into a
+  // heap-allocated object).
   Value Track(Value v);
   Value TrackDeep(Value v, int depth = 4);
 
@@ -142,9 +138,9 @@ class DiftTracker : public DiftHook {
   LabelSetRef GetLabelRef(const Value& v) const;
   // Label of `v` including labels reachable through its properties/elements,
   // down to `max_depth` (must be < 64). Memoized per identity pointer; the
-  // memo is dropped whenever the tracker's label map or the interpreter heap
-  // mutates (see HeapWriteEpoch in src/interp/value.h), so repeated checks of
-  // the same message between mutations cost one flat lookup.
+  // memo is dropped whenever the interpreter heap or any label slot mutates
+  // (see HeapWriteEpoch in src/interp/value.h), so repeated checks of the
+  // same message between mutations cost one flat lookup.
   LabelSetRef DeepLabelRef(const Value& v, int max_depth = 8) const;
   void AttachLabelRef(const Value& v, LabelSetRef labels);
 
@@ -156,7 +152,6 @@ class DiftTracker : public DiftHook {
   const std::vector<Violation>& violations() const { return violations_; }
   const TrackerStats& stats() const { return stats_; }
   Policy& policy() { return *policy_; }
-  size_t tracked_count() const { return store_.size(); }
 
   // Flushes the per-tracker stats deltas into the global metrics registry
   // ("dift.*" counters). The hot-path ops deliberately bump only the plain
@@ -176,82 +171,6 @@ class DiftTracker : public DiftHook {
   const LabelOrigin* OriginOf(LabelId id) const;
 
  private:
-  // One open-addressed, identity-keyed table holding everything the tracker
-  // knows about a tracked value: its interned label set and the anchoring
-  // Value. Anchors retain the tracked value itself: identity keys are raw
-  // addresses, and without retention a freed object's entry could be
-  // inherited by a new allocation at the same address. (JavaScript's Map has
-  // the same strong-retention semantics the paper relies on.) Entries are
-  // never removed while the tracker lives — labels only grow — so linear
-  // probing needs no tombstones.
-  class LabelStore {
-   public:
-    struct Entry {
-      const void* key = nullptr;
-      LabelSetRef labels = kEmptyLabelSetRef;
-      bool proxied = false;  // this tracker installed the object's traps
-      Value anchor;
-    };
-
-    LabelStore() : slots_(kInitialCapacity) {}
-
-    Entry* Find(const void* key) {
-      size_t mask = slots_.size() - 1;
-      for (size_t i = Hash(key) & mask;; i = (i + 1) & mask) {
-        Entry& slot = slots_[i];
-        if (slot.key == key) {
-          return &slot;
-        }
-        if (slot.key == nullptr) {
-          return nullptr;
-        }
-      }
-    }
-    const Entry* Find(const void* key) const {
-      return const_cast<LabelStore*>(this)->Find(key);
-    }
-    // Returns the entry for `key`, inserting an empty one if absent. The
-    // caller anchors fresh entries.
-    Entry& FindOrInsert(const void* key) {
-      if ((size_ + 1) * 4 > slots_.size() * 3) {
-        Grow();
-      }
-      size_t mask = slots_.size() - 1;
-      for (size_t i = Hash(key) & mask;; i = (i + 1) & mask) {
-        Entry& slot = slots_[i];
-        if (slot.key == key) {
-          return slot;
-        }
-        if (slot.key == nullptr) {
-          slot.key = key;
-          ++size_;
-          return slot;
-        }
-      }
-    }
-    size_t size() const { return size_; }
-    template <typename Fn>
-    void ForEach(Fn&& fn) {
-      for (Entry& slot : slots_) {
-        if (slot.key != nullptr) {
-          fn(slot);
-        }
-      }
-    }
-
-   private:
-    static constexpr size_t kInitialCapacity = 64;  // power of two
-    static size_t Hash(const void* key) {
-      uint64_t x = reinterpret_cast<uint64_t>(key);
-      x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-      return static_cast<size_t>(x ^ (x >> 31));
-    }
-    void Grow();
-
-    std::vector<Entry> slots_;
-    size_t size_ = 0;
-  };
-
   // Shared op bodies: everything after the per-entry stats bump and profiling
   // window. Both the string API (native bridge) and the Fused* entry points
   // funnel here so the two paths cannot drift.
@@ -279,20 +198,21 @@ class DiftTracker : public DiftHook {
   const std::string& CheckDetail(LabelSetRef data, LabelSetRef receiver);
   // Installs the set-trap proxy on a tracked object (dynamic property
   // support, §4.4).
-  void InstallProxy(const ObjectPtr& object);
+  void InstallProxy(Object& object);
 
   Interpreter* interp_;
   std::shared_ptr<Policy> policy_;
   LabelSetPool* pool_;  // = &policy_->pool(); shared by all trackers on a policy
   Options options_;
-  // The global label map (§4.4): single identity-keyed open-addressed table.
-  LabelStore store_;
   // ($invoke labellers) keyed by object identity + interned method name
   // (kAtomEmpty = "any method"); the value keeps the owning labeller's name
-  // for provenance.
+  // for provenance, and the target itself: an identity key is a raw address,
+  // and without retention a freed target's address could be recycled by a
+  // new value that would inherit the labeller.
   struct InvokeLabeller {
     const LabellerSpec* spec = nullptr;
     std::string labeller_name;
+    Value target;
   };
   struct InvokeKeyHash {
     size_t operator()(const std::pair<const void*, Atom>& key) const {
@@ -312,11 +232,10 @@ class DiftTracker : public DiftHook {
 
   // DeepLabel machinery: a reusable scratch visited-set (cleared, not
   // reallocated, per walk) and a per-(identity, depth) memo valid for one
-  // combined tracker+heap epoch.
+  // heap write epoch.
   mutable std::unordered_set<const void*> deep_visited_;
   mutable std::unordered_map<uint64_t, LabelSetRef> deep_memo_;
   mutable uint64_t deep_memo_epoch_ = 0;
-  uint64_t mutation_epoch_ = 1;  // bumped whenever the label map changes
 
   // Memoized "{data} vs {receiver}" renderings for check-trace events.
   std::unordered_map<uint64_t, std::string> check_detail_cache_;

@@ -1,6 +1,7 @@
 #include "src/ifc/labelset_pool.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace turnstile {
 
@@ -14,9 +15,12 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+std::atomic<uint32_t> g_next_pool_id{1};
+
 }  // namespace
 
-LabelSetPool::LabelSetPool(const LabelSpace* space) : space_(space) {
+LabelSetPool::LabelSetPool(const LabelSpace* space)
+    : space_(space), id_(g_next_pool_id.fetch_add(1, std::memory_order_relaxed)) {
   entries_.push_back(Entry{});  // handle 0: the empty set (inline, mask 0)
   by_hash_[Mix64(0)].push_back(kEmptyLabelSetRef);
 }

@@ -65,6 +65,11 @@ class LabelSetPool {
   // "{employee, customer}" — rendered once per handle, then cached.
   const std::string& Render(LabelSetRef set) const;
 
+  // Process-unique id (never 0), so a value's label slot can name the pool
+  // its handle belongs to without trusting a recyclable address or keeping
+  // the pool alive.
+  uint32_t id() const { return id_; }
+
   // Introspection (tests / stats).
   size_t size() const { return entries_.size(); }  // distinct sets, incl. {}
   uint64_t union_cache_hits() const { return union_cache_hits_; }
@@ -81,6 +86,7 @@ class LabelSetPool {
   static uint64_t HashIds(const std::vector<LabelId>& ids);
 
   const LabelSpace* space_;
+  uint32_t id_;
   std::vector<Entry> entries_;
   // Hash-consing index: content hash -> handles with that hash (collisions
   // resolved by comparing ids). Inline sets hash their mask, so the common

@@ -2,8 +2,8 @@
 //
 // MiniScript distinguishes value types (undefined, null, boolean, number,
 // string) from reference types (object, array, function) — the distinction
-// the paper's DIFT tracker relies on: reference types can be used directly as
-// keys in the label map, while value types must be boxed (§4.4).
+// the paper's DIFT tracker relies on: reference types carry their own label
+// slot, while value types must be boxed (§4.4).
 #ifndef TURNSTILE_SRC_INTERP_VALUE_H_
 #define TURNSTILE_SRC_INTERP_VALUE_H_
 
@@ -37,21 +37,32 @@ using NativeFn =
     std::function<Result<Value>(Interpreter&, const Value& this_value, std::vector<Value>& args)>;
 
 // Per-thread heap-mutation epoch. Bumped on every object property
-// write/delete, array element mutation, and reference-type *destruction*
-// (destruction rather than allocation: a recycled address must not inherit a
-// stale cache entry keyed by its predecessor's identity pointer, and an
-// address cannot be recycled without a free first — so bumping in the
-// destructor covers reuse while letting caches survive pure allocation). The
-// DIFT tracker's deep-label memo is valid only within one epoch; anything
-// that mutates reachable heap shape through a path the tracker cannot
-// observe must call BumpHeapWriteEpoch(). Thread-local: every app instance
-// (interpreter + tracker) is confined to one thread, heap objects never cross
-// instances, and the tracker's memo lives on the same thread as the heap it
-// memoizes — so a plain per-thread increment keeps the write path free of
-// atomics even with many instances running concurrently.
+// write/delete, array element mutation, DIFT label-slot change, and
+// reference-type *destruction* (destruction rather than allocation: a
+// recycled address must not inherit a stale cache entry keyed by its
+// predecessor's identity pointer, and an address cannot be recycled without
+// a free first — so bumping in the destructor covers reuse while letting
+// caches survive pure allocation). The DIFT tracker's deep-label memo is
+// valid only within one epoch; anything that mutates reachable heap shape
+// through a path the tracker cannot observe must call BumpHeapWriteEpoch().
+// Thread-local: every app instance (interpreter + tracker) is confined to one
+// thread, heap objects never cross instances, and the tracker's memo lives on
+// the same thread as the heap it memoizes — so a plain per-thread increment
+// keeps the write path free of atomics even with many instances running
+// concurrently.
 inline thread_local uint64_t g_heap_write_epoch = 0;
 inline void BumpHeapWriteEpoch() { ++g_heap_write_epoch; }
 inline uint64_t HeapWriteEpoch() { return g_heap_write_epoch; }
+
+// DIFT label slot carried by every reference type (§4.4). Labels live on the
+// value itself, so they are reclaimed with it: the tracker keeps no side
+// table and pins nothing. `labels` is an interned label-set handle meaningful
+// only to the label-set pool whose id is `pool` (0 = never labelled); both
+// are opaque at this layer.
+struct LabelSlot {
+  uint32_t labels = 0;
+  uint32_t pool = 0;
+};
 
 struct UndefinedTag {
   bool operator==(const UndefinedTag&) const { return true; }
@@ -88,7 +99,7 @@ class Value {
   bool IsObject() const { return std::holds_alternative<ObjectPtr>(data_); }
   bool IsArray() const { return std::holds_alternative<ArrayPtr>(data_); }
   bool IsFunction() const { return std::holds_alternative<FunctionPtr>(data_); }
-  // Value types require boxing in the DIFT label map.
+  // Value types have no label slot: the DIFT tracker boxes them.
   bool IsValueType() const { return !IsObject() && !IsArray() && !IsFunction(); }
 
   bool AsBool() const { return std::get<bool>(data_); }
@@ -99,8 +110,12 @@ class Value {
   const FunctionPtr& AsFunction() const { return std::get<FunctionPtr>(data_); }
 
   // Stable identity pointer for reference types (nullptr for value types).
-  // Used as the key of the DIFT label map.
+  // Keys the DIFT tracker's per-walk visited set, its deep-label memo and
+  // its $invoke-labeller registrations.
   const void* IdentityKey() const;
+
+  // The DIFT label slot of a reference type (nullptr for value types).
+  LabelSlot* label_slot() const;
 
   // JS-like coercions.
   bool Truthy() const;
@@ -128,8 +143,8 @@ struct ClassInfo {
 };
 
 // A heap object: ordered-insertion property map plus optional class metadata
-// and optional proxy traps (used by the DIFT tracker to observe dynamic
-// property creation/deletion, mirroring the paper's use of JS Proxy).
+// and an optional set trap (used by the DIFT tracker to observe dynamic
+// property writes, mirroring the paper's use of JS Proxy).
 //
 // Property keys are interned atoms: the map hashes a uint32_t and the
 // insertion-order vector stores 4-byte handles instead of duplicating every
@@ -143,22 +158,17 @@ struct Object {
   std::vector<Atom> insertion_order;  // keys in first-set order
   std::shared_ptr<ClassInfo> class_info;
 
-  // Proxy traps: when set, property reads/writes are reported to the trap
-  // after the underlying operation resolves. The trap must not re-enter the
+  // Proxy trap: when set, property writes are reported to the trap after the
+  // underlying operation resolves. The trap must not re-enter the
   // interpreter.
   std::function<void(Object&, const std::string& key, const Value& value)> set_trap;
-  std::function<void(Object&, const std::string& key)> delete_trap;
 
-  // DIFT boxing support: a box carries exactly one value-type payload. Box
-  // labels live inline on the box itself rather than in the tracker's label
-  // store — boxes are tracker-created temporaries, so the store would only
-  // accumulate dead entries. `box_labels` is an interned label-set handle
-  // meaningful to the pool identified by `box_label_pool`; both are opaque
-  // at this layer.
+  LabelSlot label_slot;  // DIFT labels (see LabelSlot)
+
+  // DIFT boxing support: a box carries exactly one value-type payload; its
+  // labels live in `label_slot` like any other object's.
   bool is_box = false;
   Value box_payload;
-  uint32_t box_labels = 0;
-  const void* box_label_pool = nullptr;
 
   // Set for objects created by simulated I/O modules ("socket", "mqtt", ...),
   // used for diagnostics.
@@ -199,9 +209,6 @@ struct Object {
           break;
         }
       }
-      if (delete_trap) {
-        delete_trap(*this, AtomName(key));
-      }
     }
   }
   void Delete(const std::string& key) {
@@ -216,6 +223,7 @@ struct Object {
 struct ArrayObject {
   ~ArrayObject() { BumpHeapWriteEpoch(); }  // this address may now be recycled
   std::vector<Value> elements;
+  LabelSlot label_slot;  // DIFT labels (see LabelSlot)
 };
 
 // A callable: either a MiniScript closure or a native function.
@@ -242,9 +250,23 @@ struct FunctionObject {
   // socket.write, ...). The DIFT tracker unwraps boxed arguments only for
   // these, matching the paper's "unwrapped upon writing to a sink".
   bool is_io_sink = false;
+  LabelSlot label_slot;  // DIFT labels (see LabelSlot)
 
   bool IsNative() const { return static_cast<bool>(native); }
 };
+
+inline LabelSlot* Value::label_slot() const {
+  if (IsObject()) {
+    return &AsObject()->label_slot;
+  }
+  if (IsArray()) {
+    return &AsArray()->label_slot;
+  }
+  if (IsFunction()) {
+    return &AsFunction()->label_slot;
+  }
+  return nullptr;
+}
 
 // Helpers.
 ObjectPtr MakeObject();

@@ -456,7 +456,7 @@ TEST_F(TrackerTest, DeepLabelMemoHitsBetweenUnchangedChecks) {
   ASSERT_TRUE(tracker_->Check(msg, receiver, "store").ok());
   ASSERT_TRUE(tracker_->Check(msg, receiver, "store").ok());
   EXPECT_EQ(tracker_->stats().deep_label_memo_hits, hits + 2);
-  // AttachLabel mutates the label map, which must drop the memo.
+  // AttachLabel writes a label slot, which must drop the memo.
   tracker_->AttachLabel(msg, LabelSet({policy_->space().Intern("employee")}));
   hits = tracker_->stats().deep_label_memo_hits;
   LabelSet after = tracker_->DeepLabel(msg);
@@ -464,19 +464,61 @@ TEST_F(TrackerTest, DeepLabelMemoHitsBetweenUnchangedChecks) {
   EXPECT_TRUE(after.Contains(*policy_->space().Find("employee")));
 }
 
-TEST_F(TrackerTest, TrackerDestructionClearsItsProxyTraps) {
-  // The traps capture the owning tracker; a destroyed tracker must not leave
-  // them dangling on objects that live on in the interpreter.
+TEST_F(TrackerTest, ProxyTrapFoldsLabelsAfterTrackerDestruction) {
+  // The trap owns the policy, not the tracker: an object that outlives its
+  // tracker can still be written, and the write still folds the value's
+  // labels into the object's own.
   ObjectPtr object = MakeObject();
   object->Set("v", Value(1.0));
+  Value secret;
   {
     DiftTracker ephemeral(&interp_, policy_);
-    ASSERT_TRUE(ephemeral.Label(Value(object), "secret").ok());
-    EXPECT_TRUE(static_cast<bool>(object->set_trap));
+    ASSERT_TRUE(ephemeral.Label(Value(object), "public").ok());
+    auto boxed = ephemeral.Label(Value("x"), "secret");
+    ASSERT_TRUE(boxed.ok());
+    secret = *boxed;
   }
-  EXPECT_FALSE(static_cast<bool>(object->set_trap));
-  EXPECT_FALSE(static_cast<bool>(object->delete_trap));
-  object->Set("later", Value(2.0));  // must not touch the dead tracker
+  object->Set("later", secret);
+  LabelSet labels = tracker_->GetLabel(Value(object));  // shallow: no property walk
+  EXPECT_TRUE(labels.Contains(*policy_->space().Find("public")));
+  EXPECT_TRUE(labels.Contains(*policy_->space().Find("secret")));
+}
+
+TEST_F(TrackerTest, InvokeLabellerKeepsItsTargetAlive) {
+  // An $invoke registration is keyed on its target's address. Were the target
+  // freed, a function allocated at the same address would inherit the
+  // labeller.
+  auto spec = std::make_shared<LabellerSpec>();
+  spec->kind = LabellerSpec::Kind::kInvoke;
+  spec->fn_source = "(obj, args) => \"secret\"";
+  policy_->AddLabeller("callTag", spec);
+  NativeFn noop = [](Interpreter&, const Value&, std::vector<Value>&) -> Result<Value> {
+    return Value::Undefined();
+  };
+  const void* old_address = nullptr;
+  {
+    FunctionPtr labelled = MakeNativeFunction("labelled", noop);
+    old_address = labelled.get();
+    ASSERT_TRUE(tracker_->Label(Value(labelled), "callTag").ok());
+  }
+  std::vector<FunctionPtr> allocated;
+  FunctionPtr recycled;
+  for (int i = 0; i < 4096 && recycled == nullptr; ++i) {
+    FunctionPtr fn = MakeNativeFunction("fresh", noop);
+    if (fn.get() == old_address) {
+      recycled = fn;
+    }
+    allocated.push_back(std::move(fn));
+  }
+  if (recycled != nullptr) {
+    ObjectPtr holder = MakeObject();
+    holder->Set("run", Value(recycled));
+    uint64_t evals = tracker_->stats().labeller_fn_evals;
+    ASSERT_TRUE(tracker_->Invoke(Value(holder), "run", {}).ok());
+    EXPECT_EQ(tracker_->stats().labeller_fn_evals, evals)
+        << "a function at a recycled address inherited the $invoke labeller";
+  }
+  EXPECT_TRUE(recycled == nullptr) << "the registration did not keep its target alive";
 }
 
 }  // namespace
