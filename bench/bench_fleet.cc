@@ -20,7 +20,7 @@
 //   --warmup=N      unrecorded messages per instance before the timed
 //                   window (default 5).
 //   --trace-export=PATH
-//                   enables fleet trace propagation (per-context recorders +
+//                   enables fleet trace propagation (per-context event logs +
 //                   fleet trace ids), wires instance #0 -> instance #1 so
 //                   messages cross shards, and writes the assembled Chrome
 //                   trace (lane per shard, flow arrows per wire hop) to PATH
@@ -133,7 +133,7 @@ int Main(int argc, char** argv) {
   FleetRuntime::Options options;
   options.shards = shards;
   if (!trace_export.empty()) {
-    options.trace_capacity = 1u << 15;
+    options.event_capacity = 1u << 15;
   }
   FleetRuntime fleet(options);
 

@@ -10,7 +10,7 @@
 
 #include "src/dift/tracker.h"
 #include "src/lang/parser.h"
-#include "src/obs/audit.h"
+#include "src/obs/event_log.h"
 
 namespace turnstile {
 namespace {
@@ -179,9 +179,9 @@ void BM_TrackedInvokeLabelled(benchmark::State& state) {
 }
 BENCHMARK(BM_TrackedInvokeLabelled);
 
-// Same op with the audit ledger recording: quantifies the enabled-ledger cost
-// per labelled invoke (flow-check event + memoized detail lookup). The
-// disabled path is covered by BM_TrackedInvokeLabelled itself — audit adds
+// Same op with the event log recording: quantifies the enabled-log cost per
+// labelled invoke (invoke + flow-check events, memoized detail lookup). The
+// disabled path is covered by BM_TrackedInvokeLabelled itself — the log adds
 // one branch there.
 void BM_TrackedInvokeLabelledAudit(benchmark::State& state) {
   CallFixture f;
@@ -189,12 +189,12 @@ void BM_TrackedInvokeLabelledAudit(benchmark::State& state) {
   if (!labelled.ok()) {
     std::abort();
   }
-  obs::AuditLedger::Global().Enable(1u << 12);
+  obs::EventLog::Global().Enable(1u << 12);
   for (auto _ : state) {
     auto result = f.tracker->Invoke(f.receiver, "combine", {*labelled, Value("b")});
     benchmark::DoNotOptimize(result.ok());
   }
-  obs::AuditLedger::Global().Disable();
+  obs::EventLog::Global().Disable();
 }
 BENCHMARK(BM_TrackedInvokeLabelledAudit);
 

@@ -19,7 +19,7 @@
 #include "src/instrument/instrumentor.h"
 #include "src/lang/parser.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/event_log.h"
 
 using namespace turnstile;
 
@@ -158,7 +158,7 @@ int main() {
   }
 
   // Trace every injected frame so blocked flows can explain themselves.
-  obs::TraceRecorder::Global().Enable(4096);
+  obs::EventLog::Global().Enable(4096);
 
   Interpreter interp;
   DiftTracker tracker(&interp, policy);

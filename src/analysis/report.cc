@@ -186,7 +186,7 @@ std::string ExplainViolation(const Violation& violation) {
   }
   if (violation.provenance.empty()) {
     out += "  (no provenance recorded — enable DiftTracker provenance and/or "
-           "the obs trace recorder)\n";
+           "the obs event log)\n";
     return out;
   }
   out += "  provenance chain:\n";

@@ -6,7 +6,7 @@
 #include "src/lang/parser.h"
 #include "src/lang/printer.h"
 #include "src/lang/resolve.h"
-#include "src/obs/audit.h"
+#include "src/obs/event_log.h"
 #include "src/runtime/context.h"
 
 namespace turnstile {
@@ -91,9 +91,9 @@ Result<std::unique_ptr<AppRuntime>> AppRuntime::Create(const CorpusApp& app, App
   RuntimeContext& ctx = context != nullptr ? *context : RuntimeContext::Default();
   auto runtime = std::unique_ptr<AppRuntime>(new AppRuntime());
   runtime->app_ = &app;
-  // Stamp subsequent audit-ledger events with the app under drive (cheap
-  // no-op when the name is unchanged; harmless when the ledger is disabled).
-  ctx.audit().set_app(app.name);
+  // Stamp subsequent event-log entries with the app under drive (cheap
+  // no-op when the name is unchanged; harmless when the log is disabled).
+  ctx.event_log().set_app(app.name);
   runtime->interp_ = std::make_unique<Interpreter>(ctx);
   if (tier.has_value()) {
     runtime->interp_->set_exec_tier(*tier);

@@ -67,9 +67,8 @@ DiftTracker::DiftTracker(Interpreter* interp, std::shared_ptr<Policy> policy, Op
   // Observability handles come from the interpreter's RuntimeContext, so a
   // tracker built on an isolated instance reports into that instance's sinks.
   RuntimeContext& context = interp->context();
-  trace_recorder_ = &context.trace_recorder();
+  event_log_ = &context.event_log();
   profiler_ = &context.profiler();
-  audit_ = &context.audit();
   obs::Metrics& metrics = context.metrics();
   metric_label_calls_ = metrics.GetCounter("dift.label_calls");
   metric_binary_ops_ = metrics.GetCounter("dift.binary_ops");
@@ -118,8 +117,7 @@ void DiftTracker::RecordOrigins(LabelSetRef labels, const std::string& labeller_
       continue;  // first attachment wins: that is where the label came from
     }
     it->second.labeller = labeller_name;
-    it->second.trace_id = trace_recorder_->current_trace();
-    it->second.node = trace_recorder_->OriginOf(it->second.trace_id);
+    it->second.trace = event_log_->current();
     it->second.seq = ++origin_seq_;
     it->second.time = interp_->VirtualNow();
   }
@@ -397,37 +395,40 @@ Result<Value> DiftTracker::Label(Value target, const std::string& labeller_name)
   // side of the overhead split (invoke's app-callee window excepted).
   obs::ScopedProfileSpan profile_span;
   if (profiler_->enabled()) {
-    profile_span = obs::ScopedProfileSpan(profiler_, obs::SpanKind::kDiftLabel,
+    profile_span = obs::ScopedProfileSpan(profiler_, obs::EventKind::kDiftLabel,
                                           "__dift.label:" + labeller_name, /*monitor=*/true);
   }
   const LabellerSpec* spec = policy_->FindLabeller(labeller_name);
   if (spec == nullptr) {
     return PolicyError("unknown labeller '" + labeller_name + "'");
   }
-  // Audit needs the target's label set *before* the labeller runs: a $const
-  // labeller firing on an already-labelled value is the declassify/endorse
-  // idiom (see policy.h), and that distinction is exactly prior != empty.
+  // The log needs the target's label set *before* the labeller runs: a
+  // $const labeller firing on an already-labelled value is the
+  // declassify/endorse idiom (see policy.h), and that distinction is exactly
+  // prior != empty.
   LabelSetRef prior = kEmptyLabelSetRef;
-  if (audit_->enabled()) {
+  if (event_log_->enabled()) {
     prior = GetLabelRef(target);
   }
   LabelSetRef labels = kEmptyLabelSetRef;
   TURNSTILE_ASSIGN_OR_RETURN(result, ApplySpec(spec, std::move(target), &labels,
                                                labeller_name));
-  if (trace_recorder_->enabled()) {
-    trace_recorder_->Record(obs::SpanKind::kDiftLabel, labeller_name, pool_->Render(labels),
-                            interp_->VirtualNow());
-  }
-  if (audit_->enabled() && labels != kEmptyLabelSetRef) {
-    obs::AuditEvent event;
-    event.kind = (spec->kind == LabellerSpec::Kind::kConst && prior != kEmptyLabelSetRef)
-                     ? obs::AuditKind::kDeclassify
-                     : obs::AuditKind::kLabelAttach;
+  if (event_log_->enabled()) {
+    // One event: an attach decision when labels were attached (it stands for
+    // the dift_label journey step too), the bare journey step otherwise.
+    obs::Event event;
+    event.kind = obs::EventKind::kDiftLabel;
+    if (labels != kEmptyLabelSetRef) {
+      event.kind = spec->kind == LabellerSpec::Kind::kConst && prior != kEmptyLabelSetRef
+                       ? obs::EventKind::kDeclassify
+                       : obs::EventKind::kLabelAttach;
+    }
     event.subject = labeller_name;
+    event.vtime = interp_->VirtualNow();
     event.data = prior;
     event.out = labels;
-    event.labels = pool_->Render(labels);
-    audit_->Record(std::move(event));
+    event.detail = pool_->Render(labels);
+    event_log_->Record(std::move(event));
   }
   return result;
 }
@@ -439,7 +440,7 @@ Result<Value> DiftTracker::BinaryOp(const std::string& op, const Value& left,
   ++stats_.binary_ops;
   obs::ScopedProfileSpan profile_span;
   if (profiler_->enabled()) {
-    profile_span = obs::ScopedProfileSpan(profiler_, obs::SpanKind::kDiftBinaryOp,
+    profile_span = obs::ScopedProfileSpan(profiler_, obs::EventKind::kDiftBinaryOp,
                                           "__dift.binaryOp:" + op, /*monitor=*/true);
   }
   return BinaryOpCore(op, BinaryOpFromString(op), left, right);
@@ -458,20 +459,18 @@ Result<Value> DiftTracker::BinaryOpCore(const std::string& spelling, turnstile::
   LabelSetRef right_ref = GetLabelRef(right);
   LabelSetRef labels = pool_->Union(left_ref, right_ref);
   // Cheap stack check first: the unlabelled fast path must not even touch
-  // the recorder's cache line.
-  if (labels != kEmptyLabelSetRef && trace_recorder_->enabled()) {
-    trace_recorder_->Record(obs::SpanKind::kDiftBinaryOp, spelling, pool_->Render(labels),
-                            interp_->VirtualNow());
-  }
-  if (labels != kEmptyLabelSetRef && audit_->enabled()) {
-    obs::AuditEvent event;
-    event.kind = obs::AuditKind::kMerge;
+  // the log's cache line. The merge decision stands for the dift_binary_op
+  // journey step too.
+  if (labels != kEmptyLabelSetRef && event_log_->enabled()) {
+    obs::Event event;
+    event.kind = obs::EventKind::kMerge;
     event.subject = spelling;
+    event.vtime = interp_->VirtualNow();
     event.data = left_ref;
     event.receiver = right_ref;
     event.out = labels;
-    event.labels = pool_->Render(labels);
-    audit_->Record(std::move(event));
+    event.detail = pool_->Render(labels);
+    event_log_->Record(std::move(event));
   }
   if (op == turnstile::BinaryOp::kInvalid) {
     return UnimplementedError("binary operator " + spelling);
@@ -503,8 +502,10 @@ void DiftTracker::RecordViolation(const std::string& sink, LabelSetRef data,
   violation.sink = sink;
   violation.data_labels = pool_->Render(data);
   violation.receiver_labels = pool_->Render(receiver);
-  violation.trace_id = trace_recorder_->current_trace();
-  violation.origin_node = trace_recorder_->OriginOf(violation.trace_id);
+  const AtomTable& atoms = interp_->context().atoms();
+  const obs::TraceContext trace = event_log_->current();
+  violation.trace_id = trace.id;
+  violation.origin_node = atoms.NameOf(trace.origin);
 
   // Provenance chain, oldest first: where each offending label came from ...
   for (LabelId id : pool_->Ids(data)) {
@@ -512,33 +513,36 @@ void DiftTracker::RecordViolation(const std::string& sink, LabelSetRef data,
     if (origin == nullptr) {
       continue;
     }
-    obs::TraceEvent event;
-    event.trace_id = origin->trace_id;
+    obs::Event event;
+    event.trace_id = origin->trace.id;
+    event.node = origin->trace.origin;
     event.seq = origin->seq;
-    event.kind = obs::SpanKind::kDiftLabel;
+    event.kind = obs::EventKind::kDiftLabel;
     event.vtime = origin->time;
     event.subject = origin->labeller;
-    event.detail = "attached '" + policy_->space().NameOf(id) + "'" +
-                   (origin->node.empty() ? "" : " at node '" + origin->node + "'");
+    event.detail = "attached '" + policy_->space().NameOf(id) + "'";
+    if (origin->trace.origin != kAtomEmpty) {
+      event.detail += " at node '" + atoms.NameOf(origin->trace.origin) + "'";
+    }
     violation.provenance.push_back(std::move(event));
   }
   // ... then the recorded journey of the violating message ...
-  if (trace_recorder_->enabled() && violation.trace_id != 0) {
-    for (obs::TraceEvent& event : trace_recorder_->EventsForTrace(violation.trace_id)) {
+  if (event_log_->enabled() && violation.trace_id != 0) {
+    for (obs::Event& event : event_log_->EventsForTrace(violation.trace_id)) {
       violation.provenance.push_back(std::move(event));
     }
   }
   // ... ending at the sink that rejected the flow.
-  obs::TraceEvent at_sink;
+  obs::Event at_sink;
   at_sink.trace_id = violation.trace_id;
-  at_sink.kind = obs::SpanKind::kViolation;
+  at_sink.node = trace.origin;
+  at_sink.kind = obs::EventKind::kViolation;
   at_sink.vtime = violation.time;
   at_sink.subject = sink;
   at_sink.detail = violation.data_labels + " cannot flow to " + violation.receiver_labels;
   violation.provenance.push_back(at_sink);
-  if (trace_recorder_->enabled()) {
-    trace_recorder_->Record(obs::SpanKind::kViolation, sink, at_sink.detail,
-                            violation.time);
+  if (event_log_->enabled()) {
+    event_log_->Record(obs::EventKind::kViolation, sink, at_sink.detail, violation.time);
   }
 
   TURNSTILE_LOG(Warning) << "IFC violation at " << sink << ": "
@@ -558,17 +562,17 @@ const std::string& DiftTracker::CheckDetail(LabelSetRef data, LabelSetRef receiv
   return check_detail_cache_.emplace(key, std::move(detail)).first->second;
 }
 
-void DiftTracker::RecordFlowAudit(const std::string& sink, LabelSetRef data,
+void DiftTracker::RecordFlowCheck(const std::string& sink, LabelSetRef data,
                                   LabelSetRef receiver, bool allowed, std::string rule) {
-  obs::AuditEvent event;
-  event.kind = obs::AuditKind::kFlowCheck;
+  obs::Event event;
+  event.kind = obs::EventKind::kFlowCheck;
   event.allowed = allowed;
   event.subject = sink;
   event.data = data;
   event.receiver = receiver;
-  event.labels = CheckDetail(data, receiver);
+  event.detail = CheckDetail(data, receiver);
   event.rule = std::move(rule);
-  audit_->Record(std::move(event));
+  event_log_->Record(std::move(event));
 }
 
 Result<bool> DiftTracker::Check(const Value& data, const Value& receiver,
@@ -576,7 +580,7 @@ Result<bool> DiftTracker::Check(const Value& data, const Value& receiver,
   ++stats_.checks;
   obs::ScopedProfileSpan profile_span;
   if (profiler_->enabled()) {
-    profile_span = obs::ScopedProfileSpan(profiler_, obs::SpanKind::kDiftCheck,
+    profile_span = obs::ScopedProfileSpan(profiler_, obs::EventKind::kDiftCheck,
                                           "__dift.check:" + sink_name, /*monitor=*/true);
   }
   return CheckCore(data, receiver, sink_name);
@@ -594,38 +598,38 @@ Result<bool> DiftTracker::CheckCore(const Value& data, const Value& receiver,
                                     const std::string& sink_name) {
   LabelSetRef data_labels = DeepLabelRef(data);
   LabelSetRef receiver_labels = GetLabelRef(receiver);
-  if (trace_recorder_->enabled()) {
-    // The detail string is memoized per handle pair: a traced run pays one
-    // flat lookup per check, not a label-name render.
-    trace_recorder_->Record(obs::SpanKind::kDiftCheck, sink_name,
-                            CheckDetail(data_labels, receiver_labels),
-                            interp_->VirtualNow());
+  if (event_log_->enabled()) {
+    // The detail string is memoized per handle pair: a logged run pays one
+    // flat lookup per check, not a label-name render. The journey step is
+    // logged ahead of the verdict's flow_check decision below.
+    event_log_->Record(obs::EventKind::kDiftCheck, sink_name,
+                       CheckDetail(data_labels, receiver_labels), interp_->VirtualNow());
   }
   if (data_labels == kEmptyLabelSetRef) {
-    if (audit_->enabled()) {
-      RecordFlowAudit(sink_name, data_labels, receiver_labels, true, "empty-data");
+    if (event_log_->enabled()) {
+      RecordFlowCheck(sink_name, data_labels, receiver_labels, true, "empty-data");
     }
     return true;
   }
   if (receiver_labels == kEmptyLabelSetRef) {
     if (options_.strict_unlabeled_receivers) {
-      if (audit_->enabled()) {
-        RecordFlowAudit(sink_name, data_labels, receiver_labels, false,
+      if (event_log_->enabled()) {
+        RecordFlowCheck(sink_name, data_labels, receiver_labels, false,
                         "strict-unlabeled-receiver");
       }
       RecordViolation(sink_name, data_labels, receiver_labels);
       return false;
     }
-    if (audit_->enabled()) {
-      RecordFlowAudit(sink_name, data_labels, receiver_labels, true, "unlabeled-receiver");
+    if (event_log_->enabled()) {
+      RecordFlowCheck(sink_name, data_labels, receiver_labels, true, "unlabeled-receiver");
     }
     return true;
   }
   const std::string* rule = nullptr;
   bool allowed = policy_->rules().CanFlowSetExplained(
-      data_labels, receiver_labels, *pool_, audit_->enabled() ? &rule : nullptr);
-  if (audit_->enabled()) {
-    RecordFlowAudit(sink_name, data_labels, receiver_labels, allowed,
+      data_labels, receiver_labels, *pool_, event_log_->enabled() ? &rule : nullptr);
+  if (event_log_->enabled()) {
+    RecordFlowCheck(sink_name, data_labels, receiver_labels, allowed,
                     rule != nullptr ? *rule : "");
   }
   if (!allowed) {
@@ -639,7 +643,7 @@ Result<Value> DiftTracker::Invoke(const Value& target, const std::string& func,
   ++stats_.invokes;
   obs::ScopedProfileSpan profile_span;
   if (profiler_->enabled()) {
-    profile_span = obs::ScopedProfileSpan(profiler_, obs::SpanKind::kDiftInvoke,
+    profile_span = obs::ScopedProfileSpan(profiler_, obs::EventKind::kDiftInvoke,
                                           "__dift.invoke:" + func, /*monitor=*/true);
   }
   return InvokeCore(target, func, std::move(args));
@@ -654,8 +658,8 @@ Result<Value> DiftTracker::FusedInvoke(const Value& target, const std::string& f
 
 Result<Value> DiftTracker::InvokeCore(const Value& target, const std::string& func,
                                       std::vector<Value> args) {
-  if (trace_recorder_->enabled()) {
-    trace_recorder_->Record(obs::SpanKind::kDiftInvoke, func, "", interp_->VirtualNow());
+  if (event_log_->enabled()) {
+    event_log_->Record(obs::EventKind::kDiftInvoke, func, "", interp_->VirtualNow());
   }
   TURNSTILE_ASSIGN_OR_RETURN(fn_value, interp_->GetProperty(target, func));
   Value fn_unboxed = Unbox(fn_value);
@@ -707,13 +711,13 @@ Result<Value> DiftTracker::InvokeCore(const Value& target, const std::string& fu
     TURNSTILE_ASSIGN_OR_RETURN(labels, LabelsFromValue(label_value));
     RecordOrigins(labels, *invoke_labeller_name);
     receiver_labels = labels;
-    if (audit_->enabled()) {
-      obs::AuditEvent event;
-      event.kind = obs::AuditKind::kInvokeLabeller;
+    if (event_log_->enabled()) {
+      obs::Event event;
+      event.kind = obs::EventKind::kInvokeLabeller;
       event.subject = *invoke_labeller_name + "@" + func;
       event.out = receiver_labels;
-      event.labels = pool_->Render(receiver_labels);
-      audit_->Record(std::move(event));
+      event.detail = pool_->Render(receiver_labels);
+      event_log_->Record(std::move(event));
     }
   } else {
     receiver_labels = pool_->Union(GetLabelRef(target), GetLabelRef(fn_value));
@@ -733,8 +737,8 @@ Result<Value> DiftTracker::InvokeCore(const Value& target, const std::string& fu
   if (data_labels != kEmptyLabelSetRef) {
     if (receiver_labels == kEmptyLabelSetRef) {
       allowed = !(receiver_has_labeller || options_.strict_unlabeled_receivers);
-      if (audit_->enabled()) {
-        RecordFlowAudit(func, data_labels, receiver_labels, allowed,
+      if (event_log_->enabled()) {
+        RecordFlowCheck(func, data_labels, receiver_labels, allowed,
                         allowed ? "unlabeled-receiver"
                                 : (receiver_has_labeller ? "labeller-declined-receiver"
                                                          : "strict-unlabeled-receiver"));
@@ -742,9 +746,9 @@ Result<Value> DiftTracker::InvokeCore(const Value& target, const std::string& fu
     } else {
       const std::string* rule = nullptr;
       allowed = policy_->rules().CanFlowSetExplained(
-          data_labels, receiver_labels, *pool_, audit_->enabled() ? &rule : nullptr);
-      if (audit_->enabled()) {
-        RecordFlowAudit(func, data_labels, receiver_labels, allowed,
+          data_labels, receiver_labels, *pool_, event_log_->enabled() ? &rule : nullptr);
+      if (event_log_->enabled()) {
+        RecordFlowCheck(func, data_labels, receiver_labels, allowed,
                         rule != nullptr ? *rule : "");
       }
     }
@@ -762,17 +766,17 @@ Result<Value> DiftTracker::InvokeCore(const Value& target, const std::string& fu
   std::vector<Value> call_args;
   if (fn_unboxed.AsFunction()->is_io_sink) {
     call_args.reserve(args.size());
-    if (audit_->enabled()) {
+    if (event_log_->enabled()) {
       // The unwrap point: labelled data is about to leave the managed world.
-      obs::AuditEvent event;
-      event.kind = obs::AuditKind::kSinkWrite;
+      obs::Event event;
+      event.kind = obs::EventKind::kSinkWrite;
       event.subject = func;
       event.data = data_labels;
       event.receiver = receiver_labels;
       if (data_labels != kEmptyLabelSetRef) {
-        event.labels = pool_->Render(data_labels);
+        event.detail = pool_->Render(data_labels);
       }
-      audit_->Record(std::move(event));
+      event_log_->Record(std::move(event));
     }
     for (Value& arg : args) {
       call_args.push_back(UnboxDeep(arg));

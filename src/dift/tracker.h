@@ -36,9 +36,8 @@
 #include "src/interp/dift_hook.h"
 #include "src/interp/interp.h"
 #include "src/lang/atoms.h"
-#include "src/obs/audit.h"
+#include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace turnstile {
 
@@ -50,14 +49,14 @@ struct Violation {
   std::string sink;          // function / receiver description
   std::string data_labels;   // rendered label sets (diagnostics)
   std::string receiver_labels;
-  uint64_t trace_id = 0;     // obs trace active at violation time (0 = untraced)
+  uint64_t trace_id = 0;     // trace active at violation time (0 = untraced)
   std::string origin_node;   // flow node the traced message was injected at
   // The chain of events that produced the offending label set: one
   // kDiftLabel entry per data label naming the labeller that attached it
-  // (always recorded), then the buffered trace events of the violating
-  // message (when the obs trace recorder is enabled), ending with the
-  // violation itself. Rendered by ExplainViolation() in src/analysis/report.
-  std::vector<obs::TraceEvent> provenance;
+  // (always recorded), then the buffered journey of the violating message
+  // (when the event log is enabled), ending with the violation itself.
+  // Rendered by ExplainViolation() in src/analysis/report.
+  std::vector<obs::Event> provenance;
 };
 
 // Tracker statistics — used by the ablation benches.
@@ -114,7 +113,7 @@ class DiftTracker : public DiftHook {
   Result<Value> Invoke(const Value& target, const std::string& func, std::vector<Value> args);
 
   // --- fused-ISA entry points (DiftHook; called by the labelled opcodes) -----
-  // Same semantics and the same trace/audit/stats effects as the string-API
+  // Same semantics and the same event-log/stats effects as the string-API
   // methods above, minus the per-op heap-named profile span: fused ops bill
   // into the profiler's monitor bucket through a bare accounting window.
   Result<Value> FusedBinary(const std::string& spelling, turnstile::BinaryOp op,
@@ -161,11 +160,10 @@ class DiftTracker : public DiftHook {
 
   // Where a label was first attached by a labeller (provenance source).
   struct LabelOrigin {
-    std::string labeller;   // labeller name from the policy
-    std::string node;       // flow node of the active trace ("" = untraced)
-    uint64_t trace_id = 0;  // trace active at attachment time
-    uint64_t seq = 0;       // tracker-local attachment sequence number
-    double time = 0.0;      // virtual time of attachment
+    std::string labeller;     // labeller name from the policy
+    obs::TraceContext trace;  // trace (and its flow node) active at attachment
+    uint64_t seq = 0;         // tracker-local attachment sequence number
+    double time = 0.0;        // virtual time of attachment
   };
   // Origin of `id`, or nullptr when the label was never labeller-attached.
   const LabelOrigin* OriginOf(LabelId id) const;
@@ -189,12 +187,12 @@ class DiftTracker : public DiftHook {
   Result<LabelSetRef> LabelsFromValue(const Value& v);  // fn result -> interned set
   void DeepLabelInto(const Value& v, LabelSetRef* out, int depth) const;
   void RecordViolation(const std::string& sink, LabelSetRef data, LabelSetRef receiver);
-  // Ledgers one kFlowCheck audit event; callers gate on audit_->enabled().
-  void RecordFlowAudit(const std::string& sink, LabelSetRef data, LabelSetRef receiver,
+  // Logs one kFlowCheck decision; callers gate on event_log_->enabled().
+  void RecordFlowCheck(const std::string& sink, LabelSetRef data, LabelSetRef receiver,
                        bool allowed, std::string rule);
-  // "{a} vs {b}" for check-trace events, built once per handle pair and
-  // reused — enabled-tracing runs pay a flat lookup per check instead of
-  // re-rendering label names (see obs_trace_test coverage).
+  // "{a} vs {b}" for check events, built once per handle pair and reused —
+  // enabled-log runs pay a flat lookup per check instead of re-rendering
+  // label names (see obs_event_log_test coverage).
   const std::string& CheckDetail(LabelSetRef data, LabelSetRef receiver);
   // Installs the set-trap proxy on a tracked object (dynamic property
   // support, §4.4).
@@ -237,7 +235,7 @@ class DiftTracker : public DiftHook {
   mutable std::unordered_map<uint64_t, LabelSetRef> deep_memo_;
   mutable uint64_t deep_memo_epoch_ = 0;
 
-  // Memoized "{data} vs {receiver}" renderings for check-trace events.
+  // Memoized "{data} vs {receiver}" renderings for check events.
   std::unordered_map<uint64_t, std::string> check_detail_cache_;
 
   // Provenance: first labeller attachment per label id.
@@ -245,9 +243,8 @@ class DiftTracker : public DiftHook {
   uint64_t origin_seq_ = 0;
 
   // Observability handles (resolved once in the constructor).
-  obs::TraceRecorder* trace_recorder_ = nullptr;
+  obs::EventLog* event_log_ = nullptr;
   obs::Profiler* profiler_ = nullptr;
-  obs::AuditLedger* audit_ = nullptr;
   obs::Counter* metric_label_calls_ = nullptr;
   obs::Counter* metric_binary_ops_ = nullptr;
   obs::Counter* metric_checks_ = nullptr;

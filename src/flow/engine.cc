@@ -16,9 +16,8 @@ FlowEngine::FlowEngine(Interpreter* interp) : interp_(interp) {
   // Observability handles come from the interpreter's RuntimeContext, so an
   // engine built on an isolated instance reports into that instance's sinks.
   RuntimeContext& context = interp->context();
-  trace_recorder_ = &context.trace_recorder();
+  event_log_ = &context.event_log();
   profiler_ = &context.profiler();
-  audit_ = &context.audit();
   obs::Metrics& metrics = context.metrics();
   metric_routed_ = metrics.GetCounter("flow.messages_routed");
   metric_terminal_ = metrics.GetCounter("flow.terminal_sends");
@@ -127,24 +126,25 @@ ObjectPtr FlowEngine::MakeNodeObject(const std::string& id,
         if (wires.empty()) {
           engine->terminal_sends_ += static_cast<int>(messages.size());
           engine->metric_terminal_->Increment(messages.size());
-          engine->trace_recorder_->Record(obs::SpanKind::kNodeSend, id, "(terminal)",
-                                          in.VirtualNow());
-          if (engine->audit_->enabled()) {
+          obs::EventLog& log = *engine->event_log_;
+          if (log.enabled()) {
             // A send with no outgoing wires is a flow output: the message
-            // leaves the flow graph, which the ledger treats as a sink write
-            // (one event per fanned-out message, matching the counter above).
+            // leaves the flow graph, which the log records as one journey
+            // send plus a sink write per fanned-out message (matching the
+            // counter above).
+            log.Record(obs::EventKind::kNodeSend, id, "(terminal)", in.VirtualNow());
             for (size_t i = 0; i < messages.size(); ++i) {
-              obs::AuditEvent event;
-              event.kind = obs::AuditKind::kSinkWrite;
+              obs::Event event;
+              event.kind = obs::EventKind::kSinkWrite;
               event.subject = id;
               event.rule = "terminal";
-              engine->audit_->Record(std::move(event));
+              log.Record(std::move(event));
             }
           }
           if (engine->terminal_sink_) {
             // Fired after the engine's own terminal accounting so a wired
             // sink never changes what this instance records about itself.
-            const uint64_t trace_id = engine->trace_recorder_->current_trace();
+            const uint64_t trace_id = engine->event_log_->current_trace();
             for (const Value& m : messages) {
               engine->terminal_sink_(id, m, trace_id);
             }
@@ -157,8 +157,10 @@ ObjectPtr FlowEngine::MakeNodeObject(const std::string& id,
             continue;
           }
           for (const Value& m : messages) {
-            engine->trace_recorder_->Record(obs::SpanKind::kNodeSend, id, target_id,
-                                            in.VirtualNow());
+            if (engine->event_log_->enabled()) {
+              engine->event_log_->Record(obs::EventKind::kNodeSend, id, target_id,
+                                         in.VirtualNow());
+            }
             in.EmitEvent(it->second, "input", {m});
             ++engine->messages_routed_;
             engine->metric_routed_->Increment();
@@ -189,14 +191,16 @@ ObjectPtr FlowEngine::MakeNodeObject(const std::string& id,
                          [engine, id](Interpreter& in, const Value&,
                                       std::vector<Value>&) -> Result<Value> {
                            engine->metric_node_inputs_->Increment();
-                           engine->trace_recorder_->Record(obs::SpanKind::kNodeEnter, id, "",
-                                                           in.VirtualNow());
+                           if (engine->event_log_->enabled()) {
+                             engine->event_log_->Record(obs::EventKind::kNodeEnter, id, "",
+                                                        in.VirtualNow());
+                           }
                            if (engine->profiler_->enabled()) {
                              // Instant marker: the handler's duration is the
                              // enclosing turn span; this pins node identity
                              // inside it.
                              engine->profiler_->EndSpan(engine->profiler_->BeginSpan(
-                                 obs::SpanKind::kNodeEnter, "node_enter:" + id,
+                                 obs::EventKind::kNodeEnter, "node_enter:" + id,
                                  /*monitor=*/false));
                            }
                            return Value::Undefined();
@@ -267,15 +271,16 @@ Status FlowEngine::InjectInput(const std::string& node_id, Value msg) {
   metric_injects_->Increment();
   // Each injected message opens a fresh trace; EmitEvent captures the current
   // trace id into the task, so the whole downstream cascade attributes here.
-  uint64_t previous = trace_recorder_->current_trace();
-  uint64_t trace_id = trace_recorder_->StartTrace(node_id);
+  const obs::TraceContext previous = event_log_->current();
+  const obs::TraceContext trace =
+      event_log_->StartTrace(interp_->context().atoms().Intern(node_id));
   if (profiler_->enabled()) {
     // Root of this message's span tree; turn/dift spans enqueue under it via
     // the captured trace id and close it as they finish.
-    profiler_->BeginMessage(trace_id, node_id);
+    profiler_->BeginMessage(trace.id, node_id);
   }
   interp_->EmitEvent(it->second, "input", {std::move(msg)});
-  trace_recorder_->SetCurrentTrace(previous);
+  event_log_->SetCurrent(previous);
   return Status::Ok();
 }
 

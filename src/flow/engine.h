@@ -29,9 +29,8 @@
 #include <vector>
 
 #include "src/interp/interp.h"
-#include "src/obs/audit.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/event_log.h"
 #include "src/support/json.h"
 #include "src/support/status.h"
 
@@ -56,9 +55,9 @@ class FlowEngine {
   Status InstantiateFlow(const Json& flow);
 
   // Enqueues an input message for a node (the Inject-node equivalent).
-  // Call interp->RunEventLoop() to process. When the obs trace recorder is
-  // enabled, each injected message starts a new trace whose id follows the
-  // message across wires and event-loop turns.
+  // Call interp->RunEventLoop() to process. Each injected message starts a
+  // new trace in the context's event log whose id follows the message across
+  // wires and event-loop turns.
   Status InjectInput(const std::string& node_id, Value msg);
 
   // --- mailbox-driven entry (the fleet runtime's re-entrant path) ------------
@@ -85,9 +84,9 @@ class FlowEngine {
   // outputs into another app instance's mailbox. The hook runs on the
   // engine's own thread mid-event-loop: it must not re-enter this
   // interpreter; enqueue (PostInput on another engine, or a shard mailbox
-  // post) and return. `trace_id` is the recorder-local trace the send is
-  // attributed to (0 when tracing is disabled) — the fleet runtime folds it
-  // into the outgoing FleetTraceContext so cross-shard hops stitch.
+  // post) and return. `trace_id` is the context-local trace the send is
+  // attributed to — the fleet runtime folds it into the outgoing
+  // FleetTraceContext so cross-shard hops stitch.
   using TerminalSink =
       std::function<void(const std::string& node_id, const Value& msg, uint64_t trace_id)>;
   void set_terminal_sink(TerminalSink sink) { terminal_sink_ = std::move(sink); }
@@ -128,9 +127,8 @@ class FlowEngine {
   TerminalSink terminal_sink_;
 
   // Observability handles (resolved once in the constructor).
-  obs::TraceRecorder* trace_recorder_ = nullptr;
+  obs::EventLog* event_log_ = nullptr;
   obs::Profiler* profiler_ = nullptr;
-  obs::AuditLedger* audit_ = nullptr;
   obs::Counter* metric_routed_ = nullptr;
   obs::Counter* metric_terminal_ = nullptr;
   obs::Counter* metric_injects_ = nullptr;

@@ -25,7 +25,7 @@
 #include "src/lang/ast.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
-#include "src/obs/trace.h"
+#include "src/obs/event_log.h"
 #include "src/support/rng.h"
 #include "src/support/status.h"
 
@@ -261,7 +261,7 @@ class Interpreter {
   struct Task {
     double time = 0.0;
     uint64_t seq = 0;
-    uint64_t trace_id = 0;   // obs trace the task was enqueued under (0 = none)
+    obs::TraceContext trace;  // trace the task was enqueued under (id 0 = none)
     FunctionPtr fn;          // direct callback task …
     ObjectPtr emitter;       // … or an event task: listeners are resolved at
     std::string event;       //     fire time (so late .on() registration works)
@@ -305,7 +305,7 @@ class Interpreter {
 
   // Observability handles, resolved once from context_ (hot paths must not
   // hash names or call through TU boundaries per task).
-  obs::TraceRecorder* trace_recorder_ = nullptr;
+  obs::EventLog* event_log_ = nullptr;
   obs::Profiler* profiler_ = nullptr;
   obs::Counter* metric_macrotasks_ = nullptr;
   obs::Counter* metric_microtasks_ = nullptr;

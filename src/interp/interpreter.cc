@@ -76,11 +76,11 @@ Interpreter::Interpreter(RuntimeContext& context) : context_(&context) {
     }
   }
   global_env_ = std::make_shared<Environment>();
-  // Honor TURNSTILE_TRACE / TURNSTILE_PROFILE before resolving handles so any
+  // Honor TURNSTILE_PROFILE / TURNSTILE_AUDIT before resolving handles so any
   // binary that constructs an interpreter picks up env-driven observability
   // (a no-op for isolated contexts: env vars bind to the default context).
   context.ApplyEnvObsConfig();
-  trace_recorder_ = &context.trace_recorder();
+  event_log_ = &context.event_log();
   profiler_ = &context.profiler();
   obs::Metrics& metrics = context.metrics();
   metric_macrotasks_ = metrics.GetCounter("interp.macrotasks_executed");
@@ -133,7 +133,7 @@ void Interpreter::EmitEvent(const ObjectPtr& emitter, const std::string& event,
   Task task;
   task.time = virtual_time_ + delay_s;
   task.seq = task_seq_++;
-  task.trace_id = trace_recorder_->current_trace();
+  task.trace = event_log_->current();
   task.emitter = emitter;
   task.event = event;
   task.args = std::move(args);
@@ -143,14 +143,15 @@ void Interpreter::EmitEvent(const ObjectPtr& emitter, const std::string& event,
 Status Interpreter::ExecuteTask(const Task& task) {
   // Run the task under the trace it was enqueued from, so spans recorded by
   // flow nodes and DIFT ops downstream attribute to the injected message.
-  obs::ScopedTrace trace_scope(*trace_recorder_, task.trace_id);
+  obs::ScopedTrace trace_scope(*event_log_, task.trace);
   if (task.fn != nullptr) {
-    trace_recorder_->Record(obs::SpanKind::kLoopTurn, task.fn->name, "callback",
-                            virtual_time_);
+    if (event_log_->enabled()) {
+      event_log_->Record(obs::EventKind::kLoopTurn, task.fn->name, "callback", virtual_time_);
+    }
     obs::ScopedProfileSpan turn_span;
     if (profiler_->enabled()) {
       turn_span = obs::ScopedProfileSpan(
-          profiler_, obs::SpanKind::kLoopTurn,
+          profiler_, obs::EventKind::kLoopTurn,
           task.fn->name.empty() ? "<anonymous>" : task.fn->name, /*monitor=*/false, "callback");
     }
     TURNSTILE_ASSIGN_OR_RETURN(unused, CallFunction(task.fn, Value::Undefined(), task.args));
@@ -167,9 +168,9 @@ Status Interpreter::ExecuteTask(const Task& task) {
       fire = jt->second;
     }
   }
-  if (trace_recorder_->enabled()) {
-    trace_recorder_->Record(obs::SpanKind::kLoopTurn, task.event,
-                            std::to_string(fire.size()) + " listener(s)", virtual_time_);
+  if (event_log_->enabled()) {
+    event_log_->Record(obs::EventKind::kLoopTurn, task.event,
+                       std::to_string(fire.size()) + " listener(s)", virtual_time_);
   }
   obs::ScopedProfileSpan turn_span;
   if (profiler_->enabled()) {
@@ -183,7 +184,7 @@ Status Interpreter::ExecuteTask(const Task& task) {
     } else {
       name = "event:" + task.event;
     }
-    turn_span = obs::ScopedProfileSpan(profiler_, obs::SpanKind::kLoopTurn, std::move(name),
+    turn_span = obs::ScopedProfileSpan(profiler_, obs::EventKind::kLoopTurn, std::move(name),
                                        /*monitor=*/false,
                                        std::to_string(fire.size()) + " listener(s)");
   }
@@ -199,7 +200,7 @@ void Interpreter::ScheduleTask(FunctionPtr fn, std::vector<Value> args, double d
   Task task;
   task.time = virtual_time_ + delay_s;
   task.seq = task_seq_++;
-  task.trace_id = trace_recorder_->current_trace();
+  task.trace = event_log_->current();
   task.fn = std::move(fn);
   task.args = std::move(args);
   macrotasks_[{task.time, task.seq}] = std::move(task);
@@ -209,7 +210,7 @@ void Interpreter::ScheduleMicrotask(FunctionPtr fn, std::vector<Value> args) {
   Task task;
   task.time = virtual_time_;
   task.seq = task_seq_++;
-  task.trace_id = trace_recorder_->current_trace();
+  task.trace = event_log_->current();
   task.fn = std::move(fn);
   task.args = std::move(args);
   microtasks_.push_back(std::move(task));
@@ -224,11 +225,11 @@ Status Interpreter::DrainMicrotasks(int max_tasks) {
     Task task = std::move(microtasks_.front());
     microtasks_.pop_front();
     metric_microtasks_->Increment();
-    obs::ScopedTrace trace_scope(*trace_recorder_, task.trace_id);
+    obs::ScopedTrace trace_scope(*event_log_, task.trace);
     obs::ScopedProfileSpan turn_span;
     if (profiler_->enabled()) {
       turn_span = obs::ScopedProfileSpan(
-          profiler_, obs::SpanKind::kLoopTurn,
+          profiler_, obs::EventKind::kLoopTurn,
           task.fn->name.empty() ? "<anonymous>" : task.fn->name, /*monitor=*/false, "microtask");
     }
     TURNSTILE_ASSIGN_OR_RETURN(unused, CallFunction(task.fn, Value::Undefined(), task.args));

@@ -8,7 +8,7 @@ namespace turnstile {
 namespace obs {
 
 void FleetTraceAssembler::AddContext(int shard, std::string lane, std::string source,
-                                     std::vector<TraceEvent> events,
+                                     std::vector<Event> events,
                                      std::vector<FleetSpanBinding> bindings) {
   Context context;
   context.shard = shard;
@@ -46,7 +46,7 @@ std::vector<FleetTraceAssembler::Hop> FleetTraceAssembler::HopsOf(
       hop.hop = binding.hop;
       hop.local_trace_id = binding.local_trace_id;
       hop.parent_span = binding.parent_span;
-      for (const TraceEvent& event : context.events) {
+      for (const Event& event : context.events) {
         if (event.trace_id == binding.local_trace_id) {
           hop.events.push_back(event);
         }
@@ -119,10 +119,10 @@ Json FleetTraceAssembler::ChromeTraceJson() const {
     for (size_t h = 0; h < hops.size(); ++h) {
       const Hop& hop = hops[h];
       spans[h].first = cursor;
-      for (const TraceEvent& event : hop.events) {
+      for (const Event& event : hop.events) {
         Json out = Json::Object();
         out.Set("ph", Json("X"));
-        out.Set("name", Json(std::string(SpanKindName(event.kind)) + ":" + event.subject));
+        out.Set("name", Json(std::string(EventKindName(event.kind)) + ":" + event.subject));
         out.Set("cat", Json("fleet"));
         out.Set("pid", Json(0));
         out.Set("tid", Json(hop.shard));

@@ -1,7 +1,7 @@
-// Observability: post-drain assembly of per-context trace rings into one
+// Observability: post-drain assembly of per-context event logs into one
 // fleet-wide distributed trace (ISSUE 10).
 //
-// Each fleet instance records into its own context-private TraceRecorder
+// Each fleet instance records into its own context-private EventLog
 // with *local* trace ids (1, 2, 3... per context). The shard runtime binds
 // every local trace to the FleetTraceContext of the envelope that started it
 // — {fleet_trace_id, parent_span, hop} — where `hop` counts wire crossings
@@ -10,7 +10,7 @@
 // (its event snapshot + its bindings) and query the stitched result.
 //
 // Everything here is quiescent-time data transformation: the caller owns the
-// snapshots (taken after Drain()/Stop(); per-context recorders are not
+// snapshots (taken after Drain()/Stop(); per-context event logs are not
 // thread-safe), and the assembler never touches live runtime state.
 //
 // The Chrome export draws one lane (tid) per *shard* — instances multiplex
@@ -26,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/trace.h"
+#include "src/obs/event_log.h"
 #include "src/support/json.h"
 
 namespace turnstile {
@@ -35,7 +35,7 @@ namespace obs {
 // One local trace's place in a fleet trace, recorded by the shard that
 // processed the envelope which started it.
 struct FleetSpanBinding {
-  uint64_t local_trace_id = 0;  // id inside the owning context's recorder
+  uint64_t local_trace_id = 0;  // id inside the owning context's event log
   uint64_t fleet_trace_id = 0;  // fleet-wide id minted at injection
   uint64_t parent_span = 0;     // source-side local trace id (0 = injection root)
   uint32_t hop = 0;             // wire crossings before this span
@@ -43,11 +43,11 @@ struct FleetSpanBinding {
 
 class FleetTraceAssembler {
  public:
-  // Registers one instance's ring: `shard` keys the Chrome lane, `lane` is
+  // Registers one instance's log snapshot: `shard` keys the Chrome lane, `lane` is
   // its display name ("shard0"), `source` identifies the instance (the
   // fleet-wide app id, e.g. "camera-motion#0").
   void AddContext(int shard, std::string lane, std::string source,
-                  std::vector<TraceEvent> events, std::vector<FleetSpanBinding> bindings);
+                  std::vector<Event> events, std::vector<FleetSpanBinding> bindings);
 
   // One stitched span of a fleet trace: the events a single local trace
   // recorded on one instance, plus where it sits in the cross-shard chain.
@@ -58,7 +58,7 @@ class FleetTraceAssembler {
     uint32_t hop = 0;
     uint64_t local_trace_id = 0;
     uint64_t parent_span = 0;
-    std::vector<TraceEvent> events;  // ring order; may be empty after eviction
+    std::vector<Event> events;  // ring order; may be empty after eviction
   };
 
   // Distinct fleet trace ids seen across every binding, ascending.
@@ -80,7 +80,7 @@ class FleetTraceAssembler {
     int shard = 0;
     std::string lane;
     std::string source;
-    std::vector<TraceEvent> events;
+    std::vector<Event> events;
     std::vector<FleetSpanBinding> bindings;
   };
 

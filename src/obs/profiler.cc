@@ -9,7 +9,6 @@
 #include <map>
 #include <mutex>
 
-#include "src/obs/audit.h"
 #include "src/obs/metrics.h"
 #include "src/obs/telemetry.h"
 
@@ -31,8 +30,8 @@ Profiler& Profiler::Global() {
   return *instance;                            // pointers must stay valid
 }
 
-Profiler::Profiler(TraceRecorder* recorder, Metrics* metrics) {
-  recorder_ = recorder != nullptr ? recorder : &TraceRecorder::Global();
+Profiler::Profiler(EventLog* log, Metrics* metrics) {
+  log_ = log != nullptr ? log : &EventLog::Global();
   metrics_ = metrics != nullptr ? metrics : &Metrics::Global();
 }
 
@@ -42,12 +41,6 @@ double Profiler::Now() const {
 
 void Profiler::Enable(size_t span_capacity) {
   Clear();
-  if (!enabled_) {
-    if (!recorder_->enabled()) {
-      recorder_->Enable();
-      disabled_recorder_on_disable_ = true;
-    }
-  }
   enabled_ = true;
   capacity_ = span_capacity;
   spans_.reserve(std::min<size_t>(span_capacity, 4096));
@@ -57,11 +50,7 @@ void Profiler::Enable(size_t span_capacity) {
 }
 
 void Profiler::Disable() {
-  if (enabled_ && disabled_recorder_on_disable_) {
-    recorder_->Disable();
-  }
   enabled_ = false;
-  disabled_recorder_on_disable_ = false;
   Clear();
 }
 
@@ -172,7 +161,7 @@ uint64_t Profiler::BeginMessage(uint64_t trace_id, const std::string& origin_nod
   span.id = next_span_++;
   span.parent = 0;
   span.trace_id = trace_id;
-  span.kind = SpanKind::kInject;
+  span.kind = EventKind::kInject;
   span.monitor = false;
   span.open = true;
   span.start_s = Now();
@@ -188,13 +177,13 @@ uint64_t Profiler::BeginMessage(uint64_t trace_id, const std::string& origin_nod
   return id;
 }
 
-uint64_t Profiler::BeginSpan(SpanKind kind, std::string name, bool monitor, std::string detail) {
+uint64_t Profiler::BeginSpan(EventKind kind, std::string name, bool monitor, std::string detail) {
   if (!enabled_) {
     return 0;
   }
   ProfileSpan span;
   span.id = next_span_++;
-  span.trace_id = recorder_->current_trace();
+  span.trace_id = log_->current_trace();
   span.kind = kind;
   span.monitor = monitor;
   span.open = true;
@@ -245,7 +234,7 @@ void Profiler::EndSpan(uint64_t id) {
       }
       // Per-node turn latency: fold closed "node:*" turn spans into a
       // labeled histogram so the metrics snapshot carries percentiles.
-      if (span.kind == SpanKind::kLoopTurn && span.name.rfind("node:", 0) == 0) {
+      if (span.kind == EventKind::kLoopTurn && span.name.rfind("node:", 0) == 0) {
         std::string node = span.name.substr(5);
         auto [it, inserted] = node_histograms_.try_emplace(node, nullptr);
         if (inserted) {
@@ -392,7 +381,7 @@ std::vector<ProfileSpan> Profiler::SpanSnapshot() const {
   for (ProfileSpan& span : out) {
     if (span.open) {
       span.open = false;
-      if (span.kind == SpanKind::kInject) {
+      if (span.kind == EventKind::kInject) {
         // Message roots track their latest descendant end while open; fall
         // back to "now" only if nothing ran under them yet.
         if (span.end_s <= span.start_s) {
@@ -466,7 +455,7 @@ Json Profiler::ChromeTraceJson() const {
   Json events = Json::Array();
   for (const ProfileSpan& span : SpanSnapshot()) {
     Json event = Json::Object();
-    event.Set("name", Json(span.name.empty() ? SpanKindName(span.kind) : span.name));
+    event.Set("name", Json(span.name.empty() ? EventKindName(span.kind) : span.name));
     event.Set("cat", Json(SpanCategory(span)));
     event.Set("ph", Json("X"));  // complete event: ts + dur
     event.Set("ts", Json(span.start_s * 1e6));
@@ -477,7 +466,7 @@ Json Profiler::ChromeTraceJson() const {
     Json args = Json::Object();
     args.Set("span", Json(span.id));
     args.Set("parent", Json(span.parent));
-    args.Set("kind", Json(SpanKindName(span.kind)));
+    args.Set("kind", Json(EventKindName(span.kind)));
     if (!span.detail.empty()) {
       args.Set("detail", Json(span.detail));
     }
@@ -578,13 +567,13 @@ void WriteProfileAtExit() {
 }
 
 // TURNSTILE_AUDIT's spill hook: drain whatever is still buffered in the
-// ledger's ring into the JSONL file after main() returns.
-void WriteAuditAtExit() {
-  AuditLedger& ledger = AuditLedger::Global();
-  if (!ledger.enabled() || !ledger.has_spill()) {
+// event log's ring into the JSONL file after main() returns.
+void WriteEventLogAtExit() {
+  EventLog& log = EventLog::Global();
+  if (!log.enabled() || !log.has_spill()) {
     return;  // something disabled it programmatically; respect that
   }
-  ledger.FlushSpill();
+  log.FlushSpill();
 }
 
 // TURNSTILE_TELEMETRY's shutdown hook: stop whichever exporter the env var
@@ -628,16 +617,6 @@ void ApplyEnvObsConfig() {
 
 namespace {
 void ApplyEnvObsConfigLocked() {
-  const char* trace = std::getenv("TURNSTILE_TRACE");
-  if (trace != nullptr && trace[0] != '\0' && std::string(trace) != "0") {
-    char* end = nullptr;
-    long capacity = std::strtol(trace, &end, 10);
-    if (end == nullptr || *end != '\0' || capacity <= 1) {
-      TraceRecorder::Global().Enable();  // "1" or non-numeric: default size
-    } else {
-      TraceRecorder::Global().Enable(static_cast<size_t>(capacity));
-    }
-  }
   const char* profile = std::getenv("TURNSTILE_PROFILE");
   if (profile != nullptr && profile[0] != '\0') {
     Profiler::Global().Enable();
@@ -652,13 +631,13 @@ void ApplyEnvObsConfigLocked() {
   if (audit != nullptr && audit[0] != '\0' && std::string(audit) != "0") {
     char* end = nullptr;
     long capacity = std::strtol(audit, &end, 10);
+    EventLog& log = EventLog::Global();
     if (end != nullptr && *end == '\0' && capacity >= 1) {
-      AuditLedger::Global().Enable(capacity == 1 ? AuditLedger::kDefaultCapacity
-                                                 : static_cast<size_t>(capacity));
+      log.Enable(capacity == 1 ? EventLog::kDefaultCapacity : static_cast<size_t>(capacity));
     } else {
-      AuditLedger::Global().Enable();
-      if (AuditLedger::Global().SetSpillPath(audit)) {
-        std::atexit(WriteAuditAtExit);
+      log.Enable();
+      if (log.SetSpillPath(audit)) {
+        std::atexit(WriteEventLogAtExit);
       }
     }
   }

@@ -1,7 +1,7 @@
 // Observability: the hierarchical span profiler (ISSUE 5).
 //
-// Builds on the flat trace recorder (trace.h): where the recorder keeps an
-// unstructured ring of point events, the profiler records *spans* — intervals
+// Builds on the event log's trace context (event_log.h): where the log keeps
+// an unstructured ring of point events, the profiler records *spans* — intervals
 // with a parent id, wall-clock start/end and a duration — forming one tree
 // per injected message:
 //
@@ -28,7 +28,7 @@
 // collapsed-stack text (flamegraph.pl / speedscope), and a profile summary
 // (functions, lines, split) embedded in the Chrome trace file.
 //
-// Cost discipline (same contract as TraceRecorder): DISABLED by default;
+// Cost discipline (same contract as EventLog): DISABLED by default;
 // every hot-path entry point starts with one branch on a plain bool and
 // returns immediately when disabled — no clock reads, no allocation. Each
 // profiler instance is confined to its RuntimeContext's thread (app instances
@@ -42,7 +42,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/obs/trace.h"
+#include "src/obs/event_log.h"
 #include "src/support/json.h"
 
 namespace turnstile {
@@ -54,8 +54,8 @@ class Histogram;
 struct ProfileSpan {
   uint64_t id = 0;        // 1-based; 0 = "no span"
   uint64_t parent = 0;    // enclosing span id (0 = tree root)
-  uint64_t trace_id = 0;  // trace recorder id of the owning message (0 = none)
-  SpanKind kind = SpanKind::kLoopTurn;
+  uint64_t trace_id = 0;  // trace id of the owning message (0 = none)
+  EventKind kind = EventKind::kLoopTurn;
   bool monitor = false;   // monitor (DIFT/tracker) time vs app time
   bool open = false;      // still running at snapshot time
   double start_s = 0.0;   // seconds since Enable()
@@ -102,15 +102,15 @@ class Profiler {
   static Profiler& Global();
 
   // Instantiable for per-context isolation: spans stamp trace ids from
-  // `recorder`, per-node turn histograms register in `metrics`. Null
-  // arguments bind to the process-wide singletons (default-context behavior).
-  explicit Profiler(TraceRecorder* recorder = nullptr, Metrics* metrics = nullptr);
+  // `log`'s trace context, per-node turn histograms register in `metrics`.
+  // Null arguments bind to the process-wide singletons (default-context
+  // behavior).
+  explicit Profiler(EventLog* log = nullptr, Metrics* metrics = nullptr);
 
   // Enables profiling, keeping at most `span_capacity` spans (further spans
-  // are counted as dropped; aggregates keep accumulating). Also enables the
-  // trace recorder when it is off — span trees key off its trace ids — and
-  // remembers to turn it back off on Disable(). Idempotent re-enable clears
-  // recorded data.
+  // are counted as dropped; aggregates keep accumulating). Span trees key
+  // off the event log's always-on trace ids, so the log's recording state
+  // is left alone. Idempotent re-enable clears recorded data.
   void Enable(size_t span_capacity = 1 << 15);
   // Disables profiling and clears all recorded data.
   void Disable();
@@ -127,10 +127,10 @@ class Profiler {
   uint64_t BeginMessage(uint64_t trace_id, const std::string& origin_node);
 
   // Opens a span under the innermost open span (or under the message root of
-  // the recorder's current trace when the open stack is empty). `monitor`
+  // the log's current trace when the open stack is empty). `monitor`
   // routes the span's wall time to monitor accounting; kLoopTurn/kNodeEnter
   // spans route to app accounting. Returns 0 when disabled.
-  uint64_t BeginSpan(SpanKind kind, std::string name, bool monitor, std::string detail = "");
+  uint64_t BeginSpan(EventKind kind, std::string name, bool monitor, std::string detail = "");
   // Closes the span (LIFO; defensively unwinds to `id` if callees leaked).
   void EndSpan(uint64_t id);
 
@@ -208,10 +208,9 @@ class Profiler {
   void CloseMessageRoot(uint64_t trace_id, double end_s);
   uint32_t FunctionIndex(const void* key, const std::string& name, int line);
 
-  TraceRecorder* recorder_ = nullptr;
+  EventLog* log_ = nullptr;
   Metrics* metrics_ = nullptr;
   bool enabled_ = false;
-  bool disabled_recorder_on_disable_ = false;
   size_t capacity_ = 0;
   std::chrono::steady_clock::time_point epoch_;
 
@@ -251,7 +250,7 @@ class Profiler {
 class ScopedProfileSpan {
  public:
   ScopedProfileSpan() = default;
-  ScopedProfileSpan(Profiler* profiler, SpanKind kind, std::string name, bool monitor,
+  ScopedProfileSpan(Profiler* profiler, EventKind kind, std::string name, bool monitor,
                     std::string detail = "") {
     if (profiler != nullptr && profiler->enabled()) {
       profiler_ = profiler;
@@ -386,12 +385,10 @@ class ScopedVmActivation {
 
 // Applies the observability environment variables once per process (called
 // from the Interpreter constructor so any binary honours them):
-//   TURNSTILE_TRACE=<capacity>  enable the trace recorder ("1"/non-numeric
-//                               values use the default capacity; "0" = off)
 //   TURNSTILE_PROFILE=<path>    enable the profiler and write the Chrome
 //                               trace JSON to <path> at process exit
 //   TURNSTILE_AUDIT=<path|capacity>
-//                               enable the audit ledger (audit.h); a number
+//                               enable the event log (event_log.h); a number
 //                               sizes the event ring ("1" = default size,
 //                               "0" = off), any other value is a JSONL spill
 //                               path drained at process exit

@@ -22,7 +22,7 @@
 // only touch thread-safe state. The default /metrics provider reads the
 // global Metrics registry (mutex at snapshot, atomics underneath); fleet
 // providers read shard-level instruments (atomics) and mailbox depths
-// (mutexed). Per-instance TraceRecorder/Profiler/AuditLedger are
+// (mutexed). Per-instance EventLog/Profiler instances are
 // single-threaded by design and are NEVER read while shards run — traces
 // appear under /traces only after a quiescent assembly publishes them.
 // Providers run under the server's provider mutex, so ClearProviders()

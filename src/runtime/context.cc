@@ -11,23 +11,18 @@ RuntimeContext::RuntimeContext() {
   is_default_ = true;
   atoms_ = &AtomTable::Global();
   metrics_ = &obs::Metrics::Global();
-  trace_recorder_ = &obs::TraceRecorder::Global();
+  event_log_ = &obs::EventLog::Global();
   profiler_ = &obs::Profiler::Global();
-  audit_ = &obs::AuditLedger::Global();
 }
 
 RuntimeContext::RuntimeContext(Isolated) {
   atoms_ = &AtomTable::Global();
   owned_metrics_ = std::make_unique<obs::Metrics>();
-  owned_trace_recorder_ = std::make_unique<obs::TraceRecorder>();
-  owned_profiler_ =
-      std::make_unique<obs::Profiler>(owned_trace_recorder_.get(), owned_metrics_.get());
-  owned_audit_ =
-      std::make_unique<obs::AuditLedger>(owned_trace_recorder_.get(), owned_metrics_.get());
+  owned_event_log_ = std::make_unique<obs::EventLog>(owned_metrics_.get());
+  owned_profiler_ = std::make_unique<obs::Profiler>(owned_event_log_.get(), owned_metrics_.get());
   metrics_ = owned_metrics_.get();
-  trace_recorder_ = owned_trace_recorder_.get();
+  event_log_ = owned_event_log_.get();
   profiler_ = owned_profiler_.get();
-  audit_ = owned_audit_.get();
 }
 
 std::unique_ptr<RuntimeContext> RuntimeContext::CreateIsolated() {

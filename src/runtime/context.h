@@ -1,8 +1,8 @@
 // RuntimeContext: the explicit per-app-instance environment (ISSUE 7).
 //
 // Every layer of the runtime used to bind to process-wide singletons —
-// AtomTable::Global() and the four obs singletons (Metrics, TraceRecorder,
-// Profiler, AuditLedger) — which made "many mutually-isolated app instances
+// AtomTable::Global() and the obs singletons (Metrics, EventLog, Profiler)
+// — which made "many mutually-isolated app instances
 // in one process" structurally impossible. RuntimeContext turns that ambient
 // state into a parameter: the Interpreter (and through it the VM, FlowEngine,
 // DiftTracker and corpus AppRuntime) resolves its observability handles from
@@ -13,11 +13,11 @@
 //     every existing test run against it unchanged — Metrics::Global()
 //     snapshots stay byte-compatible because they ARE the default context's
 //     registry.
-//   - CreateIsolated(): owns a private Metrics registry, TraceRecorder,
-//     Profiler and AuditLedger. App instances built on isolated contexts can
-//     run concurrently on separate threads: their metrics, traces and audit
-//     ledgers are disjoint by construction (runtime_isolation_test proves it
-//     under TSAN).
+//   - CreateIsolated(): owns a private Metrics registry, EventLog and
+//     Profiler. App instances built on isolated contexts can run
+//     concurrently on separate threads: their metrics and event logs are
+//     disjoint by construction (runtime_isolation_test proves it under
+//     TSAN).
 //
 // What stays process-wide (by design, documented in DESIGN.md §12):
 //   - the AtomTable: atoms are stable 32-bit names; sharing the table keeps
@@ -33,10 +33,9 @@
 #include <memory>
 
 #include "src/lang/atoms.h"
-#include "src/obs/audit.h"
+#include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
-#include "src/obs/trace.h"
 
 namespace turnstile {
 
@@ -47,10 +46,10 @@ class RuntimeContext {
   // singletons whose pointers hot paths cache).
   static RuntimeContext& Default();
 
-  // A context with a private obs stack (metrics + trace recorder + profiler +
-  // audit ledger), sharing the process-wide atom table. The instance built on
-  // it must stay confined to one thread at a time (the obs sinks other than
-  // Metrics are intentionally lock-free single-threaded structures).
+  // A context with a private obs stack (metrics + event log + profiler),
+  // sharing the process-wide atom table. The instance built on it must stay
+  // confined to one thread at a time (the obs sinks other than Metrics are
+  // intentionally lock-free single-threaded structures).
   static std::unique_ptr<RuntimeContext> CreateIsolated();
 
   ~RuntimeContext() = default;
@@ -59,16 +58,15 @@ class RuntimeContext {
 
   AtomTable& atoms() const { return *atoms_; }
   obs::Metrics& metrics() const { return *metrics_; }
-  obs::TraceRecorder& trace_recorder() const { return *trace_recorder_; }
+  obs::EventLog& event_log() const { return *event_log_; }
   obs::Profiler& profiler() const { return *profiler_; }
-  obs::AuditLedger& audit() const { return *audit_; }
 
   bool is_default() const { return is_default_; }
 
-  // Env-var obs configuration (TURNSTILE_TRACE / TURNSTILE_PROFILE /
-  // TURNSTILE_AUDIT) binds to the *default* context only, once per process:
-  // isolated contexts are configured programmatically by whoever created
-  // them. Called from the Interpreter constructor.
+  // Env-var obs configuration (TURNSTILE_PROFILE / TURNSTILE_AUDIT) binds to
+  // the *default* context only, once per process: isolated contexts are
+  // configured programmatically by whoever created them. Called from the
+  // Interpreter constructor.
   void ApplyEnvObsConfig();
 
  private:
@@ -80,15 +78,13 @@ class RuntimeContext {
   bool is_default_ = false;
   AtomTable* atoms_ = nullptr;
   obs::Metrics* metrics_ = nullptr;
-  obs::TraceRecorder* trace_recorder_ = nullptr;
+  obs::EventLog* event_log_ = nullptr;
   obs::Profiler* profiler_ = nullptr;
-  obs::AuditLedger* audit_ = nullptr;
 
   // Storage for isolated contexts (null in the default context).
   std::unique_ptr<obs::Metrics> owned_metrics_;
-  std::unique_ptr<obs::TraceRecorder> owned_trace_recorder_;
+  std::unique_ptr<obs::EventLog> owned_event_log_;
   std::unique_ptr<obs::Profiler> owned_profiler_;
-  std::unique_ptr<obs::AuditLedger> owned_audit_;
 };
 
 }  // namespace turnstile

@@ -164,7 +164,7 @@ bool FleetRuntime::Post(const std::string& app_id, int seq, bool record) {
   env.instance = it->second.instance;
   env.seq = seq;
   env.record = record;
-  if (options_.trace_capacity > 0) {
+  if (options_.event_capacity > 0) {
     // Injection root: mint the fleet-wide id the message keeps across every
     // wire hop. hop 0, no parent — this IS the origin span.
     env.trace.fleet_trace_id = next_fleet_trace_.fetch_add(1, std::memory_order_relaxed);
@@ -187,7 +187,7 @@ void FleetRuntime::RouteTerminal(int src_shard, uint32_t src_instance, const Val
   env.kind = FleetEnvelope::Kind::kPayload;
   env.instance = it->second.instance;
   env.payload = FleetSerializeMessage(msg);
-  env.trace = trace;  // rides the envelope, never the payload or the ledger
+  env.trace = trace;  // rides the envelope, never the payload or the log
   in_flight_.fetch_add(1, std::memory_order_relaxed);
   if (!shards_[static_cast<size_t>(it->second.shard)]->Post(std::move(env))) {
     OnProcessed();
@@ -298,7 +298,7 @@ obs::FleetTraceAssembler FleetRuntime::AssembleTrace() const {
     const std::string lane = "shard" + std::to_string(s);
     for (uint32_t i = 0; i < sh.instance_count(); ++i) {
       RuntimeContext* context = sh.context_of(i);
-      if (context == nullptr || !context->trace_recorder().enabled()) {
+      if (context == nullptr || !context->event_log().enabled()) {
         continue;
       }
       std::vector<obs::FleetSpanBinding> bindings;
@@ -310,7 +310,7 @@ obs::FleetTraceAssembler FleetRuntime::AssembleTrace() const {
                                                  binding.trace.fleet_trace_id,
                                                  binding.trace.parent_span, binding.trace.hop});
       }
-      assembler.AddContext(s, lane, sh.instance_id(i), context->trace_recorder().Snapshot(),
+      assembler.AddContext(s, lane, sh.instance_id(i), context->event_log().Snapshot(),
                            std::move(bindings));
     }
   }
@@ -398,7 +398,7 @@ void FleetRuntime::PublishTraces(obs::TelemetryServer* server, size_t max_traces
       entry.Set("local_trace", Json(hop.local_trace_id));
       entry.Set("parent_span", Json(hop.parent_span));
       Json events = Json::Array();
-      for (const obs::TraceEvent& event : hop.events) {
+      for (const obs::Event& event : hop.events) {
         events.Append(Json(event.ToString()));
       }
       entry.Set("events", std::move(events));

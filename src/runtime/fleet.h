@@ -15,7 +15,7 @@
 //
 // Determinism contract (what fleet_runtime_test's differential gate checks):
 // a fleet run of any corpus app produces byte-identical io records,
-// violations and canonical audit ledger to a single-threaded AppRuntime run
+// violations and canonical event log to a single-threaded AppRuntime run
 // with the same seed and message sequence. The argument: per-instance message
 // order is FIFO through its shard mailbox, each instance's workload rng is
 // private, contexts are isolated so cross-instance interleaving shares no
@@ -75,20 +75,17 @@ class FleetRuntime {
     // Seed for every instance's private workload rng (same seed per instance
     // mirrors the single-threaded benches, keeping runs comparable).
     uint64_t rng_seed = 0xBE11C0DE;
-    // >0 enables each context's audit ledger with this capacity before the
-    // instance is built, so setup-time events are ledgered exactly as a
-    // single-threaded enable-then-Create sequence would.
-    size_t audit_capacity = 0;
     // Share one parsed Policy among same-app instances on a shard (the
     // per-shard label interning story). Off = every instance parses its own.
     bool share_policies = true;
-    // >0 enables each context's trace recorder with a ring of this many
-    // events AND fleet trace-id minting at Post(): every injected message
-    // gets a fleet-wide trace id carried across wire hops, and
-    // AssembleTrace() can stitch the per-context rings after a drain. 0
-    // (default) leaves tracing exactly as before — the disabled path adds no
-    // work beyond the envelope's extra fields.
-    size_t trace_capacity = 0;
+    // >0 enables each context's event log with a ring of this many events
+    // before the instance is built (so setup-time events are logged exactly
+    // as a single-threaded enable-then-Create sequence would) AND fleet
+    // trace-id minting at Post(): every injected message gets a fleet-wide
+    // trace id carried across wire hops, and AssembleTrace() can stitch the
+    // per-context logs after a drain. 0 (default) records nothing — the
+    // disabled path adds no work beyond the envelope's extra fields.
+    size_t event_capacity = 0;
   };
 
   FleetRuntime() : FleetRuntime(Options()) {}
@@ -146,8 +143,8 @@ class FleetRuntime {
   uint64_t MergeQueueLatency(obs::Histogram* into) const;
   uint64_t MergeEnqueueWait(obs::Histogram* into) const;
 
-  // Quiescent-only: joins every instance's trace ring with the shards'
-  // fleet-trace bindings (requires Options::trace_capacity > 0 to have
+  // Quiescent-only: joins every instance's event log with the shards'
+  // fleet-trace bindings (requires Options::event_capacity > 0 to have
   // anything to join). See obs/fleet_trace.h.
   obs::FleetTraceAssembler AssembleTrace() const;
 
@@ -196,7 +193,7 @@ class FleetRuntime {
   bool stopped_ = false;
 
   std::atomic<uint64_t> in_flight_{0};
-  std::atomic<uint64_t> next_fleet_trace_{1};  // minted when trace_capacity > 0
+  std::atomic<uint64_t> next_fleet_trace_{1};  // minted when event_capacity > 0
   obs::TelemetryServer* telemetry_ = nullptr;  // attached server, detached in Stop
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;

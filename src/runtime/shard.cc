@@ -140,16 +140,10 @@ void Shard::BuildInstances() {
     inst.spec = specs_[i];
     inst.rng = Rng(inst.spec.seed);
     inst.context = RuntimeContext::CreateIsolated();
-    if (options.audit_capacity > 0) {
-      // Enabled before Create, so setup-time events land in the ledger
-      // exactly as a single-threaded enable-then-Create run records them.
-      inst.context->audit().Enable(options.audit_capacity);
-    }
-    if (options.trace_capacity > 0) {
-      // After the audit enable (which co-enables a default-sized recorder)
-      // so the requested ring size wins. Nothing is recorded yet, so the
-      // capacity change clears nothing.
-      inst.context->trace_recorder().Enable(options.trace_capacity);
+    if (options.event_capacity > 0) {
+      // Enabled before Create, so setup-time events land in the log exactly
+      // as a single-threaded enable-then-Create run records them.
+      inst.context->event_log().Enable(options.event_capacity);
     }
     std::shared_ptr<Policy> shared;
     if (options.share_policies && options.version != AppVersion::kOriginal) {
@@ -216,15 +210,15 @@ void Shard::Process(const FleetEnvelope& env) {
   // While the drive runs, terminal sinks see this envelope's fleet identity
   // (the sink fires on this thread, mid-DriveMessage/InjectValue).
   current_env_trace_ = env.trace;
-  obs::TraceRecorder& recorder = inst.context->trace_recorder();
-  const uint64_t traces_before = recorder.enabled() ? recorder.traces_started() : 0;
+  const obs::EventLog& log = inst.context->event_log();
+  const uint64_t traces_before = log.traces_started();
   Status status = env.kind == FleetEnvelope::Kind::kGenerate
                       ? inst.runtime->DriveMessage(&inst.rng, env.seq)
                       : inst.runtime->InjectValue(FleetMaterializeMessage(env.payload));
-  if (recorder.enabled()) {
+  if (log.enabled()) {
     // Every local trace the drive started belongs to this envelope's fleet
     // trace: bind them so the post-drain assembler can stitch across shards.
-    for (uint64_t local = traces_before + 1; local <= recorder.traces_started(); ++local) {
+    for (uint64_t local = traces_before + 1; local <= log.traces_started(); ++local) {
       trace_bindings_.push_back(ShardTraceBinding{env.instance, local, env.trace});
     }
   }

@@ -44,14 +44,14 @@ namespace turnstile {
 class FleetRuntime;
 
 // The fleet-wide trace identity a message carries across shard (and thus
-// serialization) boundaries. Local TraceRecorder ids restart at 1 per
+// serialization) boundaries. Local event-log trace ids restart at 1 per
 // context, so without this a message crossing Wire(a, b) loses its causal
 // story at the Json boundary; with it, the receiving shard binds whatever
 // local trace the delivery starts to {fleet id, source span, hop+1} and a
 // post-drain FleetTraceAssembler stitches the chain back together.
 //
 // The context rides the *envelope only* — it is never recorded into the
-// AuditLedger, so the fleet-vs-single-threaded CanonicalLog() byte-identity
+// event log, so the fleet-vs-single-threaded CanonicalLog() byte-identity
 // gate is untouched.
 struct FleetTraceContext {
   uint64_t fleet_trace_id = 0;  // minted once at FleetRuntime::Post; 0 = untraced

@@ -12,7 +12,7 @@
 #include "src/instrument/instrumentor.h"
 #include "src/lang/parser.h"
 #include "src/lang/printer.h"
-#include "src/obs/audit.h"
+#include "src/obs/event_log.h"
 
 namespace turnstile {
 namespace {
@@ -97,15 +97,15 @@ TEST(CorpusRoundTripTest, RoundTrippedInstrumentationPreservesBehaviourOnEveryAp
       {AppVersion::kRoundTrip, ExecTier::kBytecode, "roundtrip/bytecode-fused"},
       {AppVersion::kRoundTrip, ExecTier::kBytecodeLowered, "roundtrip/bytecode-lowered"},
   };
-  obs::AuditLedger& ledger = obs::AuditLedger::Global();
+  obs::EventLog& log = obs::EventLog::Global();
   for (const CorpusApp& app : Corpus()) {
     std::vector<std::string> baseline;
     for (const Cell& cell : kMatrix) {
-      // Fresh per-cell enable: resets the ledger sequence and (through the
-      // recorder co-enable) trace numbering, so each cell's canonical ledger
-      // — every monitor decision in order — is directly comparable.
-      ledger.Disable();
-      ledger.Enable(1u << 16);
+      // Fresh per-cell enable: resets the log sequence and trace numbering,
+      // so each cell's canonical decisions — every monitor decision in
+      // order — are directly comparable.
+      log.Disable();
+      log.Enable(1u << 16);
       auto runtime = AppRuntime::Create(app, cell.version, cell.tier);
       ASSERT_TRUE(runtime.ok()) << app.name << " [" << cell.name
                                 << "]: " << runtime.status().ToString();
@@ -123,11 +123,11 @@ TEST(CorpusRoundTripTest, RoundTrippedInstrumentationPreservesBehaviourOnEveryAp
         summary.push_back("violation|" + violation.sink + "|" + violation.data_labels + "|" +
                           violation.receiver_labels);
       }
-      for (const obs::AuditEvent& event : ledger.Snapshot()) {
+      for (const obs::Event& event : log.Decisions()) {
         summary.push_back("audit|" + event.Canonical());
       }
-      EXPECT_EQ(ledger.dropped(), 0u) << app.name << " [" << cell.name << "]";
-      ledger.Disable();
+      EXPECT_EQ(log.dropped(), 0u) << app.name << " [" << cell.name << "]";
+      log.Disable();
       if (&cell == &kMatrix[0]) {
         baseline = std::move(summary);
       } else {

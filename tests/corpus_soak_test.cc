@@ -6,6 +6,8 @@
 // from message 200 to message 2000 of an instrumented version must stay
 // within kOriginal's growth plus 64 bytes per message, and the message
 // objects injected during warm-up must all have been reclaimed by the end.
+// A ring-only event log holds a fixed number of events, so enabling it must
+// add no more than 16 bytes per message on top of the obs-off growth.
 #include <malloc.h>
 
 #include <cstdio>
@@ -28,6 +30,7 @@ namespace {
 constexpr int kWarmupMessages = 200;
 constexpr int kMessages = 2000;
 constexpr double kAllowanceBytesPerMessage = 64.0;
+constexpr double kEventLogAllowanceBytesPerMessage = 16.0;
 
 struct SoakResult {
   bool ok = false;
@@ -53,9 +56,14 @@ const char* VersionName(AppVersion version) {
 // here, so under them only the liveness check has teeth.
 double HeapInUse() { return static_cast<double>(mallinfo2().uordblks); }
 
-SoakResult Soak(const CorpusApp& app, AppVersion version) {
+// `event_capacity` > 0 runs with the context's event log enabled at that
+// ring size.
+SoakResult Soak(const CorpusApp& app, AppVersion version, size_t event_capacity = 0) {
   SoakResult result;
   auto context = RuntimeContext::CreateIsolated();
+  if (event_capacity > 0) {
+    context->event_log().Enable(event_capacity);
+  }
   auto runtime = AppRuntime::Create(app, version, std::nullopt, context.get());
   if (!runtime.ok()) {
     ADD_FAILURE() << app.name << ": " << runtime.status().ToString();
@@ -91,8 +99,8 @@ SoakResult Soak(const CorpusApp& app, AppVersion version) {
   for (const std::weak_ptr<Object>& message : warmup_messages) {
     result.live_warmup_messages += message.expired() ? 0 : 1;
   }
-  std::printf("%-20s %-10s heap growth %8.1f B/msg, %d/%zu warm-up messages alive\n",
-              app.name.c_str(), VersionName(version), result.growth_per_message,
+  std::printf("%-20s %-10s log %-5zu heap growth %8.1f B/msg, %d/%zu warm-up messages alive\n",
+              app.name.c_str(), VersionName(version), event_capacity, result.growth_per_message,
               result.live_warmup_messages, warmup_messages.size());
   result.ok = true;
   return result;
@@ -148,6 +156,21 @@ TEST(CorpusSoakTest, MappedArrayLabelsDieWithTheirMessages) {
     "injections": [{ "object": "msg", "labeller": "inputLabel" }]
   })json";
   ExpectBoundedLabelLifetime(&app);
+}
+
+TEST(CorpusSoakTest, CameraMotionEventLogAddsNoPerMessageGrowth) {
+  // Once the 256-event ring has wrapped, recording replaces events in place:
+  // nothing the log keeps may grow with the number of traced messages.
+  const CorpusApp* app = FindCorpusApp("camera-motion");
+  ASSERT_NE(app, nullptr);
+  SoakResult off = Soak(*app, AppVersion::kRoundTrip);
+  ASSERT_TRUE(off.ok);
+  SoakResult on = Soak(*app, AppVersion::kRoundTrip, /*event_capacity=*/256);
+  ASSERT_TRUE(on.ok);
+  EXPECT_LE(on.growth_per_message, off.growth_per_message + kEventLogAllowanceBytesPerMessage)
+      << "event log on: heap grows " << on.growth_per_message << " B/msg against "
+      << off.growth_per_message << " B/msg with it off";
+  EXPECT_EQ(on.live_warmup_messages, 0);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "src/corpus/corpus.h"
 #include "src/corpus/driver.h"
 #include "src/dift/tracker.h"
+#include "src/flow/engine.h"
 #include "src/instrument/instrumentor.h"
 #include "src/lang/parser.h"
 #include "src/lang/printer.h"
@@ -134,16 +135,16 @@ TEST_P(EnforcementTest, ForbiddenDataNeverReachesTheSink) {
   EXPECT_EQ(static_cast<int>(tracker.violations().size()), secret_count);
   // Provenance: every violation explains itself — the chain names the
   // labeller that attached the offending label and the sink it hit, even
-  // with the trace recorder disabled (the default here).
+  // with the event log disabled (the default here).
   for (const Violation& violation : tracker.violations()) {
     ASSERT_FALSE(violation.provenance.empty());
     bool names_labeller = false;
     bool names_sink = false;
-    for (const obs::TraceEvent& event : violation.provenance) {
-      if (event.kind == obs::SpanKind::kDiftLabel && event.subject == "Frame") {
+    for (const obs::Event& event : violation.provenance) {
+      if (event.kind == obs::EventKind::kDiftLabel && event.subject == "Frame") {
         names_labeller = true;
       }
-      if (event.kind == obs::SpanKind::kViolation &&
+      if (event.kind == obs::EventKind::kViolation &&
           event.subject.find("writeFileSync") != std::string::npos) {
         names_sink = true;
       }
@@ -159,6 +160,123 @@ TEST_P(EnforcementTest, ForbiddenDataNeverReachesTheSink) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EnforcementTest,
                          ::testing::Values(5u, 1979u, 31337u, 424242u, 8675309u));
+
+// The guarded app as a two-node flow: "cam" labels each frame, "store"
+// writes it to the archive. Flow injection gives every message a trace.
+constexpr const char* kGuardedFlowModule = R"(
+  module.exports = function(RED) {
+    let fs = require("fs");
+    function CameraNode(config) {
+      RED.nodes.createNode(this, config);
+      let node = this;
+      node.on("input", msg => {
+        msg.payload = __dift.label(msg.payload, "Frame");
+        node.send(msg);
+      });
+    }
+    function ArchiveNode(config) {
+      RED.nodes.createNode(this, config);
+      let node = this;
+      node.on("input", msg => {
+        let archive = __dift.label(fs, "Archive");
+        __dift.invoke(archive, "writeFileSync", ["/archive.bin", msg.payload]);
+      });
+    }
+    RED.nodes.registerType("camera", CameraNode);
+    RED.nodes.registerType("archive", ArchiveNode);
+  };
+)";
+
+// Drives one routine and one secret frame through the guarded flow and
+// returns the single resulting violation.
+Violation GuardedFlowDenial() {
+  Interpreter interp;
+  auto policy = Policy::FromJsonText(kGuardPolicy);
+  EXPECT_TRUE(policy.ok()) << policy.status().ToString();
+  std::shared_ptr<Policy> shared(std::move(policy).value().release());
+  DiftTracker tracker(&interp, shared);
+  tracker.Install();
+  FlowEngine engine(&interp);
+  EXPECT_TRUE(engine.LoadModule(kGuardedFlowModule, "guarded_flow.js").ok());
+  auto flow = Json::Parse(R"([
+    { "id": "cam", "type": "camera", "wires": ["store"] },
+    { "id": "store", "type": "archive", "wires": [] }
+  ])");
+  EXPECT_TRUE(flow.ok());
+  EXPECT_TRUE(engine.InstantiateFlow(*flow).ok());
+  for (const char* frame : {"routine-1", "secret-2"}) {
+    ObjectPtr msg = MakeObject();
+    msg->Set("payload", Value(frame));
+    EXPECT_TRUE(engine.InjectInput("cam", Value(msg)).ok());
+    EXPECT_TRUE(interp.RunEventLoop().ok());
+  }
+  EXPECT_EQ(tracker.violations().size(), 1u);
+  return tracker.violations().empty() ? Violation{} : tracker.violations().front();
+}
+
+std::vector<std::string> RenderedProvenance(const Violation& violation) {
+  std::vector<std::string> out;
+  for (const obs::Event& event : violation.provenance) {
+    out.push_back(event.ToString());
+  }
+  return out;
+}
+
+TEST(ExplainViolationTest, EventLogOnRecordsTheWholeJourney) {
+  obs::EventLog::Global().Enable(4096);
+  Violation violation = GuardedFlowDenial();
+  obs::EventLog::Global().Disable();
+  EXPECT_EQ(ExplainViolation(violation),
+            "violation at t=0.000: {secret} -> writeFileSync\n"
+            "  message injected at flow node 'cam' (trace #2)\n"
+            "  provenance chain:\n"
+            "    1. dift_label[Frame] attached 'secret' at node 'cam' @0.000 (trace 2)\n"
+            "    2. inject[cam] @0.000 (trace 2)\n"
+            "    3. loop_turn[input] 2 listener(s) @0.000 (trace 2)\n"
+            "    4. node_enter[cam] @0.000 (trace 2)\n"
+            "    5. dift_label[Frame] {secret} @0.000 (trace 2)\n"
+            "    6. node_send[cam] store @0.000 (trace 2)\n"
+            "    7. loop_turn[input] 2 listener(s) @0.000 (trace 2)\n"
+            "    8. node_enter[store] @0.000 (trace 2)\n"
+            "    9. dift_label[Archive] {publicArchive} @0.000 (trace 2)\n"
+            "   10. dift_invoke[writeFileSync] @0.000 (trace 2)\n"
+            "   11. violation[writeFileSync] {secret} cannot flow to {publicArchive} "
+            "@0.000 (trace 2)\n");
+  using obs::EventKind;
+  const std::vector<EventKind> kinds = {
+      EventKind::kDiftLabel, EventKind::kInject,    EventKind::kLoopTurn,   EventKind::kNodeEnter,
+      EventKind::kDiftLabel, EventKind::kNodeSend,  EventKind::kLoopTurn,   EventKind::kNodeEnter,
+      EventKind::kDiftLabel, EventKind::kDiftInvoke, EventKind::kViolation};
+  ASSERT_EQ(violation.provenance.size(), kinds.size());
+  for (size_t i = 0; i < kinds.size(); ++i) {
+    EXPECT_EQ(violation.provenance[i].kind, kinds[i]) << i;
+    EXPECT_EQ(violation.provenance[i].trace_id, 2u) << i;
+  }
+  EXPECT_EQ(violation.provenance[4].subject, "Frame");
+  EXPECT_EQ(violation.provenance[4].detail, "{secret}");
+}
+
+TEST(ExplainViolationTest, EventLogOffStillNamesOriginNodeAndTrace) {
+  // The trace context is always on: with the log off the journey is not
+  // buffered, but the explanation still names the message's origin node and
+  // trace number.
+  ASSERT_FALSE(obs::EventLog::Global().enabled());
+  obs::EventLog::Global().Clear();  // trace numbering restarts at 1
+  Violation violation = GuardedFlowDenial();
+  EXPECT_EQ(violation.origin_node, "cam");
+  EXPECT_EQ(ExplainViolation(violation),
+            "violation at t=0.000: {secret} -> writeFileSync\n"
+            "  message injected at flow node 'cam' (trace #2)\n"
+            "  provenance chain:\n"
+            "    1. dift_label[Frame] attached 'secret' at node 'cam' @0.000 (trace 2)\n"
+            "    2. violation[writeFileSync] {secret} cannot flow to {publicArchive} "
+            "@0.000 (trace 2)\n");
+  EXPECT_EQ(RenderedProvenance(violation),
+            (std::vector<std::string>{
+                "dift_label[Frame] attached 'secret' at node 'cam' @0.000 (trace 2)",
+                "violation[writeFileSync] {secret} cannot flow to {publicArchive} "
+                "@0.000 (trace 2)"}));
+}
 
 // --- P3: print/parse round-trip of instrumented programs ----------------------
 

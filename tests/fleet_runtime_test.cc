@@ -28,7 +28,7 @@ namespace {
 
 constexpr int kMessages = 5;
 constexpr uint64_t kSeed = 977u;
-constexpr size_t kAuditCapacity = 1u << 16;
+constexpr size_t kEventCapacity = 1u << 16;
 
 // The observable record of one instance, rendered exactly as
 // runtime_isolation_test renders it.
@@ -54,7 +54,7 @@ Outcome Collect(AppRuntime& runtime, RuntimeContext& context) {
     }
     out.violations = violations.str();
   }
-  out.audit = context.audit().CanonicalLog();
+  out.audit = context.event_log().CanonicalLog();
   return out;
 }
 
@@ -63,7 +63,7 @@ Outcome Collect(AppRuntime& runtime, RuntimeContext& context) {
 Outcome RunReference(const CorpusApp& app) {
   Outcome out;
   auto context = RuntimeContext::CreateIsolated();
-  context->audit().Enable(kAuditCapacity);
+  context->event_log().Enable(kEventCapacity);
   auto runtime = AppRuntime::Create(app, AppVersion::kSelective, std::nullopt, context.get());
   if (!runtime.ok()) {
     out.status = app.name + ": " + runtime.status().ToString();
@@ -94,7 +94,7 @@ FleetRuntime::Options TestOptions(int shards) {
   FleetRuntime::Options options;
   options.shards = shards;
   options.rng_seed = kSeed;
-  options.audit_capacity = kAuditCapacity;
+  options.event_capacity = kEventCapacity;
   return options;
 }
 
@@ -245,7 +245,7 @@ TEST(FleetRuntimeTest, CrossShardWireMatchesSerializedReplay) {
   Outcome reference_b;
   {
     auto context = RuntimeContext::CreateIsolated();
-    context->audit().Enable(kAuditCapacity);
+    context->event_log().Enable(kEventCapacity);
     auto runtime =
         AppRuntime::Create(*destination, AppVersion::kSelective, std::nullopt, context.get());
     ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();

@@ -107,8 +107,7 @@ TEST(FleetTraceTest, WiredPairAssemblesCrossShardTrace) {
   FleetRuntime::Options options;
   options.shards = 2;
   options.rng_seed = kSeed;
-  options.audit_capacity = 1u << 16;
-  options.trace_capacity = 1u << 12;  // turns on per-context recorders + fleet ids
+  options.event_capacity = 1u << 16;  // turns on per-context event logs + fleet ids
   FleetRuntime fleet(options);
   std::string a = fleet.AddApp(*source, /*shard=*/0);
   std::string b = fleet.AddApp(*destination, /*shard=*/1);
@@ -118,7 +117,7 @@ TEST(FleetTraceTest, WiredPairAssemblesCrossShardTrace) {
     ASSERT_TRUE(fleet.Post(a, seq));
   }
   fleet.Drain();
-  fleet.Stop();  // joins shard threads: recorders are quiescent
+  fleet.Stop();  // joins shard threads: event logs are quiescent
   EXPECT_EQ(fleet.errors(), std::vector<std::string>{});
 
   obs::FleetTraceAssembler assembled = fleet.AssembleTrace();
@@ -174,7 +173,7 @@ TEST(FleetTraceTest, TelemetryServesWhileShardsProcess) {
   FleetRuntime::Options options;
   options.shards = 3;
   options.rng_seed = kSeed;
-  options.audit_capacity = 1u << 16;
+  options.event_capacity = 1u << 16;
   FleetRuntime fleet(options);
   std::vector<std::string> ids;
   for (const CorpusApp* app : apps) {

@@ -1,12 +1,11 @@
 // The hierarchical span profiler: per-message span trees from a real corpus
 // app, monitor/app attribution, per-line VM coverage, exporter validity, and
 // the disabled-path no-op contract. Each TEST runs in its own process (ctest
-// discovery), so global profiler/recorder state never leaks across tests.
+// discovery), so global profiler/event-log state never leaks across tests.
 #include "src/obs/profiler.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <string>
@@ -18,7 +17,7 @@
 #include "src/interp/interp.h"
 #include "src/lang/parser.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/event_log.h"
 #include "src/support/json.h"
 
 namespace turnstile {
@@ -50,7 +49,7 @@ TEST(ProfilerDisabledTest, HotPathsAreNoOps) {
   Profiler& profiler = Profiler::Global();
   ASSERT_FALSE(profiler.enabled());  // disabled is the default
   EXPECT_EQ(profiler.BeginMessage(7, "n1"), 0u);
-  EXPECT_EQ(profiler.BeginSpan(SpanKind::kLoopTurn, "turn", false), 0u);
+  EXPECT_EQ(profiler.BeginSpan(EventKind::kLoopTurn, "turn", false), 0u);
   profiler.EndSpan(1);  // must not crash
   profiler.EnterFrame(&profiler, "f", 1);
   profiler.ExitFrame();
@@ -65,14 +64,6 @@ TEST(ProfilerDisabledTest, HotPathsAreNoOps) {
   EXPECT_DOUBLE_EQ(split.app_s, 0.0);
   EXPECT_DOUBLE_EQ(split.monitor_s, 0.0);
   EXPECT_DOUBLE_EQ(split.fraction(), 0.0);
-}
-
-TEST(ProfilerEnableTest, CoEnablesTraceRecorderAndRestoresOnDisable) {
-  ASSERT_FALSE(TraceRecorder::Global().enabled());
-  Profiler::Global().Enable();
-  EXPECT_TRUE(TraceRecorder::Global().enabled());
-  Profiler::Global().Disable();
-  EXPECT_FALSE(TraceRecorder::Global().enabled());
 }
 
 TEST(ProfilerSpanTreeTest, CorpusAppBuildsPerMessageTrees) {
@@ -90,7 +81,7 @@ TEST(ProfilerSpanTreeTest, CorpusAppBuildsPerMessageTrees) {
   // child span.
   std::vector<const ProfileSpan*> roots;
   for (const ProfileSpan& span : spans) {
-    if (span.kind == SpanKind::kInject) {
+    if (span.kind == EventKind::kInject) {
       roots.push_back(&span);
       EXPECT_EQ(span.parent, 0u);
       EXPECT_NE(span.trace_id, 0u);
@@ -116,11 +107,11 @@ TEST(ProfilerSpanTreeTest, CorpusAppBuildsPerMessageTrees) {
   bool found_dift_chain = false;
   bool found_node_enter = false;
   for (const ProfileSpan& span : spans) {
-    bool is_dift = span.kind == SpanKind::kDiftLabel || span.kind == SpanKind::kDiftBinaryOp ||
-                   span.kind == SpanKind::kDiftCheck || span.kind == SpanKind::kDiftInvoke;
-    if (span.kind == SpanKind::kNodeEnter) {
+    bool is_dift = span.kind == EventKind::kDiftLabel || span.kind == EventKind::kDiftBinaryOp ||
+                   span.kind == EventKind::kDiftCheck || span.kind == EventKind::kDiftInvoke;
+    if (span.kind == EventKind::kNodeEnter) {
       auto parent = by_id.find(span.parent);
-      if (parent != by_id.end() && parent->second->kind == SpanKind::kLoopTurn) {
+      if (parent != by_id.end() && parent->second->kind == EventKind::kLoopTurn) {
         found_node_enter = true;
       }
     }
@@ -136,10 +127,10 @@ TEST(ProfilerSpanTreeTest, CorpusAppBuildsPerMessageTrees) {
         break;
       }
       cursor = parent->second;
-      if (cursor->kind == SpanKind::kLoopTurn) {
+      if (cursor->kind == EventKind::kLoopTurn) {
         through_turn = true;
       }
-      if (cursor->kind == SpanKind::kInject) {
+      if (cursor->kind == EventKind::kInject) {
         if (through_turn) {
           found_dift_chain = true;
         }
@@ -332,17 +323,6 @@ TEST(ProfilerMetricsTest, PerNodeLatencyHistogramWithPercentiles) {
   EXPECT_TRUE(hist.Has("p90"));
   EXPECT_TRUE(hist.Has("p99"));
   EXPECT_GE(hist.GetNumber("p99") + 1e-15, hist.GetNumber("p50"));
-}
-
-TEST(ProfilerEnvTest, TurnstileTraceEnablesRecorderWithCapacity) {
-  TraceRecorder::Global().Disable();
-  ASSERT_FALSE(TraceRecorder::Global().enabled());
-  setenv("TURNSTILE_TRACE", "128", 1);
-  ReapplyEnvObsConfigForTest();
-  EXPECT_TRUE(TraceRecorder::Global().enabled());
-  EXPECT_EQ(TraceRecorder::Global().capacity(), 128u);
-  unsetenv("TURNSTILE_TRACE");
-  TraceRecorder::Global().Disable();
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Multi-instance isolation (ISSUE 7): N corpus apps run concurrently on N
 // std::threads, each on its own isolated RuntimeContext, and nothing leaks
-// between them — per-context metrics and audit ledgers are disjoint, the
+// between them — per-context metrics and event logs are disjoint, the
 // violation set and the canonical audit log of every instance are
 // byte-identical to a single-threaded run of the same app, and (under the
 // TSAN CI job) the whole thing is data-race-free. This is the proof
@@ -37,13 +37,13 @@ struct InstanceOutcome {
   uint64_t macrotasks = 0;
 };
 
-// Runs `app` to completion on `context` and collects the outcome. The audit
-// ledger is enabled before the instance is built so module-load decisions are
+// Runs `app` to completion on `context` and collects the outcome. The event
+// log is enabled before the instance is built so module-load decisions are
 // captured too — same arrangement as corpus_roundtrip_test, but against the
-// context's own ledger instead of the global one.
+// context's own log instead of the global one.
 InstanceOutcome RunInstance(const CorpusApp& app, RuntimeContext& context) {
   InstanceOutcome outcome;
-  context.audit().Enable(1u << 16);
+  context.event_log().Enable(1u << 16);
   auto runtime = AppRuntime::Create(app, AppVersion::kSelective, std::nullopt, &context);
   if (!runtime.ok()) {
     outcome.status = app.name + ": " + runtime.status().ToString();
@@ -70,12 +70,12 @@ InstanceOutcome RunInstance(const CorpusApp& app, RuntimeContext& context) {
     }
     outcome.violations = violations.str();
   }
-  outcome.audit = context.audit().CanonicalLog();
-  outcome.audit_recorded = context.audit().recorded();
+  outcome.audit = context.event_log().CanonicalLog();
+  outcome.audit_recorded = context.event_log().decisions();
   outcome.flow_injects = context.metrics().GetCounter("flow.injects")->value();
   outcome.dift_checks = context.metrics().GetCounter("dift.checks")->value();
   outcome.macrotasks = context.metrics().GetCounter("interp.macrotasks_executed")->value();
-  context.audit().Disable();
+  context.event_log().Disable();
   return outcome;
 }
 
@@ -210,17 +210,15 @@ TEST(RuntimeIsolationTest, DefaultContextWrapsTheProcessSingletons) {
   RuntimeContext& def = RuntimeContext::Default();
   EXPECT_TRUE(def.is_default());
   EXPECT_EQ(&def.metrics(), &obs::Metrics::Global());
-  EXPECT_EQ(&def.trace_recorder(), &obs::TraceRecorder::Global());
+  EXPECT_EQ(&def.event_log(), &obs::EventLog::Global());
   EXPECT_EQ(&def.profiler(), &obs::Profiler::Global());
-  EXPECT_EQ(&def.audit(), &obs::AuditLedger::Global());
   EXPECT_EQ(&def.atoms(), &AtomTable::Global());
 
   auto isolated = RuntimeContext::CreateIsolated();
   EXPECT_FALSE(isolated->is_default());
   EXPECT_NE(&isolated->metrics(), &def.metrics());
-  EXPECT_NE(&isolated->trace_recorder(), &def.trace_recorder());
+  EXPECT_NE(&isolated->event_log(), &def.event_log());
   EXPECT_NE(&isolated->profiler(), &def.profiler());
-  EXPECT_NE(&isolated->audit(), &def.audit());
   // The atom table is shared by design: atoms are process-wide names.
   EXPECT_EQ(&isolated->atoms(), &def.atoms());
 }

@@ -16,7 +16,7 @@
 #include "src/dift/tracker.h"
 #include "src/interp/interp.h"
 #include "src/lang/parser.h"
-#include "src/obs/audit.h"
+#include "src/obs/event_log.h"
 
 namespace turnstile {
 namespace {
@@ -67,12 +67,12 @@ constexpr const char* kDiftPolicy = R"json({
 
 TierOutcome RunTier(const std::string& source, ExecTier tier, bool with_tracker) {
   TierOutcome outcome;
-  // Fresh ledger (and, via co-enable, fresh trace numbering) per tier run:
-  // the canonical log — every monitor decision in order — must come out
-  // byte-identical from both tiers.
-  obs::AuditLedger& ledger = obs::AuditLedger::Global();
-  ledger.Disable();
-  ledger.Enable(1u << 16);
+  // Fresh log (and fresh trace numbering) per tier run: the canonical log —
+  // every monitor decision in order — must come out byte-identical from
+  // every tier.
+  obs::EventLog& log = obs::EventLog::Global();
+  log.Disable();
+  log.Enable(1u << 16);
   Interpreter interp;
   interp.set_exec_tier(tier);
 
@@ -113,8 +113,8 @@ TierOutcome RunTier(const std::string& source, ExecTier tier, bool with_tracker)
     }
     outcome.violations = violations.str();
   }
-  outcome.audit = ledger.CanonicalLog();
-  ledger.Disable();
+  outcome.audit = log.CanonicalLog();
+  log.Disable();
   outcome.evals_counted = interp.eval_count() > 0;
   return outcome;
 }

@@ -1,10 +1,11 @@
-// Privacy-accounting queries over the flow-provenance audit ledger (ISSUE 6).
+// Privacy-accounting queries over the event log's decisions — the
+// flow-provenance audit ledger (ISSUE 6).
 //
 //   audit_query [<app>] [--messages=N] [--tier=bytecode|bytecode-lowered]
 //               [--source=LABEL] [--sink=NAME] [--out=PATH] [--check-fig10]
 //
 // Runs corpus apps (all 61 by default) under the selectively-instrumented
-// version with the audit ledger enabled, then answers accounting questions
+// version with the event log enabled, then answers accounting questions
 // from the recorded events:
 //
 //   default          per-app source→sink *exposure matrix*: for every
@@ -37,7 +38,7 @@
 
 #include "src/corpus/corpus.h"
 #include "src/corpus/driver.h"
-#include "src/obs/audit.h"
+#include "src/obs/event_log.h"
 #include "src/runtime/fleet.h"
 #include "src/support/json.h"
 #include "src/support/rng.h"
@@ -66,7 +67,7 @@ struct AppAudit {
   size_t tracker_violations = 0;
   // source label -> sink subject -> sink-write count (the exposure matrix).
   std::map<std::string, std::map<std::string, uint64_t>> exposure;
-  std::vector<obs::AuditEvent> ledger;  // kept for lineage queries
+  std::vector<obs::Event> ledger;  // the log's decisions, kept for lineage queries
 };
 
 AppAudit RunApp(const CorpusApp& app, int messages, std::optional<ExecTier> tier) {
@@ -74,18 +75,18 @@ AppAudit RunApp(const CorpusApp& app, int messages, std::optional<ExecTier> tier
   out.app = app.name;
   out.ground_truth_paths = app.ground_truth_paths;
 
-  obs::AuditLedger& ledger = obs::AuditLedger::Global();
-  // Fresh enable per app: resets the sequence counter and (via the co-enabled
-  // trace recorder) trace numbering, so runs are reproducible app by app.
-  ledger.Disable();
-  ledger.Enable(1u << 18);
+  obs::EventLog& log = obs::EventLog::Global();
+  // Fresh enable per app: resets the sequence counter and trace numbering,
+  // so runs are reproducible app by app.
+  log.Disable();
+  log.Enable(1u << 18);
 
   auto runtime = AppRuntime::Create(app, AppVersion::kSelective, tier);
   if (!runtime.ok()) {
     // Apps without detected paths carry no usable policy (profile_app makes
     // the same call); without a tracker there is no ledger to account.
     out.skip_reason = runtime.status().ToString();
-    ledger.Disable();
+    log.Disable();
     return out;
   }
   Rng rng(0xBE11C0DE);
@@ -93,51 +94,51 @@ AppAudit RunApp(const CorpusApp& app, int messages, std::optional<ExecTier> tier
     Status status = (*runtime)->DriveMessage(&rng, seq);
     if (!status.ok()) {
       out.skip_reason = "message " + std::to_string(seq) + ": " + status.ToString();
-      ledger.Disable();
+      log.Disable();
       return out;
     }
   }
   out.ran = true;
-  out.events = ledger.recorded();
-  out.dropped = ledger.dropped();
+  out.events = log.decisions();
+  out.dropped = log.dropped();
   out.tracker_violations = (*runtime)->tracker()->violations().size();
-  out.ledger = ledger.Snapshot();
+  out.ledger = log.Decisions();
 
   const Policy& policy = (*runtime)->tracker()->policy();
   const LabelSetPool& pool = policy.pool();
   const LabelSpace& space = policy.space();
-  for (const obs::AuditEvent& event : out.ledger) {
-    if (event.kind == obs::AuditKind::kFlowCheck) {
+  for (const obs::Event& event : out.ledger) {
+    if (event.kind == obs::EventKind::kFlowCheck) {
       ++(event.allowed ? out.flows_allowed : out.flows_denied);
     }
-    if (event.kind == obs::AuditKind::kSinkWrite && event.data != kEmptyLabelSetRef) {
+    if (event.kind == obs::EventKind::kSinkWrite && event.data != kEmptyLabelSetRef) {
       for (LabelId id : pool.Ids(event.data)) {
         ++out.exposure[space.NameOf(id)][event.subject];
       }
     }
   }
-  ledger.Disable();
+  log.Disable();
   return out;
 }
 
 // Lineage: the event chain that carried `source_label` into `sink`. The
 // snapshot carries rendered label names, so the chain is reconstructed from
 // the event strings alone: an event touches the label iff its rendered
-// `labels` field names it.
+// `detail` field names it.
 int ExplainLineage(const AppAudit& audit, const std::string& source_label,
                    const std::string& sink) {
-  auto mentions = [&source_label](const obs::AuditEvent& event) {
-    return event.labels.find(source_label) != std::string::npos;
+  auto mentions = [&source_label](const obs::Event& event) {
+    return event.detail.find(source_label) != std::string::npos;
   };
   std::printf("\n%s: lineage of '%s' -> '%s'\n", audit.app.c_str(), source_label.c_str(),
               sink.c_str());
   bool introduced = false;
   bool arrived = false;
-  for (const obs::AuditEvent& event : audit.ledger) {
+  for (const obs::Event& event : audit.ledger) {
     switch (event.kind) {
-      case obs::AuditKind::kLabelAttach:
-      case obs::AuditKind::kInvokeLabeller:
-      case obs::AuditKind::kDeclassify:
+      case obs::EventKind::kLabelAttach:
+      case obs::EventKind::kInvokeLabeller:
+      case obs::EventKind::kDeclassify:
         if (mentions(event)) {
           if (!introduced) {
             introduced = true;
@@ -145,21 +146,23 @@ int ExplainLineage(const AppAudit& audit, const std::string& source_label,
           }
         }
         break;
-      case obs::AuditKind::kMerge:
+      case obs::EventKind::kMerge:
         if (mentions(event)) {
           std::printf("  propagated  %s\n", event.Canonical().c_str());
         }
         break;
-      case obs::AuditKind::kFlowCheck:
+      case obs::EventKind::kFlowCheck:
         if (event.subject == sink && mentions(event)) {
           std::printf("  checked     %s\n", event.Canonical().c_str());
         }
         break;
-      case obs::AuditKind::kSinkWrite:
+      case obs::EventKind::kSinkWrite:
         if (event.subject == sink && mentions(event)) {
           arrived = true;
           std::printf("  sink write  %s\n", event.Canonical().c_str());
         }
+        break;
+      default:  // journey kinds: not in the decisions view
         break;
     }
   }
@@ -222,8 +225,7 @@ int FleetLineage(int messages, std::optional<ExecTier> tier) {
   options.shards = 2;
   options.version = AppVersion::kSelective;
   options.tier = tier;
-  options.audit_capacity = 1u << 18;
-  options.trace_capacity = 1u << 15;
+  options.event_capacity = 1u << 18;
   FleetRuntime fleet(options);
   const std::string src_id = fleet.AddApp(*source, /*shard=*/0);
   const std::string dst_id = fleet.AddApp(*destination, /*shard=*/1);
@@ -263,7 +265,7 @@ int FleetLineage(int messages, std::optional<ExecTier> tier) {
         continue;
       }
       int printed = 0;
-      for (const obs::AuditEvent& event : context->audit().Snapshot()) {
+      for (const obs::Event& event : context->event_log().Decisions()) {
         if (event.trace_id != hop.local_trace_id) {
           continue;
         }
