@@ -1,6 +1,6 @@
 // Drop-in replacement for BENCHMARK_MAIN() that honours the repo-wide bench
-// contract: `--json[=PATH]` on the command line or TURNSTILE_BENCH_JSON in
-// the environment dumps a metrics-registry snapshot after the run. All of
+// contract: `--json[=PATH]` on the command line dumps a metrics-registry
+// snapshot after the run. All of
 // the flag plumbing lives in bench_snapshot.h, shared with the table/figure
 // bench mains.
 #ifndef TURNSTILE_BENCH_BENCH_MAIN_H_

@@ -38,10 +38,10 @@ inline BenchArgs SplitSnapshotArgs(int argc, char** argv) {
 }
 
 // Dumps the global metrics registry as pretty JSON when requested via
-// `--json[=PATH]` on the command line or TURNSTILE_BENCH_JSON in the
-// environment ("1" = stdout, a path = pure-JSON file, keeping stdout free
-// for figure output). Call at the end of main(), after the bench has run.
-inline bool MaybeDumpMetricsSnapshot(int argc = 0, char** argv = nullptr) {
+// `--json[=PATH]` on the command line (`--json` = stdout, `--json=PATH` = a
+// pure-JSON file, keeping stdout free for figure output). Call at the end of
+// main(), after the bench has run.
+inline bool MaybeDumpMetricsSnapshot(int argc, char** argv) {
   return obs::MaybeWriteMetricsSnapshot(argc, argv);
 }
 

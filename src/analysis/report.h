@@ -23,8 +23,8 @@ std::string RenderTextReport(const Program& program, const std::string& source,
 
 // Renders a runtime violation's provenance chain as a human-readable
 // multi-line explanation: which labeller attached each offending label, the
-// flow node the message was injected at, the spans the message traversed
-// (when tracing was enabled), and the forbidden flow itself.
+// flow node the message was injected at, the journey the message took
+// (when the event log was enabled), and the forbidden flow itself.
 std::string ExplainViolation(const Violation& violation);
 
 }  // namespace turnstile

@@ -391,13 +391,9 @@ Result<Value> DiftTracker::ApplySpec(const LabellerSpec* spec, Value target,
 
 Result<Value> DiftTracker::Label(Value target, const std::string& labeller_name) {
   ++stats_.label_calls;
-  // Monitor-time span: everything under a __dift.* op bills to the monitor
-  // side of the overhead split (invoke's app-callee window excepted).
-  obs::ScopedProfileSpan profile_span;
-  if (profiler_->enabled()) {
-    profile_span = obs::ScopedProfileSpan(profiler_, obs::EventKind::kDiftLabel,
-                                          "__dift.label:" + labeller_name, /*monitor=*/true);
-  }
+  // Everything under a __dift.* op bills to the monitor side of the overhead
+  // split (invoke's app-callee window excepted).
+  obs::ScopedMonitorAccounting monitor_window(profiler_);
   const LabellerSpec* spec = policy_->FindLabeller(labeller_name);
   if (spec == nullptr) {
     return PolicyError("unknown labeller '" + labeller_name + "'");
@@ -405,10 +401,13 @@ Result<Value> DiftTracker::Label(Value target, const std::string& labeller_name)
   // The log needs the target's label set *before* the labeller runs: a
   // $const labeller firing on an already-labelled value is the
   // declassify/endorse idiom (see policy.h), and that distinction is exactly
-  // prior != empty.
+  // prior != empty. The event records after the labeller ran, so it carries
+  // its own start.
   LabelSetRef prior = kEmptyLabelSetRef;
+  int64_t start_ns = 0;
   if (event_log_->enabled()) {
     prior = GetLabelRef(target);
+    start_ns = event_log_->Now();
   }
   LabelSetRef labels = kEmptyLabelSetRef;
   TURNSTILE_ASSIGN_OR_RETURN(result, ApplySpec(spec, std::move(target), &labels,
@@ -425,6 +424,7 @@ Result<Value> DiftTracker::Label(Value target, const std::string& labeller_name)
     }
     event.subject = labeller_name;
     event.vtime = interp_->VirtualNow();
+    event.start_ns = start_ns;
     event.data = prior;
     event.out = labels;
     event.detail = pool_->Render(labels);
@@ -437,24 +437,14 @@ Result<Value> DiftTracker::Label(Value target, const std::string& labeller_name)
 
 Result<Value> DiftTracker::BinaryOp(const std::string& op, const Value& left,
                                     const Value& right) {
-  ++stats_.binary_ops;
-  obs::ScopedProfileSpan profile_span;
-  if (profiler_->enabled()) {
-    profile_span = obs::ScopedProfileSpan(profiler_, obs::EventKind::kDiftBinaryOp,
-                                          "__dift.binaryOp:" + op, /*monitor=*/true);
-  }
-  return BinaryOpCore(op, BinaryOpFromString(op), left, right);
+  return FusedBinary(op, BinaryOpFromString(op), left, right);
 }
 
 Result<Value> DiftTracker::FusedBinary(const std::string& spelling, turnstile::BinaryOp op,
                                        const Value& left, const Value& right) {
   ++stats_.binary_ops;
   obs::ScopedMonitorAccounting monitor_window(profiler_);
-  return BinaryOpCore(spelling, op, left, right);
-}
-
-Result<Value> DiftTracker::BinaryOpCore(const std::string& spelling, turnstile::BinaryOp op,
-                                        const Value& left, const Value& right) {
+  obs::ScopedInterval interval(*event_log_);
   LabelSetRef left_ref = GetLabelRef(left);
   LabelSetRef right_ref = GetLabelRef(right);
   LabelSetRef labels = pool_->Union(left_ref, right_ref);
@@ -470,7 +460,7 @@ Result<Value> DiftTracker::BinaryOpCore(const std::string& spelling, turnstile::
     event.receiver = right_ref;
     event.out = labels;
     event.detail = pool_->Render(labels);
-    event_log_->Record(std::move(event));
+    interval.set_seq(event_log_->Record(std::move(event)));
   }
   if (op == turnstile::BinaryOp::kInvalid) {
     return UnimplementedError("binary operator " + spelling);
@@ -578,32 +568,17 @@ void DiftTracker::RecordFlowCheck(const std::string& sink, LabelSetRef data,
 Result<bool> DiftTracker::Check(const Value& data, const Value& receiver,
                                 const std::string& sink_name) {
   ++stats_.checks;
-  obs::ScopedProfileSpan profile_span;
-  if (profiler_->enabled()) {
-    profile_span = obs::ScopedProfileSpan(profiler_, obs::EventKind::kDiftCheck,
-                                          "__dift.check:" + sink_name, /*monitor=*/true);
-  }
-  return CheckCore(data, receiver, sink_name);
-}
-
-Result<Value> DiftTracker::FusedCheck(const Value& data, const Value& receiver) {
-  ++stats_.checks;
   obs::ScopedMonitorAccounting monitor_window(profiler_);
-  // "check" is the sink name the `__dift.check` native hardcodes.
-  TURNSTILE_ASSIGN_OR_RETURN(allowed, CheckCore(data, receiver, "check"));
-  return Value(allowed);
-}
-
-Result<bool> DiftTracker::CheckCore(const Value& data, const Value& receiver,
-                                    const std::string& sink_name) {
+  obs::ScopedInterval interval(*event_log_);
   LabelSetRef data_labels = DeepLabelRef(data);
   LabelSetRef receiver_labels = GetLabelRef(receiver);
   if (event_log_->enabled()) {
     // The detail string is memoized per handle pair: a logged run pays one
     // flat lookup per check, not a label-name render. The journey step is
     // logged ahead of the verdict's flow_check decision below.
-    event_log_->Record(obs::EventKind::kDiftCheck, sink_name,
-                       CheckDetail(data_labels, receiver_labels), interp_->VirtualNow());
+    interval.set_seq(event_log_->Record(obs::EventKind::kDiftCheck, sink_name,
+                                        CheckDetail(data_labels, receiver_labels),
+                                        interp_->VirtualNow()));
   }
   if (data_labels == kEmptyLabelSetRef) {
     if (event_log_->enabled()) {
@@ -638,28 +613,25 @@ Result<bool> DiftTracker::CheckCore(const Value& data, const Value& receiver,
   return allowed;
 }
 
-Result<Value> DiftTracker::Invoke(const Value& target, const std::string& func,
-                                  std::vector<Value> args) {
-  ++stats_.invokes;
-  obs::ScopedProfileSpan profile_span;
-  if (profiler_->enabled()) {
-    profile_span = obs::ScopedProfileSpan(profiler_, obs::EventKind::kDiftInvoke,
-                                          "__dift.invoke:" + func, /*monitor=*/true);
-  }
-  return InvokeCore(target, func, std::move(args));
+Result<Value> DiftTracker::FusedCheck(const Value& data, const Value& receiver) {
+  // "check" is the sink name the `__dift.check` native hardcodes.
+  TURNSTILE_ASSIGN_OR_RETURN(allowed, Check(data, receiver, "check"));
+  return Value(allowed);
 }
 
 Result<Value> DiftTracker::FusedInvoke(const Value& target, const std::string& func,
                                        std::vector<Value> args) {
-  ++stats_.invokes;
-  obs::ScopedMonitorAccounting monitor_window(profiler_);
-  return InvokeCore(target, func, std::move(args));
+  return Invoke(target, func, std::move(args));
 }
 
-Result<Value> DiftTracker::InvokeCore(const Value& target, const std::string& func,
-                                      std::vector<Value> args) {
+Result<Value> DiftTracker::Invoke(const Value& target, const std::string& func,
+                                  std::vector<Value> args) {
+  ++stats_.invokes;
+  obs::ScopedMonitorAccounting monitor_window(profiler_);
+  obs::ScopedInterval interval(*event_log_);
   if (event_log_->enabled()) {
-    event_log_->Record(obs::EventKind::kDiftInvoke, func, "", interp_->VirtualNow());
+    interval.set_seq(event_log_->Record(obs::EventKind::kDiftInvoke, func, "",
+                                        interp_->VirtualNow()));
   }
   TURNSTILE_ASSIGN_OR_RETURN(fn_value, interp_->GetProperty(target, func));
   Value fn_unboxed = Unbox(fn_value);
@@ -785,7 +757,7 @@ Result<Value> DiftTracker::InvokeCore(const Value& target, const std::string& fu
     call_args = std::move(args);
   }
   // The dispatched callee is the *app's* function: its wall time must not be
-  // billed to the monitor even though this frame is a __dift.invoke span.
+  // billed to the monitor even though it runs inside a __dift.invoke.
   obs::ScopedAppAccounting app_window(profiler_);
   TURNSTILE_ASSIGN_OR_RETURN(
       result, interp_->CallFunction(fn_unboxed.AsFunction(), target, std::move(call_args)));

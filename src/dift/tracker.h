@@ -113,9 +113,8 @@ class DiftTracker : public DiftHook {
   Result<Value> Invoke(const Value& target, const std::string& func, std::vector<Value> args);
 
   // --- fused-ISA entry points (DiftHook; called by the labelled opcodes) -----
-  // Same semantics and the same event-log/stats effects as the string-API
-  // methods above, minus the per-op heap-named profile span: fused ops bill
-  // into the profiler's monitor bucket through a bare accounting window.
+  // Each delegates to (or, for BinaryOp, is delegated to by) its string-API
+  // twin above: a pair differs only in how its arguments arrive.
   Result<Value> FusedBinary(const std::string& spelling, turnstile::BinaryOp op,
                             const Value& left, const Value& right) override;
   Result<Value> FusedCheck(const Value& data, const Value& receiver) override;
@@ -169,16 +168,6 @@ class DiftTracker : public DiftHook {
   const LabelOrigin* OriginOf(LabelId id) const;
 
  private:
-  // Shared op bodies: everything after the per-entry stats bump and profiling
-  // window. Both the string API (native bridge) and the Fused* entry points
-  // funnel here so the two paths cannot drift.
-  Result<Value> BinaryOpCore(const std::string& spelling, turnstile::BinaryOp op,
-                             const Value& left, const Value& right);
-  Result<bool> CheckCore(const Value& data, const Value& receiver,
-                         const std::string& sink_name);
-  Result<Value> InvokeCore(const Value& target, const std::string& func,
-                           std::vector<Value> args);
-
   Result<Value> ApplySpec(const LabellerSpec* spec, Value target, LabelSetRef* out_labels,
                           const std::string& labeller_name);
   LabelSetRef ConstLabels(const LabellerSpec* spec);

@@ -17,7 +17,6 @@ FlowEngine::FlowEngine(Interpreter* interp) : interp_(interp) {
   // engine built on an isolated instance reports into that instance's sinks.
   RuntimeContext& context = interp->context();
   event_log_ = &context.event_log();
-  profiler_ = &context.profiler();
   obs::Metrics& metrics = context.metrics();
   metric_routed_ = metrics.GetCounter("flow.messages_routed");
   metric_terminal_ = metrics.GetCounter("flow.terminal_sends");
@@ -192,16 +191,11 @@ ObjectPtr FlowEngine::MakeNodeObject(const std::string& id,
                                       std::vector<Value>&) -> Result<Value> {
                            engine->metric_node_inputs_->Increment();
                            if (engine->event_log_->enabled()) {
+                             // Instant marker: the handler's duration is the
+                             // enclosing turn's interval; this pins node
+                             // identity inside it.
                              engine->event_log_->Record(obs::EventKind::kNodeEnter, id, "",
                                                         in.VirtualNow());
-                           }
-                           if (engine->profiler_->enabled()) {
-                             // Instant marker: the handler's duration is the
-                             // enclosing turn span; this pins node identity
-                             // inside it.
-                             engine->profiler_->EndSpan(engine->profiler_->BeginSpan(
-                                 obs::EventKind::kNodeEnter, "node_enter:" + id,
-                                 /*monitor=*/false));
                            }
                            return Value::Undefined();
                          }));
@@ -272,13 +266,10 @@ Status FlowEngine::InjectInput(const std::string& node_id, Value msg) {
   // Each injected message opens a fresh trace; EmitEvent captures the current
   // trace id into the task, so the whole downstream cascade attributes here.
   const obs::TraceContext previous = event_log_->current();
-  const obs::TraceContext trace =
-      event_log_->StartTrace(interp_->context().atoms().Intern(node_id));
-  if (profiler_->enabled()) {
-    // Root of this message's span tree; turn/dift spans enqueue under it via
-    // the captured trace id and close it as they finish.
-    profiler_->BeginMessage(trace.id, node_id);
-  }
+  event_log_->StartTrace(interp_->context().atoms().Intern(node_id));
+  // StartTrace's kInject is the log's latest event (seq 0 when the log is
+  // off); the trace views stretch it over the message's whole cascade.
+  obs::ScopedInterval inject(*event_log_, event_log_->recorded());
   interp_->EmitEvent(it->second, "input", {std::move(msg)});
   event_log_->SetCurrent(previous);
   return Status::Ok();

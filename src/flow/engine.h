@@ -128,7 +128,6 @@ class FlowEngine {
 
   // Observability handles (resolved once in the constructor).
   obs::EventLog* event_log_ = nullptr;
-  obs::Profiler* profiler_ = nullptr;
   obs::Counter* metric_routed_ = nullptr;
   obs::Counter* metric_terminal_ = nullptr;
   obs::Counter* metric_injects_ = nullptr;

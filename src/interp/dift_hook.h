@@ -10,9 +10,9 @@
 //
 // Contract: every entry point must emit exactly the trace records, audit
 // events, and tracker stats the equivalent call-lowered `__dift.*` native
-// would, so CanonicalLog() stays byte-identical across execution tiers. Only
-// the per-op profiling shape differs (a bare monitor-accounting window
-// instead of a heap-named span).
+// would, so CanonicalLog() stays byte-identical across execution tiers.
+// DiftTracker meets it by routing each entry point and its native twin
+// through one body.
 #ifndef TURNSTILE_SRC_INTERP_DIFT_HOOK_H_
 #define TURNSTILE_SRC_INTERP_DIFT_HOOK_H_
 

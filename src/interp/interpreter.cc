@@ -141,19 +141,16 @@ void Interpreter::EmitEvent(const ObjectPtr& emitter, const std::string& event,
 }
 
 Status Interpreter::ExecuteTask(const Task& task) {
-  // Run the task under the trace it was enqueued from, so spans recorded by
+  // Run the task under the trace it was enqueued from, so events recorded by
   // flow nodes and DIFT ops downstream attribute to the injected message.
   obs::ScopedTrace trace_scope(*event_log_, task.trace);
   if (task.fn != nullptr) {
+    obs::ScopedInterval turn(*event_log_);
     if (event_log_->enabled()) {
-      event_log_->Record(obs::EventKind::kLoopTurn, task.fn->name, "callback", virtual_time_);
+      turn.set_seq(event_log_->Record(obs::EventKind::kLoopTurn, task.fn->name, "callback",
+                                      virtual_time_));
     }
-    obs::ScopedProfileSpan turn_span;
-    if (profiler_->enabled()) {
-      turn_span = obs::ScopedProfileSpan(
-          profiler_, obs::EventKind::kLoopTurn,
-          task.fn->name.empty() ? "<anonymous>" : task.fn->name, /*monitor=*/false, "callback");
-    }
+    obs::ScopedAppAccounting turn_window(profiler_);
     TURNSTILE_ASSIGN_OR_RETURN(unused, CallFunction(task.fn, Value::Undefined(), task.args));
     (void)unused;
     return Status::Ok();
@@ -168,25 +165,16 @@ Status Interpreter::ExecuteTask(const Task& task) {
       fire = jt->second;
     }
   }
+  obs::ScopedInterval turn(*event_log_);
   if (event_log_->enabled()) {
-    event_log_->Record(obs::EventKind::kLoopTurn, task.event,
-                       std::to_string(fire.size()) + " listener(s)", virtual_time_);
+    turn.set_seq(event_log_->Record(obs::EventKind::kLoopTurn, task.event,
+                                    std::to_string(fire.size()) + " listener(s)",
+                                    virtual_time_));
   }
-  obs::ScopedProfileSpan turn_span;
-  if (profiler_->enabled()) {
-    // Name flow-node turns "node:<id>" so per-node latency histograms (and
-    // Perfetto lanes) key on the node; other emitters use their debug tag.
-    std::string name;
-    if (task.emitter != nullptr && task.emitter->debug_tag == "rednode") {
-      name = "node:" + task.emitter->Get("id").ToDisplayString();
-    } else if (task.emitter != nullptr && !task.emitter->debug_tag.empty()) {
-      name = task.emitter->debug_tag + ":" + task.event;
-    } else {
-      name = "event:" + task.event;
-    }
-    turn_span = obs::ScopedProfileSpan(profiler_, obs::EventKind::kLoopTurn, std::move(name),
-                                       /*monitor=*/false,
-                                       std::to_string(fire.size()) + " listener(s)");
+  obs::ScopedAppAccounting turn_window(profiler_);
+  if (turn_window.active() && task.emitter != nullptr && task.emitter->debug_tag == "rednode") {
+    // A flow node's turn: its latency lands in the per-node histogram.
+    turn_window.set_node(task.emitter->Get("id").ToDisplayString());
   }
   metric_listeners_fired_->Increment(fire.size());
   for (const FunctionPtr& listener : fire) {
@@ -226,12 +214,12 @@ Status Interpreter::DrainMicrotasks(int max_tasks) {
     microtasks_.pop_front();
     metric_microtasks_->Increment();
     obs::ScopedTrace trace_scope(*event_log_, task.trace);
-    obs::ScopedProfileSpan turn_span;
-    if (profiler_->enabled()) {
-      turn_span = obs::ScopedProfileSpan(
-          profiler_, obs::EventKind::kLoopTurn,
-          task.fn->name.empty() ? "<anonymous>" : task.fn->name, /*monitor=*/false, "microtask");
+    obs::ScopedInterval turn(*event_log_);
+    if (event_log_->enabled()) {
+      turn.set_seq(event_log_->Record(obs::EventKind::kLoopTurn, task.fn->name, "microtask",
+                                      virtual_time_));
     }
+    obs::ScopedAppAccounting turn_window(profiler_);
     TURNSTILE_ASSIGN_OR_RETURN(unused, CallFunction(task.fn, Value::Undefined(), task.args));
     (void)unused;
   }

@@ -1,5 +1,6 @@
 #include "src/obs/event_log.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -120,6 +121,10 @@ std::string Event::ToJsonLine() const {
   } else {
     json.Set("vtime", Json(vtime));
   }
+  json.Set("start_ns", Json(start_ns));
+  if (dur_ns != 0) {
+    json.Set("dur_ns", Json(dur_ns));
+  }
   if (kind == EventKind::kFlowCheck) {
     json.Set("allowed", Json(allowed));
   }
@@ -166,6 +171,8 @@ void EventLog::Restart() {
   spilled_ = 0;
   current_ = TraceContext{};
   next_trace_ = 1;
+  epoch_ = std::chrono::steady_clock::now();
+  last_ns_ = 0;
 }
 
 void EventLog::Enable(size_t capacity) {
@@ -240,11 +247,25 @@ void EventLog::FlushSpill() {
   size_ = 0;  // drained: a later flush must not rewrite these events
 }
 
-void EventLog::Record(Event event) {
+int64_t EventLog::Now() {
+  const int64_t now = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          std::chrono::steady_clock::now() - epoch_)
+                          .count();
+  last_ns_ = std::max(now, last_ns_ + 1);
+  return last_ns_;
+}
+
+uint64_t EventLog::Record(Event event) {
   if (!enabled_) {
-    return;
+    return 0;
   }
-  event.seq = next_seq_++;
+  if (event.start_ns > 0) {
+    event.dur_ns = Now() - event.start_ns;  // recorded after the work it spans
+  } else {
+    event.start_ns = Now();
+  }
+  const uint64_t seq = next_seq_++;
+  event.seq = seq;
   event.trace_id = current_.id;
   event.node = current_.origin;
   event.app = app_;
@@ -271,19 +292,29 @@ void EventLog::Record(Event event) {
   }
   ring_[head_] = std::move(event);
   head_ = (head_ + 1) % capacity_;
+  return seq;
 }
 
-void EventLog::Record(EventKind kind, const std::string& subject, std::string detail,
-                      double vtime) {
+uint64_t EventLog::Record(EventKind kind, const std::string& subject, std::string detail,
+                          double vtime) {
   if (!enabled_) {
-    return;
+    return 0;
   }
   Event event;
   event.kind = kind;
   event.subject = subject;
   event.detail = std::move(detail);
   event.vtime = vtime;
-  Record(std::move(event));
+  return Record(std::move(event));
+}
+
+void EventLog::Close(uint64_t seq) {
+  // The ring holds seqs [next_seq_ - size_, next_seq_).
+  if (!enabled_ || seq == 0 || seq >= next_seq_ || next_seq_ - seq > size_) {
+    return;
+  }
+  Event& event = At(size_ - (next_seq_ - seq));
+  event.dur_ns = Now() - event.start_ns;
 }
 
 std::vector<Event> EventLog::Snapshot() const {

@@ -14,9 +14,15 @@
 // The log also owns the *trace context*: the trace the executing code is
 // attributed to, the flow node that trace was injected at, and the next
 // trace id. The context works whether or not the ring is enabled, so DIFT
-// provenance, the profiler's span trees and fleet trace binding all see
-// trace ids without switching recording on. StartTrace costs one increment.
-// The interpreter carries the context across task boundaries (ScopedTrace).
+// provenance and fleet trace binding see trace ids without switching
+// recording on. StartTrace costs one increment. The interpreter carries the
+// context across task boundaries (ScopedTrace).
+//
+// Intervals: an enabled log stamps every event with a wall-clock start.
+// Sites that span work (inject, loop turn, the four `__dift.*` ops) close
+// their event when the work finishes (Close / ScopedInterval), which stamps
+// its duration; every other event is an instant. The profiler's trace views
+// (profiler.h) nest a message's events from these intervals.
 //
 // Storage is a bounded ring with an optional JSONL *spill*: with a spill
 // file, events evicted from the ring are appended to it instead of being
@@ -34,6 +40,7 @@
 #ifndef TURNSTILE_SRC_OBS_EVENT_LOG_H_
 #define TURNSTILE_SRC_OBS_EVENT_LOG_H_
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -48,13 +55,13 @@ class Counter;
 class Metrics;
 
 enum class EventKind : uint8_t {
-  // Journey kinds (the message's trace; also the profiler's span kinds).
+  // Journey kinds (the message's trace).
   kInject,        // message enters a flow (subject = node id)
   kNodeEnter,     // a node's "input" handler is about to run
   kNodeSend,      // node.send delivery along a wire (subject = from, detail = to)
   kLoopTurn,      // one event-loop macrotask executed
   kDiftLabel,     // __dift.label that attached no labels (subject = labeller)
-  kDiftBinaryOp,  // __dift.binaryOp (profiler spans; logged as kMerge)
+  kDiftBinaryOp,  // __dift.binaryOp (journey view of a kMerge)
   kDiftCheck,     // __dift.check (subject = sink name)
   kDiftInvoke,    // __dift.invoke (subject = function name)
   kViolation,     // a policy violation was recorded (subject = sink)
@@ -82,9 +89,9 @@ struct TraceContext {
 
 // One log entry. Emit sites fill kind / subject / detail / vtime and, for
 // decisions, the label-set handles / verdict / rule; Record() stamps seq,
-// trace id, node and app. Label-set handles are LabelSetRefs of the emitting
-// tracker's policy pool (0 = empty set); `detail` carries rendered label
-// names so the log reads without the pool.
+// trace id, node, app and the wall-clock start. Label-set handles are
+// LabelSetRefs of the emitting tracker's policy pool (0 = empty set);
+// `detail` carries rendered label names so the log reads without the pool.
 struct Event {
   EventKind kind = EventKind::kLoopTurn;
   bool allowed = true;     // kFlowCheck verdict; true for every other kind
@@ -93,6 +100,8 @@ struct Event {
   Atom node = kAtomEmpty;  // origin node of that trace (stamped)
   Atom app = kAtomEmpty;   // application name (stamped)
   double vtime = 0.0;      // interpreter virtual time (journey rendering only)
+  int64_t start_ns = 0;    // wall clock, ns since Enable() (stamped unless preset)
+  int64_t dur_ns = 0;      // interval length once closed; 0 = instant (or open)
   uint32_t data = 0;       // LabelSetRef: data/left operand
   uint32_t receiver = 0;   // LabelSetRef: receiver/right operand
   uint32_t out = 0;        // LabelSetRef: attached/merged result
@@ -134,7 +143,8 @@ class EventLog {
   // --- trace context (always on) ---------------------------------------------
 
   // Starts a new trace for a message injected at `origin`, makes it current
-  // and returns it. Records the kInject event when enabled.
+  // and returns it. Records the kInject event when enabled; that event is
+  // then the latest (seq == recorded()) for the caller to close.
   TraceContext StartTrace(Atom origin);
   const TraceContext& current() const { return current_; }
   uint64_t current_trace() const { return current_.id; }
@@ -156,12 +166,20 @@ class EventLog {
   // the ring; no-op without a spill file.
   void FlushSpill();
 
-  // Appends one event. One branch when disabled. Stamps seq/trace/node/app;
-  // decisions also bump the `audit.*` counters.
-  void Record(Event event);
+  // Appends one event and returns its seq (0 when disabled). One branch when
+  // disabled. Stamps seq/trace/node/app and start_ns; an event whose site
+  // passed its own start_ns (work that records after it ran) is closed at
+  // once. Decisions also bump the `audit.*` counters.
+  uint64_t Record(Event event);
   // Shorthand for events that carry only kind, subject, detail and time.
-  void Record(EventKind kind, const std::string& subject, std::string detail = {},
-              double vtime = 0.0);
+  uint64_t Record(EventKind kind, const std::string& subject, std::string detail = {},
+                  double vtime = 0.0);
+  // Closes interval event `seq`: stamps its duration. No-op for seq 0 and
+  // for an event that already left the ring (it spills or drops as open).
+  void Close(uint64_t seq);
+  // The log clock: ns since Enable(), strictly increasing across calls so
+  // no two stamps tie and nesting reads unambiguously from the intervals.
+  int64_t Now();
 
   // --- views -------------------------------------------------------------------
 
@@ -199,6 +217,7 @@ class EventLog {
   void WriteSpillLine(const Event& event);
   // Ring slot of the i-th buffered event, oldest first.
   const Event& At(size_t i) const { return ring_[(head_ + capacity_ - size_ + i) % capacity_]; }
+  Event& At(size_t i) { return ring_[(head_ + capacity_ - size_ + i) % capacity_]; }
 
   bool enabled_ = false;
   size_t capacity_ = 0;
@@ -211,6 +230,8 @@ class EventLog {
   uint64_t spilled_ = 0;
   Atom app_ = kAtomEmpty;
   std::FILE* spill_ = nullptr;
+  std::chrono::steady_clock::time_point epoch_;
+  int64_t last_ns_ = 0;  // latest Now() stamp
 
   TraceContext current_;
   uint64_t next_trace_ = 1;
@@ -222,6 +243,26 @@ class EventLog {
   Counter* metric_flows_denied_ = nullptr;
   Counter* metric_dropped_ = nullptr;
   Counter* metric_app_events_ = nullptr;  // audit.app_events{app=...}
+};
+
+// RAII close of an interval event: the site records its event, hands the
+// seq over (0 = nothing to close, e.g. the log is off), and the event's
+// duration is stamped when the scope ends.
+class ScopedInterval {
+ public:
+  explicit ScopedInterval(EventLog& log, uint64_t seq = 0) : log_(log), seq_(seq) {}
+  ~ScopedInterval() {
+    if (seq_ != 0) {
+      log_.Close(seq_);
+    }
+  }
+  void set_seq(uint64_t seq) { seq_ = seq; }
+  ScopedInterval(const ScopedInterval&) = delete;
+  ScopedInterval& operator=(const ScopedInterval&) = delete;
+
+ private:
+  EventLog& log_;
+  uint64_t seq_;
 };
 
 // RAII guard restoring the log's trace context — used by the interpreter

@@ -15,10 +15,11 @@
 //
 // The Chrome export draws one lane (tid) per *shard* — instances multiplex
 // onto their shard's lane, mirroring the threading reality — and a flow
-// arrow (ph "s" -> "f") for every wire crossing. Events carry no wall-clock
-// time by design (the audit byte-identity gate forbids it), so the export
-// lays fleet traces out on a synthetic causal timeline: hops of one fleet
-// trace in hop order, events within a hop in ring order.
+// arrow (ph "s" -> "f") for every wire crossing. Each context's log stamps
+// wall time against its own Enable() epoch, so stamps do not line up across
+// instances; the export lays fleet traces out on a synthetic causal
+// timeline instead: hops of one fleet trace in hop order, events within a
+// hop in ring order.
 #ifndef TURNSTILE_SRC_OBS_FLEET_TRACE_H_
 #define TURNSTILE_SRC_OBS_FLEET_TRACE_H_
 

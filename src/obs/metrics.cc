@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace turnstile {
 namespace obs {
@@ -346,13 +345,6 @@ bool MaybeWriteMetricsSnapshot(int argc, char** argv) {
     } else if (arg.rfind("--json=", 0) == 0) {
       requested = true;
       destination = arg.substr(7);
-    }
-  }
-  const char* env = std::getenv("TURNSTILE_BENCH_JSON");
-  if (env != nullptr && env[0] != '\0' && std::string(env) != "0") {
-    requested = true;
-    if (std::string(env) != "1") {
-      destination = env;
     }
   }
   if (!requested) {

@@ -158,11 +158,9 @@ std::string MetricWithLabel(const std::string& family, const std::string& label,
 
 // The repo-wide bench snapshot contract, shared by every bench main: a
 // snapshot of the global registry is requested with `--json` (pretty JSON to
-// stdout), `--json=PATH` (pure JSON to PATH, keeping stdout for figure
-// output), or the TURNSTILE_BENCH_JSON environment variable ("1" = stdout,
-// any other non-"0" value = destination path). Returns true when a snapshot
-// was requested (even if the file could not be written, which is reported on
-// stderr).
+// stdout) or `--json=PATH` (pure JSON to PATH, keeping stdout for figure
+// output). Returns true when a snapshot was requested (even if the file could
+// not be written, which is reported on stderr).
 bool MaybeWriteMetricsSnapshot(int argc, char** argv);
 
 }  // namespace obs

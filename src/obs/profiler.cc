@@ -8,30 +8,21 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <tuple>
 
 #include "src/obs/metrics.h"
 #include "src/obs/telemetry.h"
+#include "src/support/env.h"
 
 namespace turnstile {
 namespace obs {
-
-namespace {
-
-constexpr size_t kDroppedIndex = std::numeric_limits<size_t>::max();
-
-const char* SpanCategory(const ProfileSpan& span) {
-  return span.monitor ? "monitor" : "app";
-}
-
-}  // namespace
 
 Profiler& Profiler::Global() {
   static Profiler* instance = new Profiler();  // never destroyed: hot-path
   return *instance;                            // pointers must stay valid
 }
 
-Profiler::Profiler(EventLog* log, Metrics* metrics) {
-  log_ = log != nullptr ? log : &EventLog::Global();
+Profiler::Profiler(Metrics* metrics) {
   metrics_ = metrics != nullptr ? metrics : &Metrics::Global();
 }
 
@@ -39,11 +30,9 @@ double Profiler::Now() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - epoch_).count();
 }
 
-void Profiler::Enable(size_t span_capacity) {
+void Profiler::Enable() {
   Clear();
   enabled_ = true;
-  capacity_ = span_capacity;
-  spans_.reserve(std::min<size_t>(span_capacity, 4096));
   epoch_ = std::chrono::steady_clock::now();
   account_mark_s_ = 0.0;
   line_mark_s_ = 0.0;
@@ -55,11 +44,6 @@ void Profiler::Disable() {
 }
 
 void Profiler::Clear() {
-  spans_.clear();
-  next_span_ = 1;
-  dropped_ = 0;
-  open_.clear();
-  roots_.clear();
   account_ = Account::kIdle;
   account_stack_.clear();
   app_s_ = 0.0;
@@ -81,12 +65,12 @@ void Profiler::Clear() {
 
 // --- split accounting --------------------------------------------------------
 
-void Profiler::AccountFlush() {
+double Profiler::AccountFlush() {
   double now = Now();
   double elapsed = now - account_mark_s_;
   account_mark_s_ = now;
   if (elapsed <= 0.0) {
-    return;
+    return now;
   }
   switch (account_) {
     case Account::kIdle:
@@ -98,43 +82,43 @@ void Profiler::AccountFlush() {
       monitor_s_ += elapsed;
       break;
   }
+  return now;
 }
 
-void Profiler::PushAccount(Account account) {
-  AccountFlush();
+double Profiler::PushAccount(Account account) {
+  if (!enabled_) {
+    return 0.0;
+  }
+  const double now = AccountFlush();
   account_stack_.push_back(account_);
   account_ = account;
+  return now;
 }
 
-void Profiler::PopAccount() {
-  AccountFlush();
+double Profiler::PushMonitor() { return PushAccount(Account::kMonitor); }
+
+double Profiler::PushApp() { return PushAccount(Account::kApp); }
+
+double Profiler::Pop() {
+  if (!enabled_) {
+    return 0.0;
+  }
+  const double now = AccountFlush();
   if (account_stack_.empty()) {
     account_ = Account::kIdle;
-    return;
+  } else {
+    account_ = account_stack_.back();
+    account_stack_.pop_back();
   }
-  account_ = account_stack_.back();
-  account_stack_.pop_back();
+  return now;
 }
 
-void Profiler::PushMonitor() {
-  if (!enabled_) {
-    return;
+void Profiler::ObserveNodeTurn(const std::string& node, double seconds) {
+  auto [it, inserted] = node_histograms_.try_emplace(node, nullptr);
+  if (inserted) {
+    it->second = metrics_->GetHistogram(MetricWithLabel("flow.node_turn_seconds", "node", node));
   }
-  PushAccount(Account::kMonitor);
-}
-
-void Profiler::PushApp() {
-  if (!enabled_) {
-    return;
-  }
-  PushAccount(Account::kApp);
-}
-
-void Profiler::Pop() {
-  if (!enabled_) {
-    return;
-  }
-  PopAccount();
+  it->second->Observe(seconds);
 }
 
 OverheadSplit Profiler::split() const {
@@ -149,117 +133,6 @@ OverheadSplit Profiler::split() const {
     }
   }
   return out;
-}
-
-// --- span tree ---------------------------------------------------------------
-
-uint64_t Profiler::BeginMessage(uint64_t trace_id, const std::string& origin_node) {
-  if (!enabled_ || trace_id == 0) {
-    return 0;
-  }
-  ProfileSpan span;
-  span.id = next_span_++;
-  span.parent = 0;
-  span.trace_id = trace_id;
-  span.kind = EventKind::kInject;
-  span.monitor = false;
-  span.open = true;
-  span.start_s = Now();
-  span.end_s = span.start_s;  // grows as descendants close
-  span.name = "inject:" + origin_node;
-  uint64_t id = span.id;
-  if (spans_.size() < capacity_) {
-    roots_[trace_id] = spans_.size();
-    spans_.push_back(std::move(span));
-  } else {
-    ++dropped_;
-  }
-  return id;
-}
-
-uint64_t Profiler::BeginSpan(EventKind kind, std::string name, bool monitor, std::string detail) {
-  if (!enabled_) {
-    return 0;
-  }
-  ProfileSpan span;
-  span.id = next_span_++;
-  span.trace_id = log_->current_trace();
-  span.kind = kind;
-  span.monitor = monitor;
-  span.open = true;
-  span.start_s = Now();
-  span.name = std::move(name);
-  span.detail = std::move(detail);
-  if (!open_.empty()) {
-    const OpenSpan& top = open_.back();
-    span.parent = top.id;
-  } else {
-    auto root = roots_.find(span.trace_id);
-    span.parent = root != roots_.end() ? spans_[root->second].id : 0;
-  }
-  OpenSpan entry;
-  entry.id = span.id;
-  if (spans_.size() < capacity_) {
-    entry.index = spans_.size();
-    spans_.push_back(std::move(span));
-  } else {
-    entry.index = kDroppedIndex;
-    ++dropped_;
-  }
-  // Route the span's wall time: __dift/tracker spans to monitor, turn and
-  // node spans to app. Node-enter markers are instant; pushing app for them
-  // is harmless (they close immediately).
-  entry.pushed_state = true;
-  PushAccount(monitor ? Account::kMonitor : Account::kApp);
-  open_.push_back(entry);
-  return entry.id;
-}
-
-void Profiler::EndSpan(uint64_t id) {
-  if (!enabled_ || id == 0) {
-    return;
-  }
-  // LIFO in the normal case; unwind defensively if a callee leaked opens
-  // (abrupt completions that bypassed a scoped close).
-  while (!open_.empty()) {
-    OpenSpan top = open_.back();
-    open_.pop_back();
-    double now = Now();
-    if (top.index != kDroppedIndex && top.index < spans_.size()) {
-      ProfileSpan& span = spans_[top.index];
-      span.open = false;
-      span.end_s = now;
-      if (span.trace_id != 0) {
-        CloseMessageRoot(span.trace_id, now);
-      }
-      // Per-node turn latency: fold closed "node:*" turn spans into a
-      // labeled histogram so the metrics snapshot carries percentiles.
-      if (span.kind == EventKind::kLoopTurn && span.name.rfind("node:", 0) == 0) {
-        std::string node = span.name.substr(5);
-        auto [it, inserted] = node_histograms_.try_emplace(node, nullptr);
-        if (inserted) {
-          it->second = metrics_->GetHistogram(
-              MetricWithLabel("flow.node_turn_seconds", "node", node));
-        }
-        it->second->Observe(span.duration_s());
-      }
-    }
-    if (top.pushed_state) {
-      PopAccount();
-    }
-    if (top.id == id) {
-      return;
-    }
-  }
-}
-
-void Profiler::CloseMessageRoot(uint64_t trace_id, double end_s) {
-  auto it = roots_.find(trace_id);
-  if (it == roots_.end() || it->second >= spans_.size()) {
-    return;
-  }
-  ProfileSpan& root = spans_[it->second];
-  root.end_s = std::max(root.end_s, end_s);
 }
 
 // --- function frames ---------------------------------------------------------
@@ -375,26 +248,6 @@ double Profiler::vm_seconds() const {
 
 // --- snapshots ---------------------------------------------------------------
 
-std::vector<ProfileSpan> Profiler::SpanSnapshot() const {
-  std::vector<ProfileSpan> out = spans_;
-  double now = Now();
-  for (ProfileSpan& span : out) {
-    if (span.open) {
-      span.open = false;
-      if (span.kind == EventKind::kInject) {
-        // Message roots track their latest descendant end while open; fall
-        // back to "now" only if nothing ran under them yet.
-        if (span.end_s <= span.start_s) {
-          span.end_s = now;
-        }
-      } else {
-        span.end_s = now;
-      }
-    }
-  }
-  return out;
-}
-
 std::vector<FunctionProfile> Profiler::FunctionsSnapshot() const {
   std::vector<FunctionProfile> out = functions_;
   std::sort(out.begin(), out.end(), [](const FunctionProfile& a, const FunctionProfile& b) {
@@ -446,90 +299,129 @@ Json Profiler::ProfileSummaryJson() const {
   }
   out.Set("lines", std::move(lines));
   out.Set("vm_seconds", Json(vm_seconds()));
-  out.Set("spans_recorded", Json(spans_recorded()));
-  out.Set("spans_dropped", Json(spans_dropped()));
   return out;
 }
 
-Json Profiler::ChromeTraceJson() const {
-  Json events = Json::Array();
-  for (const ProfileSpan& span : SpanSnapshot()) {
-    Json event = Json::Object();
-    event.Set("name", Json(span.name.empty() ? EventKindName(span.kind) : span.name));
-    event.Set("cat", Json(SpanCategory(span)));
-    event.Set("ph", Json("X"));  // complete event: ts + dur
-    event.Set("ts", Json(span.start_s * 1e6));
-    event.Set("dur", Json(std::max(0.0, span.duration_s()) * 1e6));
-    event.Set("pid", Json(1));
-    // One lane per message: Perfetto groups events by (pid, tid).
-    event.Set("tid", Json(static_cast<int64_t>(span.trace_id)));
-    Json args = Json::Object();
-    args.Set("span", Json(span.id));
-    args.Set("parent", Json(span.parent));
-    args.Set("kind", Json(EventKindName(span.kind)));
-    if (!span.detail.empty()) {
-      args.Set("detail", Json(span.detail));
+// --- trace views ---------------------------------------------------------------
+
+namespace {
+
+constexpr size_t kNoParent = std::numeric_limits<size_t>::max();
+
+// One buffered event placed in its trace's interval tree.
+struct TraceNode {
+  int64_t end_ns = 0;
+  size_t parent = kNoParent;  // index into the snapshot
+  std::string name;           // "<kind>:<subject>"
+};
+
+// Nests each trace's events by their intervals. Log stamps never tie, so an
+// event belongs to the innermost earlier event of its trace still running
+// when it starts. A message's inject event ends at its last descendant's end.
+std::vector<TraceNode> NestEvents(const std::vector<Event>& events) {
+  std::unordered_map<uint64_t, int64_t> trace_end;
+  for (const Event& event : events) {
+    int64_t& end = trace_end[event.trace_id];
+    end = std::max(end, event.start_ns + event.dur_ns);
+  }
+  std::vector<TraceNode> nodes(events.size());
+  std::vector<size_t> order(events.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    order[i] = i;
+    const Event& event = events[i];
+    nodes[i].end_ns = event.kind == EventKind::kInject ? trace_end[event.trace_id]
+                                                       : event.start_ns + event.dur_ns;
+    nodes[i].name = std::string(EventKindName(event.kind)) + ":" + event.subject;
+  }
+  std::sort(order.begin(), order.end(), [&events](size_t a, size_t b) {
+    return std::tie(events[a].trace_id, events[a].start_ns) <
+           std::tie(events[b].trace_id, events[b].start_ns);
+  });
+  std::vector<size_t> open;
+  for (size_t k = 0; k < order.size(); ++k) {
+    const Event& event = events[order[k]];
+    if (k > 0 && events[order[k - 1]].trace_id != event.trace_id) {
+      open.clear();  // a new lane
     }
-    event.Set("args", std::move(args));
-    events.Append(std::move(event));
+    while (!open.empty() && nodes[open.back()].end_ns < event.start_ns) {
+      open.pop_back();
+    }
+    nodes[order[k]].parent = open.empty() ? kNoParent : open.back();
+    open.push_back(order[k]);
+  }
+  return nodes;
+}
+
+}  // namespace
+
+Json ChromeTraceJson(const EventLog& log, const Profiler& profiler) {
+  const std::vector<Event> events = log.Snapshot();
+  const std::vector<TraceNode> nodes = NestEvents(events);
+  Json trace_events = Json::Array();
+  for (size_t i = 0; i < events.size(); ++i) {
+    const Event& event = events[i];
+    Json out = Json::Object();
+    out.Set("name", Json(nodes[i].name));
+    out.Set("cat", Json(event.kind >= EventKind::kDiftLabel ? "monitor" : "app"));
+    out.Set("ph", Json("X"));  // complete event: ts + dur
+    out.Set("ts", Json(static_cast<double>(event.start_ns) / 1e3));
+    out.Set("dur", Json(static_cast<double>(nodes[i].end_ns - event.start_ns) / 1e3));
+    out.Set("pid", Json(1));
+    // One lane per message: Perfetto groups events by (pid, tid).
+    out.Set("tid", Json(event.trace_id));
+    Json args = Json::Object();
+    args.Set("seq", Json(event.seq));
+    args.Set("parent", Json(nodes[i].parent == kNoParent ? uint64_t{0}
+                                                         : events[nodes[i].parent].seq));
+    args.Set("kind", Json(EventKindName(event.kind)));
+    if (!event.detail.empty()) {
+      args.Set("detail", Json(event.detail));
+    }
+    out.Set("args", std::move(args));
+    trace_events.Append(std::move(out));
   }
   Json out = Json::Object();
-  out.Set("traceEvents", std::move(events));
+  out.Set("traceEvents", std::move(trace_events));
   out.Set("displayTimeUnit", Json("ms"));
   // Non-standard key; trace viewers ignore unknown top-level fields.
-  out.Set("turnstileProfile", ProfileSummaryJson());
+  out.Set("turnstileProfile", profiler.ProfileSummaryJson());
   return out;
 }
 
-std::string Profiler::CollapsedStacks() const {
-  std::vector<ProfileSpan> spans = SpanSnapshot();
-  std::unordered_map<uint64_t, size_t> by_id;
-  by_id.reserve(spans.size());
-  for (size_t i = 0; i < spans.size(); ++i) {
-    by_id[spans[i].id] = i;
-  }
+std::string CollapsedStacks(const EventLog& log) {
+  const std::vector<Event> events = log.Snapshot();
+  const std::vector<TraceNode> nodes = NestEvents(events);
   // Self time = duration minus the duration of direct children.
-  std::vector<double> child_s(spans.size(), 0.0);
-  for (const ProfileSpan& span : spans) {
-    auto parent = by_id.find(span.parent);
-    if (span.parent != 0 && parent != by_id.end()) {
-      child_s[parent->second] += std::max(0.0, span.duration_s());
+  std::vector<int64_t> self_ns(events.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    self_ns[i] += nodes[i].end_ns - events[i].start_ns;
+    if (nodes[i].parent != kNoParent) {
+      self_ns[nodes[i].parent] -= nodes[i].end_ns - events[i].start_ns;
     }
   }
   // Aggregate identical stacks (flamegraph.pl folds duplicates anyway, but a
   // pre-aggregated file is smaller and deterministic).
   std::map<std::string, uint64_t> folded;
-  for (size_t i = 0; i < spans.size(); ++i) {
-    double self = std::max(0.0, spans[i].duration_s()) - child_s[i];
-    auto usec = static_cast<uint64_t>(std::max(0.0, self) * 1e6);
-    if (usec == 0) {
+  for (size_t i = 0; i < events.size(); ++i) {
+    const int64_t usec = self_ns[i] / 1000;
+    if (usec <= 0) {
       continue;
     }
-    // Walk to the root, then reverse into "root;...;leaf".
     std::vector<const std::string*> path;
-    size_t cursor = i;
-    size_t guard = 0;
-    while (guard++ <= spans.size()) {
-      const ProfileSpan& span = spans[cursor];
-      path.push_back(&span.name);
-      auto parent = by_id.find(span.parent);
-      if (span.parent == 0 || parent == by_id.end()) {
-        break;
-      }
-      cursor = parent->second;
+    for (size_t cursor = i; cursor != kNoParent; cursor = nodes[cursor].parent) {
+      path.push_back(&nodes[cursor].name);
     }
     std::string stack;
     for (auto it = path.rbegin(); it != path.rend(); ++it) {
       if (!stack.empty()) {
         stack += ';';
       }
-      const std::string& frame = **it;
       // The format reserves ';' (separator) and ' ' (value delimiter).
-      for (char c : frame) {
+      for (char c : **it) {
         stack += (c == ';' || c == ' ') ? '_' : c;
       }
     }
-    folded[stack] += usec;
+    folded[stack] += static_cast<uint64_t>(usec);
   }
   std::string out;
   for (const auto& [stack, usec] : folded) {
@@ -554,7 +446,7 @@ void WriteProfileAtExit() {
   if (!profiler.enabled()) {
     return;  // something disabled it programmatically; respect that
   }
-  std::string json = profiler.ChromeTraceJson().Dump(/*pretty=*/false);
+  std::string json = ChromeTraceJson(EventLog::Global(), profiler).Dump(/*pretty=*/false);
   std::FILE* file = std::fopen(g_profile_path->c_str(), "w");
   if (file == nullptr) {
     std::fprintf(stderr, "profiler: cannot open '%s' for writing\n", g_profile_path->c_str());
@@ -616,59 +508,86 @@ void ApplyEnvObsConfig() {
 }
 
 namespace {
+
+// TURNSTILE_AUDIT and TURNSTILE_TELEMETRY each take a number or a path.
+struct NumberOrPath {
+  long number = 0;             // > 0: the value parsed as a number in range
+  const char* path = nullptr;  // non-null: the value is a path
+};
+
+// Reads `name`. Unset, empty and "0" leave both fields unset (feature off).
+// A value that parses wholly as an integer follows EnvInt's contract: in
+// [1, max] it is the number, outside it warns once and leaves the feature
+// off. Any other value is a path.
+NumberOrPath ReadNumberOrPath(const char* name, long max) {
+  NumberOrPath out;
+  const char* value = std::getenv(name);
+  if (value == nullptr || value[0] == '\0') {
+    return out;
+  }
+  char* end = nullptr;
+  std::strtol(value, &end, 10);
+  if (end == value || *end != '\0') {
+    out.path = value;
+  } else {
+    out.number = EnvInt(name, /*fallback=*/0, /*min=*/0, max);
+  }
+  return out;
+}
+
 void ApplyEnvObsConfigLocked() {
+  // TURNSTILE_AUDIT=<capacity|path>: a number sizes the ring (ring only, no
+  // spill; "1" = default size); a path gets every event as JSONL, the rest
+  // drained at process exit. Read once here; programmatic Enable/Disable
+  // calls run later and override.
+  const NumberOrPath audit = ReadNumberOrPath("TURNSTILE_AUDIT", long{1} << 24);
+  EventLog& log = EventLog::Global();
+  if (audit.number > 0) {
+    log.Enable(audit.number == 1 ? EventLog::kDefaultCapacity
+                                 : static_cast<size_t>(audit.number));
+  } else if (audit.path != nullptr) {
+    log.Enable();
+    if (log.SetSpillPath(audit.path)) {
+      std::atexit(WriteEventLogAtExit);
+    }
+  }
+  // TURNSTILE_PROFILE=<path>: the profiler plus the log its trace view reads.
+  // Registered after the spill hook so it runs first at exit, before the
+  // spill drains the ring.
   const char* profile = std::getenv("TURNSTILE_PROFILE");
   if (profile != nullptr && profile[0] != '\0') {
     Profiler::Global().Enable();
+    if (!log.enabled()) {
+      log.Enable();
+    }
     g_profile_path = new std::string(profile);
     std::atexit(WriteProfileAtExit);
   }
-  // TURNSTILE_AUDIT=<path|capacity>: a number sizes the ring (ring only, no
-  // spill); anything else is a JSONL spill path written out at process exit.
-  // Same precedence as TURNSTILE_PROFILE: read once here, programmatic
-  // Enable/Disable calls run later and override.
-  const char* audit = std::getenv("TURNSTILE_AUDIT");
-  if (audit != nullptr && audit[0] != '\0' && std::string(audit) != "0") {
-    char* end = nullptr;
-    long capacity = std::strtol(audit, &end, 10);
-    EventLog& log = EventLog::Global();
-    if (end != nullptr && *end == '\0' && capacity >= 1) {
-      log.Enable(capacity == 1 ? EventLog::kDefaultCapacity : static_cast<size_t>(capacity));
-    } else {
-      log.Enable();
-      if (log.SetSpillPath(audit)) {
-        std::atexit(WriteEventLogAtExit);
-      }
+  // TURNSTILE_TELEMETRY=<port|path>: a port starts the HTTP server on
+  // 127.0.0.1:<port>; a path gets periodic JSONL snapshots.
+  const NumberOrPath telemetry = ReadNumberOrPath("TURNSTILE_TELEMETRY", 65535);
+  Status status = Status::Ok();
+  if (telemetry.number > 0) {
+    status = TelemetryServer::Global().Start(static_cast<int>(telemetry.number));
+    if (status.ok()) {
+      std::fprintf(stderr, "telemetry: serving /metrics /healthz /traces on 127.0.0.1:%d\n",
+                   TelemetryServer::Global().port());
     }
+  } else if (telemetry.path != nullptr) {
+    status = TelemetrySnapshotWriter::Global().Start(telemetry.path);
+    if (status.ok()) {
+      std::fprintf(stderr, "telemetry: appending metric snapshots to %s\n", telemetry.path);
+    }
+  } else {
+    return;
   }
-  // TURNSTILE_TELEMETRY=<port|path>: a number in [1,65535] starts the HTTP
-  // server on 127.0.0.1:<port>; anything else is a JSONL path for the
-  // periodic snapshot writer. Same once-at-startup precedence as
-  // TURNSTILE_PROFILE: read once here, programmatic Start/Stop overrides.
-  const char* telemetry = std::getenv("TURNSTILE_TELEMETRY");
-  if (telemetry != nullptr && telemetry[0] != '\0' && std::string(telemetry) != "0") {
-    char* end = nullptr;
-    long port = std::strtol(telemetry, &end, 10);
-    if (end != nullptr && *end == '\0' && port >= 1 && port <= 65535) {
-      Status status = TelemetryServer::Global().Start(static_cast<int>(port));
-      if (status.ok()) {
-        std::fprintf(stderr, "telemetry: serving /metrics /healthz /traces on 127.0.0.1:%d\n",
-                     TelemetryServer::Global().port());
-        std::atexit(StopTelemetryAtExit);
-      } else {
-        std::fprintf(stderr, "telemetry: %s\n", status.message().c_str());
-      }
-    } else {
-      Status status = TelemetrySnapshotWriter::Global().Start(telemetry);
-      if (status.ok()) {
-        std::fprintf(stderr, "telemetry: appending metric snapshots to %s\n", telemetry);
-        std::atexit(StopTelemetryAtExit);
-      } else {
-        std::fprintf(stderr, "telemetry: %s\n", status.message().c_str());
-      }
-    }
+  if (status.ok()) {
+    std::atexit(StopTelemetryAtExit);
+  } else {
+    std::fprintf(stderr, "telemetry: %s\n", status.message().c_str());
   }
 }
+
 }  // namespace
 
 }  // namespace obs

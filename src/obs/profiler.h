@@ -1,32 +1,30 @@
-// Observability: the hierarchical span profiler (ISSUE 5).
+// Observability: the instrumenting profiler and the trace views.
 //
-// Builds on the event log's trace context (event_log.h): where the log keeps
-// an unstructured ring of point events, the profiler records *spans* — intervals
-// with a parent id, wall-clock start/end and a duration — forming one tree
-// per injected message:
+// A message's timeline lives in the event log (event_log.h): every event
+// carries a wall-clock start, and the interval sites (inject, loop turn, the
+// four `__dift.*` ops) carry a duration. The views at the bottom of this file
+// read that log as one interval tree per injected message:
 //
-//   inject (root, one per StartTrace)
-//     └── loop turn (one per macrotask executed under that trace)
+//   inject (root, one per StartTrace; ends at its last descendant's end)
+//     └── loop turn (one per task executed under that trace)
 //           ├── node enter           (flow node "input" handler starts)
 //           ├── __dift.* op          (label / binaryOp / check / invoke)
+//           │     └── decisions      (flow check, sink write, ...)
 //           └── ...
 //
-// Alongside the span tree it runs a cheap instrumenting profiler:
+// The profiler itself keeps only aggregates:
 //   - per-function self/total wall time via frame enter/exit hooks in
 //     Interpreter::CallFunction (covering natives and both execution tiers),
 //   - per-source-line self time via the bytecode tier's line clock
 //     (Chunk::lines maps every instruction to a 1-based source line; the VM
 //     ticks the clock whenever the current line changes),
-//   - a monitor-vs-app wall-time split: time inside `__dift.*` spans and
-//     tracker-internal work counts as *monitor* time, time inside event-loop
-//     turns counts as *app* time, and the tracker re-enters app accounting
-//     around the user function an `invoke` dispatches to. Frames entered
-//     while monitor accounting is active (labeller functions compiled from
-//     the policy) are tagged monitor too.
-//
-// Exporters: Chrome trace-event JSON (loads in Perfetto / chrome://tracing),
-// collapsed-stack text (flamegraph.pl / speedscope), and a profile summary
-// (functions, lines, split) embedded in the Chrome trace file.
+//   - a monitor-vs-app wall-time split: time inside `__dift.*` ops counts as
+//     *monitor* time, time inside event-loop turns counts as *app* time, and
+//     the tracker re-enters app accounting around the user function an
+//     `invoke` dispatches to. Frames entered while monitor accounting is
+//     active (labeller functions compiled from the policy) are tagged
+//     monitor too.
+//   - per-node turn latency: flow.node_turn_seconds{node=...} histograms.
 //
 // Cost discipline (same contract as EventLog): DISABLED by default;
 // every hot-path entry point starts with one branch on a plain bool and
@@ -40,6 +38,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/obs/event_log.h"
@@ -49,22 +48,6 @@ namespace turnstile {
 namespace obs {
 
 class Histogram;
-
-// One node of a per-message span tree.
-struct ProfileSpan {
-  uint64_t id = 0;        // 1-based; 0 = "no span"
-  uint64_t parent = 0;    // enclosing span id (0 = tree root)
-  uint64_t trace_id = 0;  // trace id of the owning message (0 = none)
-  EventKind kind = EventKind::kLoopTurn;
-  bool monitor = false;   // monitor (DIFT/tracker) time vs app time
-  bool open = false;      // still running at snapshot time
-  double start_s = 0.0;   // seconds since Enable()
-  double end_s = 0.0;     // valid when !open (snapshots close open spans)
-  std::string name;
-  std::string detail;
-
-  double duration_s() const { return end_s - start_s; }
-};
 
 // Aggregated per-function instrumentation profile.
 struct FunctionProfile {
@@ -101,47 +84,29 @@ class Profiler {
   // The process-wide profiler the default RuntimeContext reports into.
   static Profiler& Global();
 
-  // Instantiable for per-context isolation: spans stamp trace ids from
-  // `log`'s trace context, per-node turn histograms register in `metrics`.
-  // Null arguments bind to the process-wide singletons (default-context
-  // behavior).
-  explicit Profiler(EventLog* log = nullptr, Metrics* metrics = nullptr);
+  // Instantiable for per-context isolation: per-node turn histograms
+  // register in `metrics` (null = the process-wide registry).
+  explicit Profiler(Metrics* metrics = nullptr);
 
-  // Enables profiling, keeping at most `span_capacity` spans (further spans
-  // are counted as dropped; aggregates keep accumulating). Span trees key
-  // off the event log's always-on trace ids, so the log's recording state
-  // is left alone. Idempotent re-enable clears recorded data.
-  void Enable(size_t span_capacity = 1 << 15);
+  // Enables profiling. Leaves the event log alone: the trace views need the
+  // log enabled too (TURNSTILE_PROFILE and profile_app enable both).
+  // Idempotent re-enable clears recorded data.
+  void Enable();
   // Disables profiling and clears all recorded data.
   void Disable();
   bool enabled() const { return enabled_; }
-  // Drops recorded data, keeps enabled state and capacity.
+  // Drops recorded data, keeps the enabled state.
   void Clear();
-
-  // --- span tree -------------------------------------------------------------
-
-  // Opens the root span of a message tree (kind kInject) for `trace_id` and
-  // returns its id. The root stays open while the message's tasks run; its
-  // end time tracks the latest descendant end. No-op (returns 0) when
-  // disabled or trace_id == 0.
-  uint64_t BeginMessage(uint64_t trace_id, const std::string& origin_node);
-
-  // Opens a span under the innermost open span (or under the message root of
-  // the log's current trace when the open stack is empty). `monitor`
-  // routes the span's wall time to monitor accounting; kLoopTurn/kNodeEnter
-  // spans route to app accounting. Returns 0 when disabled.
-  uint64_t BeginSpan(EventKind kind, std::string name, bool monitor, std::string detail = "");
-  // Closes the span (LIFO; defensively unwinds to `id` if callees leaked).
-  void EndSpan(uint64_t id);
 
   // --- monitor/app split -----------------------------------------------------
 
-  // Explicit accounting-state switches for code that has no span of its own:
-  // the tracker wraps the app function an invoke dispatches to in
-  // PushApp/PopApp so the callee's time is not billed to the monitor.
-  void PushMonitor();
-  void PushApp();
-  void Pop();
+  // Accounting-state switches (use the RAII windows below). Each returns the
+  // profiler clock reading it switched at, in seconds since Enable().
+  double PushMonitor();
+  double PushApp();
+  double Pop();
+  // Folds one flow-node turn's wall time into flow.node_turn_seconds{node=...}.
+  void ObserveNodeTurn(const std::string& node, double seconds);
 
   OverheadSplit split() const;
 
@@ -166,33 +131,14 @@ class Profiler {
   // Wall time spent inside VM activations (the denominator for line coverage).
   double vm_seconds() const;
 
-  // --- snapshots and exporters ----------------------------------------------
+  // --- snapshots ---------------------------------------------------------------
 
-  // Spans oldest-first; open spans are reported closed at "now" (message
-  // roots at their latest descendant end).
-  std::vector<ProfileSpan> SpanSnapshot() const;
   std::vector<FunctionProfile> FunctionsSnapshot() const;  // by self_s, desc
   std::vector<LineProfile> LinesSnapshot() const;          // by line
-  uint64_t spans_recorded() const { return next_span_ - 1; }
-  uint64_t spans_dropped() const { return dropped_; }
-
-  // {"traceEvents":[...], "displayTimeUnit":"ms", "turnstileProfile":{...}}.
-  // One "X" (complete) event per span; tid = trace id, so Perfetto renders
-  // one lane per message. The extra turnstileProfile key (ignored by trace
-  // viewers) carries the function/line/split summary.
-  Json ChromeTraceJson() const;
-  // flamegraph.pl / speedscope collapsed format: "root;child;leaf <usecs>"
-  // per line, value = span self time in integer microseconds.
-  std::string CollapsedStacks() const;
-  // The turnstileProfile summary on its own: {split, functions, lines}.
+  // The summary the Chrome trace view embeds: {split, functions, lines}.
   Json ProfileSummaryJson() const;
 
  private:
-  struct OpenSpan {
-    uint64_t id = 0;
-    size_t index = 0;       // into spans_ (SIZE_MAX = dropped, not stored)
-    bool pushed_state = false;
-  };
   struct Frame {
     uint32_t fn = 0;        // into functions_
     double start_s = 0.0;
@@ -201,24 +147,14 @@ class Profiler {
   enum class Account : uint8_t { kIdle, kApp, kMonitor };
 
   double Now() const;
-  void AccountFlush();      // bill elapsed time to the current account
-  void PushAccount(Account account);
-  void PopAccount();
+  double AccountFlush();    // bill elapsed time to the current account
+  double PushAccount(Account account);
   void LineFlush();
-  void CloseMessageRoot(uint64_t trace_id, double end_s);
   uint32_t FunctionIndex(const void* key, const std::string& name, int line);
 
-  EventLog* log_ = nullptr;
   Metrics* metrics_ = nullptr;
   bool enabled_ = false;
-  size_t capacity_ = 0;
   std::chrono::steady_clock::time_point epoch_;
-
-  std::vector<ProfileSpan> spans_;
-  uint64_t next_span_ = 1;
-  uint64_t dropped_ = 0;
-  std::vector<OpenSpan> open_;
-  std::unordered_map<uint64_t, size_t> roots_;  // trace id -> spans_ index
 
   // Split accounting.
   Account account_ = Account::kIdle;
@@ -245,64 +181,30 @@ class Profiler {
   std::unordered_map<std::string, Histogram*> node_histograms_;
 };
 
-// RAII span. Default-constructed = inactive; move-assign from a temporary to
-// open conditionally (callers gate name construction on profiler->enabled()).
-class ScopedProfileSpan {
- public:
-  ScopedProfileSpan() = default;
-  ScopedProfileSpan(Profiler* profiler, EventKind kind, std::string name, bool monitor,
-                    std::string detail = "") {
-    if (profiler != nullptr && profiler->enabled()) {
-      profiler_ = profiler;
-      id_ = profiler->BeginSpan(kind, std::move(name), monitor, std::move(detail));
-    }
-  }
-  ~ScopedProfileSpan() { Reset(); }
-  ScopedProfileSpan(ScopedProfileSpan&& other) noexcept
-      : profiler_(other.profiler_), id_(other.id_) {
-    other.profiler_ = nullptr;
-    other.id_ = 0;
-  }
-  ScopedProfileSpan& operator=(ScopedProfileSpan&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      profiler_ = other.profiler_;
-      id_ = other.id_;
-      other.profiler_ = nullptr;
-      other.id_ = 0;
-    }
-    return *this;
-  }
-  ScopedProfileSpan(const ScopedProfileSpan&) = delete;
-  ScopedProfileSpan& operator=(const ScopedProfileSpan&) = delete;
-
- private:
-  void Reset() {
-    if (profiler_ != nullptr) {
-      profiler_->EndSpan(id_);
-      profiler_ = nullptr;
-      id_ = 0;
-    }
-  }
-  Profiler* profiler_ = nullptr;
-  uint64_t id_ = 0;
-};
-
-// RAII app-accounting override (the tracker's invoke-callee window).
+// RAII app-accounting window: the interpreter opens one per event-loop turn,
+// the tracker one around the app function an invoke dispatches to (so the
+// callee's time is not billed to the monitor). A turn window tagged with its
+// flow node also observes its wall time in flow.node_turn_seconds{node=...}
+// when it closes.
 class ScopedAppAccounting {
  public:
   explicit ScopedAppAccounting(Profiler* profiler) {
     if (profiler != nullptr && profiler->enabled()) {
       profiler_ = profiler;
-      profiler_->PushApp();
+      start_s_ = profiler_->PushApp();
     }
   }
   ~ScopedAppAccounting() { End(); }
+  bool active() const { return profiler_ != nullptr; }
+  void set_node(std::string node) { node_ = std::move(node); }
   // Closes the window early (subsequent work bills to the enclosing state);
   // the destructor then does nothing.
   void End() {
     if (profiler_ != nullptr) {
-      profiler_->Pop();
+      const double end_s = profiler_->Pop();
+      if (!node_.empty()) {
+        profiler_->ObserveNodeTurn(node_, end_s - start_s_);
+      }
       profiler_ = nullptr;
     }
   }
@@ -311,11 +213,12 @@ class ScopedAppAccounting {
 
  private:
   Profiler* profiler_ = nullptr;
+  double start_s_ = 0.0;
+  std::string node_;
 };
 
-// RAII monitor-accounting window for the fused DIFT opcodes: bills the op's
-// wall time to the monitor bucket (so dift.overhead_fraction still attributes
-// it) without constructing a heap-named span per operation.
+// RAII monitor-accounting window around each `__dift.*` op: bills the op's
+// wall time to the monitor bucket (dift.overhead_fraction attributes it).
 class ScopedMonitorAccounting {
  public:
   explicit ScopedMonitorAccounting(Profiler* profiler) {
@@ -383,15 +286,33 @@ class ScopedVmActivation {
   Profiler* profiler_ = nullptr;
 };
 
+// --- trace views over the event log -------------------------------------------
+
+// {"traceEvents":[...], "displayTimeUnit":"ms", "turnstileProfile":{...}}.
+// One "X" (complete) event per buffered log event, named "<kind>:<subject>"
+// (so message roots read "inject:<node>"), category "monitor" for DIFT ops,
+// violations and decisions, "app" otherwise; tid = trace id, so Perfetto
+// renders one lane per message. args carry the event's seq, its parent's
+// seq (0 = lane root) and kind. The turnstileProfile key (ignored by trace
+// viewers) is `profiler`'s summary.
+Json ChromeTraceJson(const EventLog& log, const Profiler& profiler);
+// flamegraph.pl / speedscope collapsed format: "root;child;leaf <usecs>"
+// per line, value = the event's self time in integer microseconds.
+std::string CollapsedStacks(const EventLog& log);
+
 // Applies the observability environment variables once per process (called
 // from the Interpreter constructor so any binary honours them):
-//   TURNSTILE_PROFILE=<path>    enable the profiler and write the Chrome
-//                               trace JSON to <path> at process exit
 //   TURNSTILE_AUDIT=<path|capacity>
 //                               enable the event log (event_log.h); a number
-//                               sizes the event ring ("1" = default size,
-//                               "0" = off), any other value is a JSONL spill
-//                               path drained at process exit
+//                               in [0, 2^24] sizes the event ring ("1" =
+//                               default size, "0" = off), any other value is
+//                               a JSONL spill path drained at process exit
+//   TURNSTILE_PROFILE=<path>    enable the profiler and the event log (at
+//                               the default ring unless TURNSTILE_AUDIT sized
+//                               it) and write the Chrome trace view to
+//                               <path> at process exit
+// A wholly numeric value outside its range (TURNSTILE_AUDIT=-5,
+// TURNSTILE_TELEMETRY=70000) warns once and leaves the feature off.
 // Programmatic Enable()/Disable() calls and driver flags run later and
 // therefore override the environment.
 void ApplyEnvObsConfig();

@@ -19,7 +19,7 @@ RuntimeContext::RuntimeContext(Isolated) {
   atoms_ = &AtomTable::Global();
   owned_metrics_ = std::make_unique<obs::Metrics>();
   owned_event_log_ = std::make_unique<obs::EventLog>(owned_metrics_.get());
-  owned_profiler_ = std::make_unique<obs::Profiler>(owned_event_log_.get(), owned_metrics_.get());
+  owned_profiler_ = std::make_unique<obs::Profiler>(owned_metrics_.get());
   metrics_ = owned_metrics_.get();
   event_log_ = owned_event_log_.get();
   profiler_ = owned_profiler_.get();

@@ -503,8 +503,8 @@ class Compiler {
   // Recognizes the instrumentor's `__dift.<method>(...)` call shapes and
   // lowers them onto the labelled opcodes. Returns false — and the caller
   // emits the ordinary call lowering — for every shape the fused ISA does not
-  // cover. `__dift.label` stays call-lowered on purpose: labellers run policy
-  // code whose kDiftLabel spans are part of the exported profile contract.
+  // cover. `__dift.label` stays call-lowered: the fused ISA covers binaryOp,
+  // check and invoke only.
   bool TryCompileDiftCall(int dst, const NodePtr& node) {
     const NodePtr& callee = node->children[0];
     if (callee->kind != NodeKind::kMemberExpr || callee->num != 0) {

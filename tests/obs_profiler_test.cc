@@ -1,15 +1,20 @@
-// The hierarchical span profiler: per-message span trees from a real corpus
-// app, monitor/app attribution, per-line VM coverage, exporter validity, and
-// the disabled-path no-op contract. Each TEST runs in its own process (ctest
-// discovery), so global profiler/event-log state never leaks across tests.
+// The profiler's aggregates and the trace views over the event log: per-message
+// interval trees from a real corpus app, a trace that reads the same under
+// every execution tier, monitor/app attribution, per-line VM coverage,
+// exporter validity, per-node turn histograms, and the disabled-path no-op
+// contract. Each TEST runs in its own process (ctest discovery), so global
+// profiler/event-log state never leaks across tests.
 #include "src/obs/profiler.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/corpus/corpus.h"
@@ -27,11 +32,12 @@ namespace {
 constexpr const char* kApp = "geo-fence";  // node-entry app with DIFT ops
 constexpr int kMessages = 6;
 
-// Drives `kMessages` messages of the selective version under the enabled
-// global profiler. Warm-up happens outside the profiled window so caches
-// (compiled labellers, chunks) do not pollute attribution.
-void RunProfiledApp(std::optional<ExecTier> tier = std::nullopt) {
-  const CorpusApp* app = FindCorpusApp(kApp);
+// Drives `messages` messages of `app`'s selective version under the enabled
+// global profiler and event log. Warm-up happens outside the profiled window
+// so caches (compiled labellers, chunks) do not pollute attribution.
+void RunProfiledApp(std::optional<ExecTier> tier = std::nullopt, const char* app_name = kApp,
+                    int messages = kMessages) {
+  const CorpusApp* app = FindCorpusApp(app_name);
   ASSERT_NE(app, nullptr);
   auto runtime = AppRuntime::Create(*app, AppVersion::kSelective, tier);
   ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
@@ -40,23 +46,49 @@ void RunProfiledApp(std::optional<ExecTier> tier = std::nullopt) {
     ASSERT_TRUE((*runtime)->DriveMessage(&rng, seq).ok());
   }
   Profiler::Global().Enable();
-  for (int seq = 0; seq < kMessages; ++seq) {
+  EventLog::Global().Enable(1 << 16);
+  for (int seq = 0; seq < messages; ++seq) {
     ASSERT_TRUE((*runtime)->DriveMessage(&rng, 100 + seq).ok());
   }
+  ASSERT_EQ(EventLog::Global().dropped(), 0u);
+}
+
+// The Chrome trace view of the global log, parsed back.
+Json TraceView() {
+  auto parsed = Json::Parse(ChromeTraceJson(EventLog::Global(), Profiler::Global()).Dump());
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  return parsed.ok() ? *parsed : Json::Object();
+}
+
+// Nesting depth of every trace event (0 = lane root), from the args.parent links.
+std::vector<int> Depths(const JsonArray& events) {
+  std::unordered_map<int64_t, int64_t> parent_of;
+  for (const Json& event : events) {
+    parent_of[static_cast<int64_t>(event["args"].GetNumber("seq"))] =
+        static_cast<int64_t>(event["args"].GetNumber("parent"));
+  }
+  std::vector<int> depths;
+  for (const Json& event : events) {
+    int depth = 0;
+    for (int64_t parent = static_cast<int64_t>(event["args"].GetNumber("parent")); parent != 0;
+         parent = parent_of[parent]) {
+      ++depth;
+    }
+    depths.push_back(depth);
+  }
+  return depths;
 }
 
 TEST(ProfilerDisabledTest, HotPathsAreNoOps) {
   Profiler& profiler = Profiler::Global();
   ASSERT_FALSE(profiler.enabled());  // disabled is the default
-  EXPECT_EQ(profiler.BeginMessage(7, "n1"), 0u);
-  EXPECT_EQ(profiler.BeginSpan(EventKind::kLoopTurn, "turn", false), 0u);
-  profiler.EndSpan(1);  // must not crash
+  EXPECT_DOUBLE_EQ(profiler.PushMonitor(), 0.0);
+  EXPECT_DOUBLE_EQ(profiler.Pop(), 0.0);
   profiler.EnterFrame(&profiler, "f", 1);
   profiler.ExitFrame();
   profiler.EnterVm();
   profiler.LineTick(3);
   profiler.ExitVm();
-  EXPECT_EQ(profiler.SpanSnapshot().size(), 0u);
   EXPECT_EQ(profiler.FunctionsSnapshot().size(), 0u);
   EXPECT_EQ(profiler.LinesSnapshot().size(), 0u);
   EXPECT_DOUBLE_EQ(profiler.vm_seconds(), 0.0);
@@ -68,83 +100,110 @@ TEST(ProfilerDisabledTest, HotPathsAreNoOps) {
 
 TEST(ProfilerSpanTreeTest, CorpusAppBuildsPerMessageTrees) {
   RunProfiledApp();
-  std::vector<ProfileSpan> spans = Profiler::Global().SpanSnapshot();
+  const Json trace = TraceView();
   Profiler::Global().Disable();
-  ASSERT_FALSE(spans.empty());
+  const JsonArray& events = trace["traceEvents"].array_items();
+  ASSERT_FALSE(events.empty());
 
-  std::unordered_map<uint64_t, const ProfileSpan*> by_id;
-  for (const ProfileSpan& span : spans) {
-    by_id[span.id] = &span;
+  std::unordered_map<int64_t, const Json*> by_seq;
+  for (const Json& event : events) {
+    by_seq[static_cast<int64_t>(event["args"].GetNumber("seq"))] = &event;
   }
+  auto parent_of = [&by_seq](const Json& event) -> const Json* {
+    auto it = by_seq.find(static_cast<int64_t>(event["args"].GetNumber("parent")));
+    return it == by_seq.end() ? nullptr : it->second;
+  };
+  auto kind_of = [](const Json* event) { return (*event)["args"].GetString("kind"); };
 
-  // One inject root per driven message, each with at least one complete
-  // child span.
-  std::vector<const ProfileSpan*> roots;
-  for (const ProfileSpan& span : spans) {
-    if (span.kind == EventKind::kInject) {
-      roots.push_back(&span);
-      EXPECT_EQ(span.parent, 0u);
-      EXPECT_NE(span.trace_id, 0u);
+  // One inject root per driven message, each with at least one child that
+  // runs within its interval.
+  std::vector<const Json*> roots;
+  for (const Json& event : events) {
+    if (kind_of(&event) == "inject") {
+      roots.push_back(&event);
+      EXPECT_GT(event.GetNumber("tid"), 0.0);
+      EXPECT_EQ(parent_of(event), nullptr);
     }
   }
   ASSERT_EQ(roots.size(), static_cast<size_t>(kMessages));
-  for (const ProfileSpan* root : roots) {
-    int complete_children = 0;
-    for (const ProfileSpan& span : spans) {
-      if (span.parent == root->id && !span.open && span.end_s >= span.start_s) {
-        ++complete_children;
-        // Temporal nesting: a child runs within its parent's interval.
-        EXPECT_GE(span.start_s, root->start_s);
-        EXPECT_LE(span.end_s, root->end_s + 1e-9);
+  for (const Json* root : roots) {
+    int children = 0;
+    for (const Json& event : events) {
+      if (parent_of(event) == root) {
+        ++children;
+        EXPECT_EQ(event.GetNumber("tid"), root->GetNumber("tid"));
+        EXPECT_GE(event.GetNumber("ts"), root->GetNumber("ts"));
+        EXPECT_LE(event.GetNumber("ts") + event.GetNumber("dur"),
+                  root->GetNumber("ts") + root->GetNumber("dur") + 1e-6);
       }
     }
-    EXPECT_GE(complete_children, 1) << "message root " << root->id << " has no complete child";
+    EXPECT_GE(children, 1) << "message root " << root->GetString("name") << " has no child";
   }
 
-  // inject -> loop turn -> __dift.* nesting: at least one DIFT span whose
-  // ancestor chain passes through a turn span and terminates at an inject
-  // root. Node-enter markers sit under turns too.
+  // inject -> loop turn -> __dift.* nesting: at least one DIFT op whose
+  // ancestor chain passes through a turn and ends at an inject root.
+  // Node-enter markers sit under turns too.
   bool found_dift_chain = false;
   bool found_node_enter = false;
-  for (const ProfileSpan& span : spans) {
-    bool is_dift = span.kind == EventKind::kDiftLabel || span.kind == EventKind::kDiftBinaryOp ||
-                   span.kind == EventKind::kDiftCheck || span.kind == EventKind::kDiftInvoke;
-    if (span.kind == EventKind::kNodeEnter) {
-      auto parent = by_id.find(span.parent);
-      if (parent != by_id.end() && parent->second->kind == EventKind::kLoopTurn) {
-        found_node_enter = true;
-      }
+  for (const Json& event : events) {
+    const std::string kind = kind_of(&event);
+    if (kind == "node_enter") {
+      const Json* parent = parent_of(event);
+      found_node_enter |= parent != nullptr && kind_of(parent) == "loop_turn";
     }
-    if (!is_dift) {
+    if (kind.rfind("dift_", 0) != 0) {
       continue;
     }
-    EXPECT_TRUE(span.monitor) << "DIFT span '" << span.name << "' not tagged monitor";
+    EXPECT_EQ(event.GetString("cat"), "monitor") << event.GetString("name");
     bool through_turn = false;
-    const ProfileSpan* cursor = &span;
-    for (size_t hops = 0; hops <= spans.size(); ++hops) {
-      auto parent = by_id.find(cursor->parent);
-      if (cursor->parent == 0 || parent == by_id.end()) {
-        break;
-      }
-      cursor = parent->second;
-      if (cursor->kind == EventKind::kLoopTurn) {
-        through_turn = true;
-      }
-      if (cursor->kind == EventKind::kInject) {
-        if (through_turn) {
-          found_dift_chain = true;
-        }
+    for (const Json* cursor = parent_of(event); cursor != nullptr; cursor = parent_of(*cursor)) {
+      through_turn |= kind_of(cursor) == "loop_turn";
+      if (kind_of(cursor) == "inject") {
+        found_dift_chain |= through_turn;
         break;
       }
     }
   }
-  EXPECT_TRUE(found_dift_chain) << "no __dift span nested under inject -> turn";
+  EXPECT_TRUE(found_dift_chain) << "no __dift op nested under inject -> turn";
   EXPECT_TRUE(found_node_enter) << "no node-enter marker under a loop turn";
+}
+
+TEST(ProfilerSpanTreeTest, TraceIsTheSameUnderEveryTier) {
+  // The trace is a view of the event log, which every tier writes through
+  // the same tracker and engine sites: fused opcodes, call-lowered natives
+  // and the tree-walker yield one multiset of (name, depth) and exactly one
+  // trace event per logged event.
+  constexpr int kTierMessages = 10;
+  std::vector<std::multiset<std::pair<std::string, int>>> shapes;
+  for (ExecTier tier : {ExecTier::kBytecode, ExecTier::kBytecodeLowered, ExecTier::kTreeWalk}) {
+    RunProfiledApp(tier, "camera-motion", kTierMessages);
+    const Json trace = TraceView();
+    const JsonArray& events = trace["traceEvents"].array_items();
+    EXPECT_EQ(events.size(), EventLog::Global().size());
+    EXPECT_EQ(events.size(), EventLog::Global().recorded());
+    const std::vector<int> depths = Depths(events);
+    std::multiset<std::pair<std::string, int>> shape;
+    bool monitor_invoke = false;
+    for (size_t i = 0; i < events.size(); ++i) {
+      shape.emplace(events[i].GetString("name"), depths[i]);
+      monitor_invoke |= events[i].GetString("cat") == "monitor" &&
+                        events[i]["args"].GetString("kind") == "dift_invoke";
+    }
+    EXPECT_TRUE(monitor_invoke) << "tier " << static_cast<int>(tier);
+    shapes.push_back(std::move(shape));
+    EventLog::Global().Disable();
+    Profiler::Global().Disable();
+  }
+  ASSERT_EQ(shapes.size(), 3u);
+  EXPECT_GT(shapes[0].size(), static_cast<size_t>(kTierMessages));
+  EXPECT_TRUE(shapes[0] == shapes[1]) << "fused vs call-lowered trace differs";
+  EXPECT_TRUE(shapes[0] == shapes[2]) << "fused vs tree-walk trace differs";
 }
 
 TEST(ProfilerExportTest, ChromeTraceParsesAsValidJsonWithCompleteSpans) {
   RunProfiledApp();
-  std::string dumped = Profiler::Global().ChromeTraceJson().Dump(/*pretty=*/true);
+  std::string dumped =
+      ChromeTraceJson(EventLog::Global(), Profiler::Global()).Dump(/*pretty=*/true);
   Profiler::Global().Disable();
 
   auto parsed = Json::Parse(dumped);
@@ -153,10 +212,11 @@ TEST(ProfilerExportTest, ChromeTraceParsesAsValidJsonWithCompleteSpans) {
   ASSERT_TRUE(trace["traceEvents"].is_array());
   ASSERT_FALSE(trace["traceEvents"].array_items().empty());
   EXPECT_EQ(trace.GetString("displayTimeUnit"), "ms");
+  EXPECT_EQ(trace["traceEvents"].array_items().size(), EventLog::Global().size());
 
   int inject_events = 0;
   for (const Json& event : trace["traceEvents"].array_items()) {
-    EXPECT_EQ(event.GetString("ph"), "X");  // every span exports complete
+    EXPECT_EQ(event.GetString("ph"), "X");  // every event exports complete
     EXPECT_TRUE(event["ts"].is_number());
     EXPECT_TRUE(event["dur"].is_number());
     EXPECT_GE(event.GetNumber("dur"), 0.0);
@@ -165,9 +225,10 @@ TEST(ProfilerExportTest, ChromeTraceParsesAsValidJsonWithCompleteSpans) {
     EXPECT_TRUE(cat == "app" || cat == "monitor") << cat;
     if (event["args"].GetString("kind") == "inject") {
       ++inject_events;
+      EXPECT_EQ(event.GetString("name").rfind("inject:", 0), 0u);
     }
   }
-  // >= 1 complete span per driven message.
+  // One message root per driven message.
   EXPECT_EQ(inject_events, kMessages);
 
   // The embedded profile summary rides along for tooling.
@@ -178,7 +239,7 @@ TEST(ProfilerExportTest, ChromeTraceParsesAsValidJsonWithCompleteSpans) {
 
 TEST(ProfilerExportTest, CollapsedStacksAreWellFormed) {
   RunProfiledApp();
-  std::string folded = Profiler::Global().CollapsedStacks();
+  std::string folded = CollapsedStacks(EventLog::Global());
   Profiler::Global().Disable();
   ASSERT_FALSE(folded.empty());
   size_t start = 0;
@@ -323,6 +384,27 @@ TEST(ProfilerMetricsTest, PerNodeLatencyHistogramWithPercentiles) {
   EXPECT_TRUE(hist.Has("p90"));
   EXPECT_TRUE(hist.Has("p99"));
   EXPECT_GE(hist.GetNumber("p99") + 1e-15, hist.GetNumber("p50"));
+}
+
+TEST(ProfilerMetricsTest, NodeTurnHistogramCountsEveryTurnUnderTheLoweredTier) {
+  // The per-node histogram is an aggregate with no capacity: every profiled
+  // turn lands in it, however many DIFT ops the call-lowered tier logs.
+  constexpr int kTurns = 100;
+  const CorpusApp* app = FindCorpusApp("camera-motion");
+  ASSERT_NE(app, nullptr);
+  auto runtime = AppRuntime::Create(*app, AppVersion::kSelective, ExecTier::kBytecodeLowered);
+  ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+  Rng rng(0xBE11C0DE);
+  Profiler::Global().Enable();
+  for (int seq = 0; seq < kTurns; ++seq) {
+    ASSERT_TRUE((*runtime)->DriveMessage(&rng, seq).ok());
+  }
+  Profiler::Global().Disable();
+  const Json snapshot = Metrics::Global().ToJson();
+  const Json& hist =
+      snapshot["histograms"][MetricWithLabel("flow.node_turn_seconds", "node", "m1")];
+  ASSERT_TRUE(hist.is_object()) << snapshot.Dump(true);
+  EXPECT_GE(hist.GetNumber("count"), static_cast<double>(kTurns));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Corpus profiling driver: runs one corpus app under the span profiler and
-// exports its profile.
+// Corpus profiling driver: runs one corpus app under the profiler and the
+// event log and exports its profile and trace views.
 //
 //   profile_app <app> [--messages=N] [--version=original|selective|exhaustive|roundtrip]
 //               [--tier=bytecode|bytecode-lowered] [--disasm]
@@ -11,8 +11,9 @@
 //                        driving messages.
 //
 //   --trace-export=PATH  Chrome trace-event JSON (open in Perfetto or
-//                        chrome://tracing); carries the turnstileProfile
-//                        summary as an extra top-level key.
+//                        chrome://tracing), one event per logged event;
+//                        carries the turnstileProfile summary as an extra
+//                        top-level key.
 //   --profile=PATH       collapsed-stack text (pipe into flamegraph.pl or
 //                        load in speedscope).
 //   --json[=PATH]        metrics-registry snapshot (the shared bench flag) —
@@ -22,6 +23,8 @@
 // Without an app name, lists the corpus. The summary printed to stdout shows
 // the monitor/app split, the hottest functions/lines, and per-node latency
 // percentiles.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,6 +36,7 @@
 #include "src/corpus/driver.h"
 #include "src/interp/interp.h"
 #include "src/lang/ast.h"
+#include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/support/rng.h"
@@ -186,14 +190,22 @@ int Main(int argc, char** argv) {
     return 0;
   }
 
+  // Warm-up runs outside the profiled window and doubles as the log's sizing
+  // run: the trace views need every profiled message's events in the ring.
+  constexpr int kWarmupMessages = 20;
+  constexpr uint64_t kMaxLogEvents = uint64_t{1} << 20;
+  obs::EventLog& log = obs::EventLog::Global();
+  log.Enable();
   Rng rng(0xBE11C0DE);
-  for (int seq = 0; seq < 20; ++seq) {  // warm-up outside the profiled window
+  for (int seq = 0; seq < kWarmupMessages; ++seq) {
     Status status = (*runtime)->DriveMessage(&rng, seq);
     if (!status.ok()) {
       std::fprintf(stderr, "profile_app: warm-up failed: %s\n", status.ToString().c_str());
       return 1;
     }
   }
+  const uint64_t events_per_message = log.recorded() / kWarmupMessages + 1;
+  log.Enable(std::min(2 * events_per_message * static_cast<uint64_t>(messages), kMaxLogEvents));
 
   obs::Profiler& profiler = obs::Profiler::Global();
   profiler.Enable();
@@ -208,14 +220,14 @@ int Main(int argc, char** argv) {
 
   // --- exports ---------------------------------------------------------------
   if (!trace_export_path.empty()) {
-    if (!WriteFile(trace_export_path, profiler.ChromeTraceJson().Dump() + "\n")) {
+    if (!WriteFile(trace_export_path, obs::ChromeTraceJson(log, profiler).Dump() + "\n")) {
       return 1;
     }
     std::printf("Chrome trace written to %s (open in https://ui.perfetto.dev)\n",
                 trace_export_path.c_str());
   }
   if (!profile_path.empty()) {
-    if (!WriteFile(profile_path, profiler.CollapsedStacks())) {
+    if (!WriteFile(profile_path, obs::CollapsedStacks(log))) {
       return 1;
     }
     std::printf("collapsed stacks written to %s (flamegraph.pl %s > flame.svg)\n",
@@ -224,13 +236,13 @@ int Main(int argc, char** argv) {
 
   // --- summary ---------------------------------------------------------------
   obs::OverheadSplit split = profiler.split();
-  std::printf("\n%s (%s, %d messages): %llu spans (%llu dropped)\n", app->name.c_str(),
+  std::printf("\n%s (%s, %d messages): %llu events (%llu dropped)\n", app->name.c_str(),
               version == AppVersion::kOriginal     ? "original"
               : version == AppVersion::kSelective  ? "selective"
               : version == AppVersion::kExhaustive ? "exhaustive"
                                                    : "roundtrip",
-              messages, static_cast<unsigned long long>(profiler.spans_recorded()),
-              static_cast<unsigned long long>(profiler.spans_dropped()));
+              messages, static_cast<unsigned long long>(log.recorded()),
+              static_cast<unsigned long long>(log.dropped()));
   std::printf("split: app %.3f ms, monitor %.3f ms -> overhead fraction %.4f\n",
               split.app_s * 1e3, split.monitor_s * 1e3, split.fraction());
 
