@@ -121,9 +121,8 @@ int Main() {
   double aggregate =
       app_total + monitor_total > 0 ? monitor_total / (app_total + monitor_total) : 0.0;
   metrics.GetFloatGauge("dift.overhead_fraction")->Set(aggregate);
-  // The attribution pass runs under the default execution tier, which is the
-  // DIFT-fused bytecode VM; publish that explicitly so tier-to-tier overhead
-  // comparisons (bench_tier_matrix, CI perf smoke) can key on it.
+  // The attribution pass runs under the DIFT-fused bytecode VM; publish that
+  // explicitly so overhead comparisons (CI perf smoke) can key on the tier.
   metrics.GetFloatGauge(obs::MetricWithLabel("dift.overhead_fraction", "tier", "fused"))
       ->Set(aggregate);
   std::printf("\n  corpus aggregate: monitor %.1f ms / total %.1f ms -> fraction %.4f "

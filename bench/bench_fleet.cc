@@ -12,9 +12,9 @@
 //                   paper's multi-tenant setting implies. `--shards=M
 //                   --instances=M` gives one instance per thread, the
 //                   multi-instance scaling shape.
-//   --shards=N      worker shard count (default: TURNSTILE_FLEET_SHARDS,
-//                   then 4). Run with --shards=1 and --shards=N to measure
-//                   the sharding speedup; EXPERIMENTS.md records both.
+//   --shards=N      worker shard count (default 4). Run with --shards=1 and
+//                   --shards=N to measure the sharding speedup;
+//                   EXPERIMENTS.md records both.
 //   --messages=N    base messages per instance (default:
 //                   TURNSTILE_BENCH_MESSAGES, then 200).
 //   --warmup=N      unrecorded messages per instance before the timed
@@ -45,7 +45,6 @@
 #include "bench/bench_util.h"
 #include "src/obs/profiler.h"
 #include "src/runtime/fleet.h"
-#include "src/support/env.h"
 #include "tools/cli_args.h"
 
 namespace turnstile {
@@ -76,8 +75,8 @@ int Main(int argc, char** argv) {
   // TURNSTILE_TELEMETRY=<port|path> works for live soaks (EXPERIMENTS.md).
   obs::ApplyEnvObsConfig();
   int instances = 1000;
-  int shards = 0;  // 0 = FleetRuntime resolves TURNSTILE_FLEET_SHARDS
-  int base_messages = static_cast<int>(EnvInt("TURNSTILE_BENCH_MESSAGES", 200, 1, 1000000));
+  int shards = 4;
+  int base_messages = BenchMessageCount(/*fallback=*/200);
   int warmup = 5;
   std::string trace_export;
   for (int i = 1; i < argc; ++i) {

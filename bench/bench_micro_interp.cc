@@ -14,21 +14,14 @@
 namespace turnstile {
 namespace {
 
-// Runs `source`, then repeatedly calls the global function `tick()`. The
-// default-constructed form inherits the interpreter's default execution tier
-// (bytecode, unless TURNSTILE_EXEC_TIER overrides it); pass a tier to pin it.
+// Runs `source`, then repeatedly calls the global function `tick()` under
+// `tier` (the production bytecode VM unless a bench pins an oracle).
 struct TickFixture {
   Interpreter interp;
   FunctionPtr tick;
 
-  explicit TickFixture(const char* source) { Init(source); }
-
-  TickFixture(const char* source, ExecTier tier) {
+  explicit TickFixture(const char* source, ExecTier tier = ExecTier::kBytecode) {
     interp.set_exec_tier(tier);
-    Init(source);
-  }
-
-  void Init(const char* source) {
     auto program = ParseProgram(source);
     if (!program.ok() || !interp.RunProgram(*program).ok()) {
       std::abort();

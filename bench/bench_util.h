@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,20 +13,16 @@
 #include "src/corpus/driver.h"
 #include "src/flow/workload.h"
 #include "src/obs/profiler.h"
+#include "src/support/env.h"
 #include "src/support/stopwatch.h"
 
 namespace turnstile {
 
-// Number of workload messages per run; overridable for quick smoke runs.
-inline int BenchMessageCount() {
-  const char* env = std::getenv("TURNSTILE_BENCH_MESSAGES");
-  if (env != nullptr) {
-    int n = std::atoi(env);
-    if (n > 0) {
-      return n;
-    }
-  }
-  return 1000;  // the paper's E2 workload size
+// Number of workload messages per run (default: the paper's E2 workload
+// size); TURNSTILE_BENCH_MESSAGES overrides it for quick smoke runs. A
+// malformed value warns once and keeps `fallback`.
+inline int BenchMessageCount(int fallback = 1000) {
+  return static_cast<int>(EnvInt("TURNSTILE_BENCH_MESSAGES", fallback, 1, 1000000));
 }
 
 // Measures per-message processing time (wall seconds) for one app version.
@@ -144,15 +139,14 @@ struct OverheadSplitMeasurement {
   bool instrumented = false;  // false = fell back to the original version
 };
 
-inline OverheadSplitMeasurement MeasureOverheadSplit(const CorpusApp& app, int messages,
-                                                     std::optional<ExecTier> tier = std::nullopt) {
+inline OverheadSplitMeasurement MeasureOverheadSplit(const CorpusApp& app, int messages) {
   OverheadSplitMeasurement m;
   m.app = app.name;
-  auto runtime = AppRuntime::Create(app, AppVersion::kSelective, tier);
+  auto runtime = AppRuntime::Create(app, AppVersion::kSelective);
   if (runtime.ok()) {
     m.instrumented = true;
   } else {
-    runtime = AppRuntime::Create(app, AppVersion::kOriginal, tier);
+    runtime = AppRuntime::Create(app, AppVersion::kOriginal);
     if (!runtime.ok()) {
       std::fprintf(stderr, "FATAL: %s setup failed: %s\n", app.name.c_str(),
                    runtime.status().ToString().c_str());

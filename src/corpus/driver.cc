@@ -85,7 +85,7 @@ Value MakeHttpResponse(Interpreter& interp) {
 }  // namespace
 
 Result<std::unique_ptr<AppRuntime>> AppRuntime::Create(const CorpusApp& app, AppVersion version,
-                                                       std::optional<ExecTier> tier,
+                                                       ExecTier tier,
                                                        RuntimeContext* context,
                                                        std::shared_ptr<Policy> shared_policy) {
   RuntimeContext& ctx = context != nullptr ? *context : RuntimeContext::Default();
@@ -95,9 +95,7 @@ Result<std::unique_ptr<AppRuntime>> AppRuntime::Create(const CorpusApp& app, App
   // no-op when the name is unchanged; harmless when the log is disabled).
   ctx.event_log().set_app(app.name);
   runtime->interp_ = std::make_unique<Interpreter>(ctx);
-  if (tier.has_value()) {
-    runtime->interp_->set_exec_tier(*tier);
-  }
+  runtime->interp_->set_exec_tier(tier);
   runtime->engine_ = std::make_unique<FlowEngine>(runtime->interp_.get());
 
   TURNSTILE_ASSIGN_OR_RETURN(message_template, Json::Parse(app.message_template));

@@ -5,7 +5,6 @@
 #define TURNSTILE_SRC_CORPUS_DRIVER_H_
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/corpus/corpus.h"
@@ -28,9 +27,9 @@ class AppRuntime {
  public:
   // Parses, (optionally) analyzes + instruments, loads the module into a
   // fresh interpreter/flow engine, instantiates the flow, and installs the
-  // framework-injected runtime objects bucket-D apps rely on. `tier` pins the
-  // execution tier; nullopt keeps the interpreter's default (bytecode, unless
-  // TURNSTILE_EXEC_TIER overrides it). `context` binds the instance to an
+  // framework-injected runtime objects bucket-D apps rely on. `tier` selects the
+  // execution tier; the default is the production bytecode VM, and the two
+  // oracles are for differential tests. `context` binds the instance to an
   // explicit RuntimeContext (null = the process default); it must outlive the
   // returned runtime. `shared_policy` supplies an already-parsed policy to
   // instrument against instead of re-parsing app.policy_json — the fleet
@@ -39,7 +38,7 @@ class AppRuntime {
   // among instances driven by the same thread (Policy caches are not
   // synchronized); ignored for kOriginal, which carries no policy.
   static Result<std::unique_ptr<AppRuntime>> Create(const CorpusApp& app, AppVersion version,
-                                                    std::optional<ExecTier> tier = std::nullopt,
+                                                    ExecTier tier = ExecTier::kBytecode,
                                                     RuntimeContext* context = nullptr,
                                                     std::shared_ptr<Policy> shared_policy = nullptr);
 

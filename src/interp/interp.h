@@ -15,7 +15,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -63,23 +62,14 @@ struct IoWorld {
   }
 };
 
-// Execution tiers. The bytecode tier (default) compiles resolved function
-// bodies to register bytecode (src/vm) with `__dift.*` calls fused onto the
-// labelled opcodes; the bytecode-lowered tier keeps every `__dift.*` hook as
-// an ordinary call, serving as the differential oracle for the fused ISA.
-// Both are selectable per interpreter via the TURNSTILE_EXEC_TIER
-// environment variable ("bytecode" / "bytecode-lowered") or set_exec_tier().
-// The tree-walker is the reference oracle for the VM as a whole; only
-// set_exec_tier() (tests, bench_tier_matrix) selects it.
+// Execution tiers. Every interpreter starts on the bytecode tier, which
+// compiles resolved function bodies to register bytecode (src/vm) with
+// `__dift.*` calls fused onto the labelled opcodes. The other two are
+// differential oracles, reachable only through set_exec_tier(): the
+// bytecode-lowered tier keeps every `__dift.*` hook as an ordinary call (the
+// oracle for the fused ISA), and the tree-walker is the reference oracle for
+// the VM as a whole.
 enum class ExecTier { kBytecode, kTreeWalk, kBytecodeLowered };
-
-// Parses a TURNSTILE_EXEC_TIER spelling ("bytecode", "bytecode-lowered");
-// nullopt for null or unrecognized input. Shared by the interpreter's
-// environment probe and the CLI tools' --tier flags.
-std::optional<ExecTier> ExecTierFromName(const char* name);
-
-// Re-arms the one-time unrecognized-TURNSTILE_EXEC_TIER warning (tests only).
-void ResetExecTierWarningForTest();
 
 // Binary operators pre-decoded from their source spelling. Shared by the
 // tree-walker (which decodes once per evaluation) and the bytecode compiler
@@ -283,6 +273,20 @@ class Interpreter {
   Result<Completion> EvalCall(const NodePtr& node, const EnvPtr& env);
   Result<Completion> EvalNew(const NodePtr& node, const EnvPtr& env);
   Result<Completion> EvalAssignment(const NodePtr& node, const EnvPtr& env);
+  // Cases of the two switches kept out of line so that one tree-walked call
+  // level stays small on the native stack (see interpreter.cc).
+  Result<Completion> EvalArrayLiteral(const NodePtr& node, const EnvPtr& env);
+  Result<Completion> EvalObjectLiteral(const NodePtr& node, const EnvPtr& env);
+  Result<Completion> EvalMemberRead(const NodePtr& node, const EnvPtr& env);
+  Result<Completion> EvalLogical(const NodePtr& node, const EnvPtr& env);
+  Result<Completion> EvalUnary(const NodePtr& node, const EnvPtr& env);
+  Result<Completion> EvalUpdate(const NodePtr& node, const EnvPtr& env);
+  Result<Completion> EvalSequence(const NodePtr& node, const EnvPtr& env);
+  Result<Completion> EvalVarDecl(const NodePtr& node, const EnvPtr& env);
+  Result<Completion> EvalWhile(const NodePtr& node, const EnvPtr& env);
+  Result<Completion> EvalFor(const NodePtr& node, const EnvPtr& env);
+  Result<Completion> EvalForOf(const NodePtr& node, const EnvPtr& env);
+  Result<Completion> EvalTry(const NodePtr& node, const EnvPtr& env);
   Result<Completion> EvalArgs(const NodePtr& call, size_t first_index, const EnvPtr& env,
                               std::vector<Value>* out);
   Status DrainMicrotasks(int max_tasks = 100000);

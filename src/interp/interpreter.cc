@@ -1,6 +1,5 @@
 #include "src/interp/interp.h"
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -34,47 +33,11 @@ constexpr int kMaxCallDepth = 400;
 // array to. Arrays are dense vectors, so without a cap one write such as
 // `a[1e12] = 1` would try to allocate terabytes and abort the process.
 constexpr size_t kMaxDenseArrayLength = size_t{1} << 20;
-
-// One warning per process for a bad TURNSTILE_EXEC_TIER: every Interpreter
-// construction re-probes the variable, and a misspelled tier would otherwise
-// spam one line per instance (the corpus harness builds hundreds).
-std::atomic<bool> g_exec_tier_warned{false};
 }  // namespace
-
-std::optional<ExecTier> ExecTierFromName(const char* name) {
-  if (name == nullptr) {
-    return std::nullopt;
-  }
-  if (std::strcmp(name, "bytecode") == 0) {
-    return ExecTier::kBytecode;
-  }
-  if (std::strcmp(name, "bytecode-lowered") == 0) {
-    return ExecTier::kBytecodeLowered;
-  }
-  return std::nullopt;
-}
-
-void ResetExecTierWarningForTest() { g_exec_tier_warned.store(false); }
 
 Interpreter::Interpreter() : Interpreter(RuntimeContext::Default()) {}
 
 Interpreter::Interpreter(RuntimeContext& context) : context_(&context) {
-  // TURNSTILE_EXEC_TIER selects the execution tier ("bytecode-lowered" for
-  // call-lowered DIFT, "bytecode" for the fused default). Unrecognized
-  // spellings keep the default but warn loudly once — a silently ignored
-  // "bytecode_lowered" would invalidate a whole differential run.
-  const char* tier = std::getenv("TURNSTILE_EXEC_TIER");
-  if (tier != nullptr) {
-    std::optional<ExecTier> parsed = ExecTierFromName(tier);
-    if (parsed.has_value()) {
-      exec_tier_ = *parsed;
-    } else if (!g_exec_tier_warned.exchange(true)) {
-      TURNSTILE_LOG(Warning)
-          << "unrecognized TURNSTILE_EXEC_TIER value \"" << tier
-          << "\"; accepted values are \"bytecode\" and \"bytecode-lowered\" — "
-             "keeping the bytecode default";
-    }
-  }
   global_env_ = std::make_shared<Environment>();
   // Honor TURNSTILE_PROFILE / TURNSTILE_AUDIT before resolving handles so any
   // binary that constructs an interpreter picks up env-driven observability
@@ -958,45 +921,10 @@ Result<Completion> Interpreter::EvalExpression(const NodePtr& node, const EnvPtr
       }
       return Completion::Normal(*binding);
     }
-    case NodeKind::kArrayLit: {
-      std::vector<Value> elements;
-      for (const NodePtr& element : node->children) {
-        if (element->kind == NodeKind::kSpreadElement) {
-          TS_EVAL(spread, element->children[0], env);
-          Value unboxed = Unbox(spread);
-          if (!unboxed.IsArray()) {
-            return TypeError("spread element is not an array");
-          }
-          for (const Value& v : unboxed.AsArray()->elements) {
-            elements.push_back(v);
-          }
-        } else {
-          TS_EVAL(v, element, env);
-          elements.push_back(std::move(v));
-        }
-      }
-      return Completion::Normal(Value(MakeArray(std::move(elements))));
-    }
-    case NodeKind::kObjectLit: {
-      ObjectPtr object = MakeObject();
-      for (const NodePtr& prop : node->children) {
-        if (prop->num != 0) {  // computed
-          TS_EVAL(key_value, prop->children[0], env);
-          TS_EVAL(computed, prop->children[1], env);
-          object->Set(Unbox(key_value).ToDisplayString(), std::move(computed));
-        } else {
-          TS_EVAL(v, prop->children[0], env);
-          // Static keys are pre-interned by the resolver; "" interns to
-          // kAtomEmpty so the fallback is also correct for empty-string keys.
-          if (prop->atom != kAtomEmpty) {
-            object->Set(prop->atom, std::move(v));
-          } else {
-            object->Set(prop->str, std::move(v));
-          }
-        }
-      }
-      return Completion::Normal(Value(object));
-    }
+    case NodeKind::kArrayLit:
+      return EvalArrayLiteral(node, env);
+    case NodeKind::kObjectLit:
+      return EvalObjectLiteral(node, env);
     case NodeKind::kFunctionExpr:
     case NodeKind::kArrowFunction:
       return Completion::Normal(Value(MakeClosure(node, env)));
@@ -1004,129 +932,20 @@ Result<Completion> Interpreter::EvalExpression(const NodePtr& node, const EnvPtr
       return EvalCall(node, env);
     case NodeKind::kNewExpr:
       return EvalNew(node, env);
-    case NodeKind::kMemberExpr: {
-      TS_EVAL(object, node->children[0], env);
-      if (node->num != 0 && object.IsNullish()) {  // optional chaining
-        return Completion::Normal(Value::Undefined());
-      }
-      if (node->atom != kAtomEmpty) {
-        TURNSTILE_ASSIGN_OR_RETURN(v, GetProperty(object, node->atom));
-        return Completion::Normal(v);
-      }
-      TURNSTILE_ASSIGN_OR_RETURN(v, GetProperty(object, node->str));
-      return Completion::Normal(v);
-    }
-    case NodeKind::kIndexExpr: {
-      TS_EVAL(object, node->children[0], env);
-      TS_EVAL(key, node->children[1], env);
-      TURNSTILE_ASSIGN_OR_RETURN(v, GetProperty(object, Unbox(key).ToDisplayString()));
-      return Completion::Normal(v);
-    }
+    case NodeKind::kMemberExpr:
+    case NodeKind::kIndexExpr:
+      return EvalMemberRead(node, env);
     case NodeKind::kBinaryExpr: {
       TS_EVAL(left, node->children[0], env);
       TS_EVAL(right, node->children[1], env);
       return EvalBinary(node->str, left, right);
     }
-    case NodeKind::kLogicalExpr: {
-      TS_EVAL(left, node->children[0], env);
-      if (node->str == "&&") {
-        if (!left.Truthy()) {
-          return Completion::Normal(left);
-        }
-      } else if (node->str == "||") {
-        if (left.Truthy()) {
-          return Completion::Normal(left);
-        }
-      } else {  // ??
-        if (!left.IsNullish()) {
-          return Completion::Normal(left);
-        }
-      }
-      TS_EVAL(right, node->children[1], env);
-      return Completion::Normal(right);
-    }
-    case NodeKind::kUnaryExpr: {
-      if (node->str == "typeof") {
-        // typeof tolerates undeclared identifiers; resolve the storage once
-        // instead of a lookup followed by a full re-evaluation.
-        if (node->children[0]->kind == NodeKind::kIdentifier) {
-          Value* binding = ResolveIdentPtr(node->children[0], env);
-          if (binding == nullptr) {
-            return Completion::Normal(Value("undefined"));
-          }
-          return Completion::Normal(Value(Unbox(*binding).TypeName()));
-        }
-        TS_EVAL(v, node->children[0], env);
-        return Completion::Normal(Value(Unbox(v).TypeName()));
-      }
-      if (node->str == "delete") {
-        const NodePtr& target = node->children[0];
-        if (target->kind == NodeKind::kMemberExpr || target->kind == NodeKind::kIndexExpr) {
-          TS_EVAL(object, target->children[0], env);
-          std::string key;
-          if (target->kind == NodeKind::kMemberExpr) {
-            key = target->str;
-          } else {
-            TS_EVAL(key_value, target->children[1], env);
-            key = Unbox(key_value).ToDisplayString();
-          }
-          Value unboxed = Unbox(object);
-          if (unboxed.IsObject()) {
-            unboxed.AsObject()->Delete(key);
-          }
-          return Completion::Normal(Value(true));
-        }
-        return Completion::Normal(Value(false));
-      }
-      TS_EVAL(operand, node->children[0], env);
-      Value v = Unbox(operand);
-      if (node->str == "!") {
-        return Completion::Normal(Value(!v.Truthy()));
-      }
-      if (node->str == "-") {
-        return Completion::Normal(Value(-v.ToNumber()));
-      }
-      if (node->str == "+") {
-        return Completion::Normal(Value(v.ToNumber()));
-      }
-      if (node->str == "~") {
-        return Completion::Normal(Value(static_cast<double>(~NumberToInt(v.ToNumber()))));
-      }
-      return UnimplementedError("unary operator " + node->str);
-    }
-    case NodeKind::kUpdateExpr: {
-      const NodePtr& target = node->children[0];
-      if (target->kind != NodeKind::kIdentifier && target->kind != NodeKind::kMemberExpr &&
-          target->kind != NodeKind::kIndexExpr) {
-        return TypeError("invalid update target");
-      }
-      // Desugar: evaluate old, compute new = old ± 1, store, return per fixity.
-      Value old_value;
-      if (target->kind == NodeKind::kIdentifier) {
-        Value* binding = ResolveIdentPtr(target, env);
-        if (binding == nullptr) {
-          return RuntimeError("update of undeclared variable " + target->str);
-        }
-        old_value = *binding;
-        double n = Unbox(old_value).ToNumber();
-        double updated = node->str == "++" ? n + 1 : n - 1;
-        *binding = Value(updated);
-        return Completion::Normal(Value(node->num != 0 ? updated : n));
-      }
-      TS_EVAL(object, target->children[0], env);
-      std::string key;
-      if (target->kind == NodeKind::kMemberExpr) {
-        key = target->str;
-      } else {
-        TS_EVAL(key_value, target->children[1], env);
-        key = Unbox(key_value).ToDisplayString();
-      }
-      TURNSTILE_ASSIGN_OR_RETURN(read, GetProperty(object, key));
-      double n = Unbox(read).ToNumber();
-      double updated = node->str == "++" ? n + 1 : n - 1;
-      TURNSTILE_RETURN_IF_ERROR(SetProperty(object, key, Value(updated)));
-      return Completion::Normal(Value(node->num != 0 ? updated : n));
-    }
+    case NodeKind::kLogicalExpr:
+      return EvalLogical(node, env);
+    case NodeKind::kUnaryExpr:
+      return EvalUnary(node, env);
+    case NodeKind::kUpdateExpr:
+      return EvalUpdate(node, env);
     case NodeKind::kAssignExpr:
       return EvalAssignment(node, env);
     case NodeKind::kConditionalExpr: {
@@ -1139,18 +958,188 @@ Result<Completion> Interpreter::EvalExpression(const NodePtr& node, const EnvPtr
       TS_EVAL(operand, node->children[0], env);
       return AwaitValue(operand);
     }
-    case NodeKind::kSequenceExpr: {
-      Value last;
-      for (const NodePtr& part : node->children) {
-        TS_EVAL(v, part, env);
-        last = std::move(v);
-      }
-      return Completion::Normal(last);
-    }
+    case NodeKind::kSequenceExpr:
+      return EvalSequence(node, env);
     default:
       return InternalError(std::string("unexpected ") + NodeKindName(node->kind) +
                            " in expression position");
   }
+}
+
+// The local-heavy cases of EvalExpression and EvalStatement live in their own
+// functions. Every MiniScript call recurses through both switches, and
+// unoptimized (sanitizer) builds give each case's temporaries their own stack
+// slots: with those cases inline, one call level took ~32 KB and a recursion
+// overflowed an 8 MB stack before kMaxCallDepth.
+Result<Completion> Interpreter::EvalArrayLiteral(const NodePtr& node, const EnvPtr& env) {
+  std::vector<Value> elements;
+  for (const NodePtr& element : node->children) {
+    if (element->kind == NodeKind::kSpreadElement) {
+      TS_EVAL(spread, element->children[0], env);
+      Value unboxed = Unbox(spread);
+      if (!unboxed.IsArray()) {
+        return TypeError("spread element is not an array");
+      }
+      for (const Value& v : unboxed.AsArray()->elements) {
+        elements.push_back(v);
+      }
+    } else {
+      TS_EVAL(v, element, env);
+      elements.push_back(std::move(v));
+    }
+  }
+  return Completion::Normal(Value(MakeArray(std::move(elements))));
+}
+
+Result<Completion> Interpreter::EvalObjectLiteral(const NodePtr& node, const EnvPtr& env) {
+  ObjectPtr object = MakeObject();
+  for (const NodePtr& prop : node->children) {
+    if (prop->num != 0) {  // computed
+      TS_EVAL(key_value, prop->children[0], env);
+      TS_EVAL(computed, prop->children[1], env);
+      object->Set(Unbox(key_value).ToDisplayString(), std::move(computed));
+    } else {
+      TS_EVAL(v, prop->children[0], env);
+      // Static keys are pre-interned by the resolver; "" interns to
+      // kAtomEmpty so the fallback is also correct for empty-string keys.
+      if (prop->atom != kAtomEmpty) {
+        object->Set(prop->atom, std::move(v));
+      } else {
+        object->Set(prop->str, std::move(v));
+      }
+    }
+  }
+  return Completion::Normal(Value(object));
+}
+
+Result<Completion> Interpreter::EvalMemberRead(const NodePtr& node, const EnvPtr& env) {
+  TS_EVAL(object, node->children[0], env);
+  if (node->kind == NodeKind::kIndexExpr) {
+    TS_EVAL(key, node->children[1], env);
+    TURNSTILE_ASSIGN_OR_RETURN(v, GetProperty(object, Unbox(key).ToDisplayString()));
+    return Completion::Normal(v);
+  }
+  if (node->num != 0 && object.IsNullish()) {  // optional chaining
+    return Completion::Normal(Value::Undefined());
+  }
+  if (node->atom != kAtomEmpty) {
+    TURNSTILE_ASSIGN_OR_RETURN(v, GetProperty(object, node->atom));
+    return Completion::Normal(v);
+  }
+  TURNSTILE_ASSIGN_OR_RETURN(v, GetProperty(object, node->str));
+  return Completion::Normal(v);
+}
+
+Result<Completion> Interpreter::EvalLogical(const NodePtr& node, const EnvPtr& env) {
+  TS_EVAL(left, node->children[0], env);
+  if (node->str == "&&") {
+    if (!left.Truthy()) {
+      return Completion::Normal(left);
+    }
+  } else if (node->str == "||") {
+    if (left.Truthy()) {
+      return Completion::Normal(left);
+    }
+  } else {  // ??
+    if (!left.IsNullish()) {
+      return Completion::Normal(left);
+    }
+  }
+  TS_EVAL(right, node->children[1], env);
+  return Completion::Normal(right);
+}
+
+Result<Completion> Interpreter::EvalUnary(const NodePtr& node, const EnvPtr& env) {
+  if (node->str == "typeof") {
+    // typeof tolerates undeclared identifiers; resolve the storage once
+    // instead of a lookup followed by a full re-evaluation.
+    if (node->children[0]->kind == NodeKind::kIdentifier) {
+      Value* binding = ResolveIdentPtr(node->children[0], env);
+      if (binding == nullptr) {
+        return Completion::Normal(Value("undefined"));
+      }
+      return Completion::Normal(Value(Unbox(*binding).TypeName()));
+    }
+    TS_EVAL(v, node->children[0], env);
+    return Completion::Normal(Value(Unbox(v).TypeName()));
+  }
+  if (node->str == "delete") {
+    const NodePtr& target = node->children[0];
+    if (target->kind == NodeKind::kMemberExpr || target->kind == NodeKind::kIndexExpr) {
+      TS_EVAL(object, target->children[0], env);
+      std::string key;
+      if (target->kind == NodeKind::kMemberExpr) {
+        key = target->str;
+      } else {
+        TS_EVAL(key_value, target->children[1], env);
+        key = Unbox(key_value).ToDisplayString();
+      }
+      Value unboxed = Unbox(object);
+      if (unboxed.IsObject()) {
+        unboxed.AsObject()->Delete(key);
+      }
+      return Completion::Normal(Value(true));
+    }
+    return Completion::Normal(Value(false));
+  }
+  TS_EVAL(operand, node->children[0], env);
+  Value v = Unbox(operand);
+  if (node->str == "!") {
+    return Completion::Normal(Value(!v.Truthy()));
+  }
+  if (node->str == "-") {
+    return Completion::Normal(Value(-v.ToNumber()));
+  }
+  if (node->str == "+") {
+    return Completion::Normal(Value(v.ToNumber()));
+  }
+  if (node->str == "~") {
+    return Completion::Normal(Value(static_cast<double>(~NumberToInt(v.ToNumber()))));
+  }
+  return UnimplementedError("unary operator " + node->str);
+}
+
+Result<Completion> Interpreter::EvalUpdate(const NodePtr& node, const EnvPtr& env) {
+  const NodePtr& target = node->children[0];
+  if (target->kind != NodeKind::kIdentifier && target->kind != NodeKind::kMemberExpr &&
+      target->kind != NodeKind::kIndexExpr) {
+    return TypeError("invalid update target");
+  }
+  // Desugar: evaluate old, compute new = old ± 1, store, return per fixity.
+  Value old_value;
+  if (target->kind == NodeKind::kIdentifier) {
+    Value* binding = ResolveIdentPtr(target, env);
+    if (binding == nullptr) {
+      return RuntimeError("update of undeclared variable " + target->str);
+    }
+    old_value = *binding;
+    double n = Unbox(old_value).ToNumber();
+    double updated = node->str == "++" ? n + 1 : n - 1;
+    *binding = Value(updated);
+    return Completion::Normal(Value(node->num != 0 ? updated : n));
+  }
+  TS_EVAL(object, target->children[0], env);
+  std::string key;
+  if (target->kind == NodeKind::kMemberExpr) {
+    key = target->str;
+  } else {
+    TS_EVAL(key_value, target->children[1], env);
+    key = Unbox(key_value).ToDisplayString();
+  }
+  TURNSTILE_ASSIGN_OR_RETURN(read, GetProperty(object, key));
+  double n = Unbox(read).ToNumber();
+  double updated = node->str == "++" ? n + 1 : n - 1;
+  TURNSTILE_RETURN_IF_ERROR(SetProperty(object, key, Value(updated)));
+  return Completion::Normal(Value(node->num != 0 ? updated : n));
+}
+
+Result<Completion> Interpreter::EvalSequence(const NodePtr& node, const EnvPtr& env) {
+  Value last;
+  for (const NodePtr& part : node->children) {
+    TS_EVAL(v, part, env);
+    last = std::move(v);
+  }
+  return Completion::Normal(last);
 }
 
 Result<Completion> Interpreter::AwaitValue(const Value& operand) {
@@ -1211,24 +1200,8 @@ Result<Completion> Interpreter::EvalStatement(const NodePtr& node, const EnvPtr&
       }
       return Completion::Normal();
     }
-    case NodeKind::kVarDecl: {
-      for (const NodePtr& declarator : node->children) {
-        Value init;
-        if (!declarator->children.empty()) {
-          TS_EVAL(v, declarator->children[0], env);
-          init = std::move(v);
-          if (init.IsFunction() && init.AsFunction()->name.empty()) {
-            init.AsFunction()->name = declarator->str;
-          }
-        }
-        if (declarator->slot >= 0) {
-          env->slots[static_cast<size_t>(declarator->slot)] = std::move(init);
-        } else {
-          env->Define(declarator->str, std::move(init));
-        }
-      }
-      return Completion::Normal();
-    }
+    case NodeKind::kVarDecl:
+      return EvalVarDecl(node, env);
     case NodeKind::kExprStmt:
       return EvalExpression(node->children[0], env);
     case NodeKind::kBlockStmt:
@@ -1243,84 +1216,12 @@ Result<Completion> Interpreter::EvalStatement(const NodePtr& node, const EnvPtr&
       }
       return Completion::Normal();
     }
-    case NodeKind::kWhileStmt: {
-      while (true) {
-        TS_EVAL(cond, node->children[0], env);
-        if (!cond.Truthy()) {
-          return Completion::Normal();
-        }
-        TURNSTILE_ASSIGN_OR_RETURN(c, EvalStatement(node->children[1], env));
-        if (c.kind == Completion::Kind::kBreak) {
-          return Completion::Normal();
-        }
-        if (c.kind == Completion::Kind::kReturn || c.kind == Completion::Kind::kThrow) {
-          return c;
-        }
-      }
-    }
-    case NodeKind::kForStmt: {
-      // Transparent for-header (no declarations): reuse the enclosing scope,
-      // mirroring the resolver's hop counting.
-      EnvPtr scope = node->slot == 0 && node->frame_size == 0
-                         ? env
-                         : Environment::MakeChild(env, node->frame_size);
-      if (node->children[0]->kind != NodeKind::kEmpty) {
-        TURNSTILE_ASSIGN_OR_RETURN(init, EvalStatement(node->children[0], scope));
-        if (init.IsAbrupt()) {
-          return init;
-        }
-      }
-      while (true) {
-        if (node->children[1]->kind != NodeKind::kEmpty) {
-          TS_EVAL(cond, node->children[1], scope);
-          if (!cond.Truthy()) {
-            return Completion::Normal();
-          }
-        }
-        TURNSTILE_ASSIGN_OR_RETURN(c, EvalStatement(node->children[3], scope));
-        if (c.kind == Completion::Kind::kBreak) {
-          return Completion::Normal();
-        }
-        if (c.kind == Completion::Kind::kReturn || c.kind == Completion::Kind::kThrow) {
-          return c;
-        }
-        if (node->children[2]->kind != NodeKind::kEmpty) {
-          TS_EVAL(update, node->children[2], scope);
-          (void)update;
-        }
-      }
-    }
-    case NodeKind::kForOfStmt: {
-      TS_EVAL(iterable_value, node->children[1], env);
-      Value iterable = Unbox(iterable_value);
-      std::vector<Value> items;
-      if (iterable.IsArray()) {
-        items = iterable.AsArray()->elements;  // copy: body may mutate
-      } else if (iterable.IsString()) {
-        for (char c : iterable.AsString()) {
-          items.push_back(Value(std::string(1, c)));
-        }
-      } else {
-        return TypeError("for-of target is not iterable");
-      }
-      const NodePtr& loop_var = node->children[0];
-      for (const Value& item : items) {
-        EnvPtr scope = Environment::MakeChild(env, node->frame_size);
-        if (loop_var->slot >= 0) {
-          scope->slots[static_cast<size_t>(loop_var->slot)] = item;
-        } else {
-          scope->Define(loop_var->str, item);
-        }
-        TURNSTILE_ASSIGN_OR_RETURN(c, EvalStatement(node->children[2], scope));
-        if (c.kind == Completion::Kind::kBreak) {
-          return Completion::Normal();
-        }
-        if (c.kind == Completion::Kind::kReturn || c.kind == Completion::Kind::kThrow) {
-          return c;
-        }
-      }
-      return Completion::Normal();
-    }
+    case NodeKind::kWhileStmt:
+      return EvalWhile(node, env);
+    case NodeKind::kForStmt:
+      return EvalFor(node, env);
+    case NodeKind::kForOfStmt:
+      return EvalForOf(node, env);
     case NodeKind::kReturnStmt: {
       if (node->children.empty()) {
         return Completion::Return(Value::Undefined());
@@ -1346,32 +1247,8 @@ Result<Completion> Interpreter::EvalStatement(const NodePtr& node, const EnvPtr&
     case NodeKind::kClassDecl:
       TURNSTILE_RETURN_IF_ERROR(DeclareClass(*node, env));
       return Completion::Normal();
-    case NodeKind::kTryStmt: {
-      TURNSTILE_ASSIGN_OR_RETURN(result, EvalBlock(node->children[0], env));
-      Completion outcome = result;
-      if (outcome.kind == Completion::Kind::kThrow &&
-          node->children[2]->kind == NodeKind::kBlockStmt) {
-        // The try node carries the catch frame's size (see resolve.h).
-        EnvPtr catch_env = Environment::MakeChild(env, node->frame_size);
-        const NodePtr& param = node->children[1];
-        if (param->kind != NodeKind::kEmpty) {
-          if (param->slot >= 0) {
-            catch_env->slots[static_cast<size_t>(param->slot)] = outcome.value;
-          } else {
-            catch_env->Define(param->str, outcome.value);
-          }
-        }
-        TURNSTILE_ASSIGN_OR_RETURN(catch_result, EvalBlock(node->children[2], catch_env));
-        outcome = catch_result;
-      }
-      if (node->children.size() > 3 && node->children[3]->kind == NodeKind::kBlockStmt) {
-        TURNSTILE_ASSIGN_OR_RETURN(finally_result, EvalBlock(node->children[3], env));
-        if (finally_result.IsAbrupt()) {
-          return finally_result;  // finally overrides
-        }
-      }
-      return outcome;
-    }
+    case NodeKind::kTryStmt:
+      return EvalTry(node, env);
     case NodeKind::kThrowStmt: {
       TS_EVAL(v, node->children[0], env);
       return Completion::Throw(std::move(v));
@@ -1380,6 +1257,133 @@ Result<Completion> Interpreter::EvalStatement(const NodePtr& node, const EnvPtr&
       // Expression in statement position.
       return EvalExpression(node, env);
   }
+}
+
+Result<Completion> Interpreter::EvalVarDecl(const NodePtr& node, const EnvPtr& env) {
+  for (const NodePtr& declarator : node->children) {
+    Value init;
+    if (!declarator->children.empty()) {
+      TS_EVAL(v, declarator->children[0], env);
+      init = std::move(v);
+      if (init.IsFunction() && init.AsFunction()->name.empty()) {
+        init.AsFunction()->name = declarator->str;
+      }
+    }
+    if (declarator->slot >= 0) {
+      env->slots[static_cast<size_t>(declarator->slot)] = std::move(init);
+    } else {
+      env->Define(declarator->str, std::move(init));
+    }
+  }
+  return Completion::Normal();
+}
+
+Result<Completion> Interpreter::EvalWhile(const NodePtr& node, const EnvPtr& env) {
+  while (true) {
+    TS_EVAL(cond, node->children[0], env);
+    if (!cond.Truthy()) {
+      return Completion::Normal();
+    }
+    TURNSTILE_ASSIGN_OR_RETURN(c, EvalStatement(node->children[1], env));
+    if (c.kind == Completion::Kind::kBreak) {
+      return Completion::Normal();
+    }
+    if (c.kind == Completion::Kind::kReturn || c.kind == Completion::Kind::kThrow) {
+      return c;
+    }
+  }
+}
+
+Result<Completion> Interpreter::EvalFor(const NodePtr& node, const EnvPtr& env) {
+  // Transparent for-header (no declarations): reuse the enclosing scope,
+  // mirroring the resolver's hop counting.
+  EnvPtr scope = node->slot == 0 && node->frame_size == 0
+                     ? env
+                     : Environment::MakeChild(env, node->frame_size);
+  if (node->children[0]->kind != NodeKind::kEmpty) {
+    TURNSTILE_ASSIGN_OR_RETURN(init, EvalStatement(node->children[0], scope));
+    if (init.IsAbrupt()) {
+      return init;
+    }
+  }
+  while (true) {
+    if (node->children[1]->kind != NodeKind::kEmpty) {
+      TS_EVAL(cond, node->children[1], scope);
+      if (!cond.Truthy()) {
+        return Completion::Normal();
+      }
+    }
+    TURNSTILE_ASSIGN_OR_RETURN(c, EvalStatement(node->children[3], scope));
+    if (c.kind == Completion::Kind::kBreak) {
+      return Completion::Normal();
+    }
+    if (c.kind == Completion::Kind::kReturn || c.kind == Completion::Kind::kThrow) {
+      return c;
+    }
+    if (node->children[2]->kind != NodeKind::kEmpty) {
+      TS_EVAL(update, node->children[2], scope);
+      (void)update;
+    }
+  }
+}
+
+Result<Completion> Interpreter::EvalForOf(const NodePtr& node, const EnvPtr& env) {
+  TS_EVAL(iterable_value, node->children[1], env);
+  Value iterable = Unbox(iterable_value);
+  std::vector<Value> items;
+  if (iterable.IsArray()) {
+    items = iterable.AsArray()->elements;  // copy: body may mutate
+  } else if (iterable.IsString()) {
+    for (char c : iterable.AsString()) {
+      items.push_back(Value(std::string(1, c)));
+    }
+  } else {
+    return TypeError("for-of target is not iterable");
+  }
+  const NodePtr& loop_var = node->children[0];
+  for (const Value& item : items) {
+    EnvPtr scope = Environment::MakeChild(env, node->frame_size);
+    if (loop_var->slot >= 0) {
+      scope->slots[static_cast<size_t>(loop_var->slot)] = item;
+    } else {
+      scope->Define(loop_var->str, item);
+    }
+    TURNSTILE_ASSIGN_OR_RETURN(c, EvalStatement(node->children[2], scope));
+    if (c.kind == Completion::Kind::kBreak) {
+      return Completion::Normal();
+    }
+    if (c.kind == Completion::Kind::kReturn || c.kind == Completion::Kind::kThrow) {
+      return c;
+    }
+  }
+  return Completion::Normal();
+}
+
+Result<Completion> Interpreter::EvalTry(const NodePtr& node, const EnvPtr& env) {
+  TURNSTILE_ASSIGN_OR_RETURN(result, EvalBlock(node->children[0], env));
+  Completion outcome = result;
+  if (outcome.kind == Completion::Kind::kThrow &&
+      node->children[2]->kind == NodeKind::kBlockStmt) {
+    // The try node carries the catch frame's size (see resolve.h).
+    EnvPtr catch_env = Environment::MakeChild(env, node->frame_size);
+    const NodePtr& param = node->children[1];
+    if (param->kind != NodeKind::kEmpty) {
+      if (param->slot >= 0) {
+        catch_env->slots[static_cast<size_t>(param->slot)] = outcome.value;
+      } else {
+        catch_env->Define(param->str, outcome.value);
+      }
+    }
+    TURNSTILE_ASSIGN_OR_RETURN(catch_result, EvalBlock(node->children[2], catch_env));
+    outcome = catch_result;
+  }
+  if (node->children.size() > 3 && node->children[3]->kind == NodeKind::kBlockStmt) {
+    TURNSTILE_ASSIGN_OR_RETURN(finally_result, EvalBlock(node->children[3], env));
+    if (finally_result.IsAbrupt()) {
+      return finally_result;  // finally overrides
+    }
+  }
+  return outcome;
 }
 
 // --- hoisting ----------------------------------------------------------------

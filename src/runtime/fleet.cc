@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/support/env.h"
 #include "src/support/logging.h"
 
 namespace turnstile {
@@ -89,13 +88,9 @@ Value FleetMaterializeMessage(const Json& payload) {
 
 // --- FleetRuntime ------------------------------------------------------------
 
-int FleetRuntime::ShardsFromEnv(int fallback) {
-  return static_cast<int>(EnvInt("TURNSTILE_FLEET_SHARDS", fallback, 1, 256));
-}
-
 FleetRuntime::FleetRuntime(Options options) : options_(std::move(options)) {
   if (options_.shards <= 0) {
-    options_.shards = ShardsFromEnv(/*fallback=*/4);
+    options_.shards = 4;
   }
   shards_.reserve(static_cast<size_t>(options_.shards));
   for (int i = 0; i < options_.shards; ++i) {

@@ -34,7 +34,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -65,19 +64,15 @@ Value FleetMaterializeMessage(const Json& payload);
 class FleetRuntime {
  public:
   struct Options {
-    // Worker shard count. 0 = take TURNSTILE_FLEET_SHARDS (strictly parsed;
-    // malformed values warn once and fall back), default 4.
-    int shards = 0;
+    // Worker shard count; a non-positive value falls back to the default 4.
+    int shards = 4;
     // Per-shard mailbox bound for external posts (see ShardMailbox).
     size_t mailbox_capacity = 1024;
     AppVersion version = AppVersion::kSelective;
-    std::optional<ExecTier> tier;
+    ExecTier tier = ExecTier::kBytecode;
     // Seed for every instance's private workload rng (same seed per instance
     // mirrors the single-threaded benches, keeping runs comparable).
     uint64_t rng_seed = 0xBE11C0DE;
-    // Share one parsed Policy among same-app instances on a shard (the
-    // per-shard label interning story). Off = every instance parses its own.
-    bool share_policies = true;
     // >0 enables each context's event log with a ring of this many events
     // before the instance is built (so setup-time events are logged exactly
     // as a single-threaded enable-then-Create sequence would) AND fleet
@@ -171,10 +166,6 @@ class FleetRuntime {
                      const FleetTraceContext& trace);
   // Called by a shard thread after each processed envelope (drain ticks).
   void OnProcessed();
-
-  // The TURNSTILE_FLEET_SHARDS resolution (exposed for the env-contract
-  // test): strict integer in [1, 256], once-only warning on garbage.
-  static int ShardsFromEnv(int fallback);
 
  private:
   struct Placement {

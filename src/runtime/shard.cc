@@ -146,7 +146,7 @@ void Shard::BuildInstances() {
       inst.context->event_log().Enable(options.event_capacity);
     }
     std::shared_ptr<Policy> shared;
-    if (options.share_policies && options.version != AppVersion::kOriginal) {
+    if (options.version != AppVersion::kOriginal) {
       auto it = policies_.find(inst.spec.app);
       if (it != policies_.end()) {
         shared = it->second;
@@ -164,7 +164,7 @@ void Shard::BuildInstances() {
       continue;
     }
     inst.runtime = std::move(runtime).value();
-    if (options.share_policies && shared == nullptr && inst.runtime->policy() != nullptr) {
+    if (shared == nullptr && inst.runtime->policy() != nullptr) {
       policies_[inst.spec.app] = inst.runtime->policy();
     }
     inst.latency = inst.context->metrics().GetHistogram("multi.proc_seconds");

@@ -1,11 +1,11 @@
-// Strict environment-variable parsing shared by benches and the fleet
-// runtime (TURNSTILE_FLEET_SHARDS, TURNSTILE_BENCH_MESSAGES, ...).
+// Strict environment-variable parsing shared by the observability config
+// (the numeric forms of TURNSTILE_AUDIT and TURNSTILE_TELEMETRY) and the
+// benches (TURNSTILE_BENCH_MESSAGES).
 //
-// Follows the TURNSTILE_EXEC_TIER contract: a malformed value — trailing
-// garbage ("8x"), a negative count, out-of-range — keeps the fallback but
-// warns loudly ONCE per variable. A silently ignored TURNSTILE_FLEET_SHARDS
-// would run a whole fleet bench on the wrong configuration and invalidate
-// every number it reports.
+// The contract: a malformed value — trailing garbage ("8x"), a negative
+// count, out-of-range — keeps the fallback but warns loudly ONCE per
+// variable. A silently half-parsed TURNSTILE_BENCH_MESSAGES would run a whole
+// bench on the wrong workload size and invalidate every number it reports.
 #ifndef TURNSTILE_SRC_SUPPORT_ENV_H_
 #define TURNSTILE_SRC_SUPPORT_ENV_H_
 

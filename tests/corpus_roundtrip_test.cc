@@ -2,8 +2,13 @@
 //   - every app's source survives Parse -> Print -> Parse structurally
 //     (printer fidelity on real-world-shaped programs),
 //   - both analyzers are deterministic across repeated runs,
-//   - instrumentation of every Part-2 app is idempotent in its statistics.
+//   - instrumentation of every Part-2 app is idempotent in its statistics,
+//   - every version of every app behaves the same under all three tiers.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <vector>
 
 #include "src/analysis/analyzer.h"
 #include "src/baseline/querydl.h"
@@ -80,58 +85,71 @@ TEST(CorpusRoundTripTest, AnalysisIsStableUnderReprinting) {
 }
 
 TEST(CorpusRoundTripTest, RoundTrippedInstrumentationPreservesBehaviourOnEveryApp) {
-  // The deployment invariant, extended to a version x tier matrix: instrument
-  // -> print -> re-parse -> re-resolve -> (compile ->) run produces the same
-  // sink traffic and the same violation set as running the in-memory
-  // instrumented tree, on every corpus app, under both execution tiers.
-  struct Cell {
+  // The deployment invariant, extended to a version x tier matrix: every
+  // version of every corpus app produces the same sink traffic, violation set
+  // and monitor decisions under all three execution tiers, and instrument ->
+  // print -> re-parse -> re-resolve -> (compile ->) run matches running the
+  // in-memory instrumented tree. This matrix is the corpus-wide coverage of
+  // the two oracle tiers.
+  struct Row {
     AppVersion version;
+    AppVersion baseline;  // the row whose cells this row must reproduce
+    const char* name;
+  };
+  constexpr Row kRows[] = {
+      {AppVersion::kOriginal, AppVersion::kOriginal, "original"},
+      {AppVersion::kSelective, AppVersion::kSelective, "selective"},
+      {AppVersion::kRoundTrip, AppVersion::kSelective, "roundtrip"},
+      {AppVersion::kExhaustive, AppVersion::kExhaustive, "exhaustive"},
+  };
+  struct Tier {
     ExecTier tier;
     const char* name;
   };
-  constexpr Cell kMatrix[] = {
-      {AppVersion::kSelective, ExecTier::kTreeWalk, "selective/treewalk"},
-      {AppVersion::kSelective, ExecTier::kBytecode, "selective/bytecode-fused"},
-      {AppVersion::kSelective, ExecTier::kBytecodeLowered, "selective/bytecode-lowered"},
-      {AppVersion::kRoundTrip, ExecTier::kTreeWalk, "roundtrip/treewalk"},
-      {AppVersion::kRoundTrip, ExecTier::kBytecode, "roundtrip/bytecode-fused"},
-      {AppVersion::kRoundTrip, ExecTier::kBytecodeLowered, "roundtrip/bytecode-lowered"},
+  constexpr Tier kTiers[] = {
+      {ExecTier::kTreeWalk, "treewalk"},
+      {ExecTier::kBytecode, "bytecode-fused"},
+      {ExecTier::kBytecodeLowered, "bytecode-lowered"},
   };
   obs::EventLog& log = obs::EventLog::Global();
   for (const CorpusApp& app : Corpus()) {
-    std::vector<std::string> baseline;
-    for (const Cell& cell : kMatrix) {
-      // Fresh per-cell enable: resets the log sequence and trace numbering,
-      // so each cell's canonical decisions — every monitor decision in
-      // order — are directly comparable.
-      log.Disable();
-      log.Enable(1u << 16);
-      auto runtime = AppRuntime::Create(app, cell.version, cell.tier);
-      ASSERT_TRUE(runtime.ok()) << app.name << " [" << cell.name
-                                << "]: " << runtime.status().ToString();
-      Rng rng(977u);
-      for (int seq = 0; seq < 3; ++seq) {
-        ASSERT_TRUE((*runtime)->DriveMessage(&rng, seq).ok()) << app.name << " [" << cell.name
-                                                              << "]";
-      }
-      std::vector<std::string> summary;
-      for (const IoRecord& record : (*runtime)->interp().io_world().records) {
-        summary.push_back(record.channel + "|" + record.op + "|" + record.detail + "|" +
-                          record.payload);
-      }
-      for (const Violation& violation : (*runtime)->tracker()->violations()) {
-        summary.push_back("violation|" + violation.sink + "|" + violation.data_labels + "|" +
-                          violation.receiver_labels);
-      }
-      for (const obs::Event& event : log.Decisions()) {
-        summary.push_back("audit|" + event.Canonical());
-      }
-      EXPECT_EQ(log.dropped(), 0u) << app.name << " [" << cell.name << "]";
-      log.Disable();
-      if (&cell == &kMatrix[0]) {
-        baseline = std::move(summary);
-      } else {
-        EXPECT_EQ(baseline, summary) << app.name << " [" << cell.name << "]";
+    std::map<AppVersion, std::vector<std::string>> baselines;
+    for (const Row& row : kRows) {
+      for (const Tier& tier : kTiers) {
+        const std::string cell = std::string(row.name) + "/" + tier.name;
+        // Fresh per-cell enable: resets the log sequence and trace numbering,
+        // so each cell's canonical decisions — every monitor decision in
+        // order — are directly comparable.
+        log.Disable();
+        log.Enable(1u << 16);
+        auto runtime = AppRuntime::Create(app, row.version, tier.tier);
+        ASSERT_TRUE(runtime.ok()) << app.name << " [" << cell
+                                  << "]: " << runtime.status().ToString();
+        Rng rng(977u);
+        for (int seq = 0; seq < 3; ++seq) {
+          ASSERT_TRUE((*runtime)->DriveMessage(&rng, seq).ok()) << app.name << " [" << cell
+                                                                << "]";
+        }
+        std::vector<std::string> summary;
+        for (const IoRecord& record : (*runtime)->interp().io_world().records) {
+          summary.push_back(record.channel + "|" + record.op + "|" + record.detail + "|" +
+                            record.payload);
+        }
+        if ((*runtime)->tracker() != nullptr) {  // kOriginal runs no monitor
+          for (const Violation& violation : (*runtime)->tracker()->violations()) {
+            summary.push_back("violation|" + violation.sink + "|" + violation.data_labels +
+                              "|" + violation.receiver_labels);
+          }
+        }
+        for (const obs::Event& event : log.Decisions()) {
+          summary.push_back("audit|" + event.Canonical());
+        }
+        EXPECT_EQ(log.dropped(), 0u) << app.name << " [" << cell << "]";
+        log.Disable();
+        auto [baseline, first] = baselines.try_emplace(row.baseline, summary);
+        if (!first) {
+          EXPECT_EQ(baseline->second, summary) << app.name << " [" << cell << "]";
+        }
       }
     }
   }

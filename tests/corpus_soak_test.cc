@@ -64,7 +64,7 @@ SoakResult Soak(const CorpusApp& app, AppVersion version, size_t event_capacity 
   if (event_capacity > 0) {
     context->event_log().Enable(event_capacity);
   }
-  auto runtime = AppRuntime::Create(app, version, std::nullopt, context.get());
+  auto runtime = AppRuntime::Create(app, version, ExecTier::kBytecode, context.get());
   if (!runtime.ok()) {
     ADD_FAILURE() << app.name << ": " << runtime.status().ToString();
     return result;

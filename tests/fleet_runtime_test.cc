@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -21,7 +20,6 @@
 #include "src/runtime/context.h"
 #include "src/runtime/fleet.h"
 #include "src/runtime/shard.h"
-#include "src/support/env.h"
 
 namespace turnstile {
 namespace {
@@ -64,7 +62,8 @@ Outcome RunReference(const CorpusApp& app) {
   Outcome out;
   auto context = RuntimeContext::CreateIsolated();
   context->event_log().Enable(kEventCapacity);
-  auto runtime = AppRuntime::Create(app, AppVersion::kSelective, std::nullopt, context.get());
+  auto runtime = AppRuntime::Create(app, AppVersion::kSelective,
+                                    ExecTier::kBytecode, context.get());
   if (!runtime.ok()) {
     out.status = app.name + ": " + runtime.status().ToString();
     return out;
@@ -181,17 +180,6 @@ TEST(FleetRuntimeTest, PerShardPolicySharingIsPointerEqualAndHarmless) {
   EXPECT_EQ(second_outcome.audit, reference.audit);
   EXPECT_EQ(first_outcome.io, reference.io);
   EXPECT_EQ(second_outcome.io, reference.io);
-
-  // Opting out re-parses per instance.
-  FleetRuntime::Options unshared = TestOptions(/*shards=*/1);
-  unshared.share_policies = false;
-  FleetRuntime fleet2(unshared);
-  std::string c = fleet2.AddApp(app);
-  std::string d = fleet2.AddApp(app);
-  ASSERT_TRUE(fleet2.Start().ok());
-  fleet2.Stop();
-  ASSERT_NE(fleet2.runtime_of(c), nullptr);
-  EXPECT_NE(fleet2.runtime_of(c)->policy().get(), fleet2.runtime_of(d)->policy().get());
 }
 
 // Finds a managed (A, B) pair where A emits terminal sends (flow outputs)
@@ -203,7 +191,8 @@ std::pair<const CorpusApp*, const CorpusApp*> PickWiredPair(
   const CorpusApp* source = nullptr;
   for (const CorpusApp* app : apps) {
     auto context = RuntimeContext::CreateIsolated();
-    auto runtime = AppRuntime::Create(*app, AppVersion::kSelective, std::nullopt, context.get());
+    auto runtime = AppRuntime::Create(*app, AppVersion::kSelective,
+                                      ExecTier::kBytecode, context.get());
     if (!runtime.ok()) {
       continue;
     }
@@ -247,7 +236,8 @@ TEST(FleetRuntimeTest, CrossShardWireMatchesSerializedReplay) {
     auto context = RuntimeContext::CreateIsolated();
     context->event_log().Enable(kEventCapacity);
     auto runtime =
-        AppRuntime::Create(*destination, AppVersion::kSelective, std::nullopt, context.get());
+        AppRuntime::Create(*destination, AppVersion::kSelective,
+                           ExecTier::kBytecode, context.get());
     ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
     for (const Json& payload : payloads) {
       ASSERT_TRUE((*runtime)->InjectValue(FleetMaterializeMessage(payload)).ok());
@@ -398,25 +388,13 @@ TEST(FleetRuntimeTest, MailboxBoundsExternalProducersAndDrainsOnClose) {
   EXPECT_EQ(roomy.depth(), 4u);
 }
 
-TEST(FleetRuntimeTest, ShardCountComesFromStrictEnvParse) {
-  ResetEnvWarningsForTest();
-  ASSERT_EQ(unsetenv("TURNSTILE_FLEET_SHARDS"), 0);
-  EXPECT_EQ(FleetRuntime::ShardsFromEnv(4), 4);
-  ASSERT_EQ(setenv("TURNSTILE_FLEET_SHARDS", "8", 1), 0);
-  EXPECT_EQ(FleetRuntime::ShardsFromEnv(4), 8);
-  // Trailing garbage, negatives, and out-of-range values all keep the
-  // default (warning once on stderr).
-  for (const char* bad : {"8abc", "-2", "0", "", "257", "twelve"}) {
-    ASSERT_EQ(setenv("TURNSTILE_FLEET_SHARDS", bad, 1), 0);
-    EXPECT_EQ(FleetRuntime::ShardsFromEnv(4), 4) << "value: '" << bad << "'";
-  }
-  ASSERT_EQ(unsetenv("TURNSTILE_FLEET_SHARDS"), 0);
-
+TEST(FleetRuntimeTest, ShardCountFallsBackToFourWhenNotPositive) {
   FleetRuntime::Options options;
+  EXPECT_EQ(FleetRuntime(options).shard_count(), 4);
+  options.shards = 0;
+  EXPECT_EQ(FleetRuntime(options).shard_count(), 4);
   options.shards = 2;
-  FleetRuntime fleet(options);
-  EXPECT_EQ(fleet.shard_count(), 2);
-  fleet.Stop();
+  EXPECT_EQ(FleetRuntime(options).shard_count(), 2);
 }
 
 }  // namespace

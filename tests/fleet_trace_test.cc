@@ -72,7 +72,8 @@ std::pair<const CorpusApp*, const CorpusApp*> PickWiredPair() {
   const CorpusApp* source = nullptr;
   for (const CorpusApp* app : apps) {
     auto context = RuntimeContext::CreateIsolated();
-    auto runtime = AppRuntime::Create(*app, AppVersion::kSelective, std::nullopt, context.get());
+    auto runtime = AppRuntime::Create(*app, AppVersion::kSelective,
+                                      ExecTier::kBytecode, context.get());
     if (!runtime.ok()) {
       continue;
     }

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -35,7 +34,7 @@ constexpr int kMessages = 6;
 // Drives `messages` messages of `app`'s selective version under the enabled
 // global profiler and event log. Warm-up happens outside the profiled window
 // so caches (compiled labellers, chunks) do not pollute attribution.
-void RunProfiledApp(std::optional<ExecTier> tier = std::nullopt, const char* app_name = kApp,
+void RunProfiledApp(ExecTier tier = ExecTier::kBytecode, const char* app_name = kApp,
                     int messages = kMessages) {
   const CorpusApp* app = FindCorpusApp(app_name);
   ASSERT_NE(app, nullptr);
@@ -299,9 +298,8 @@ TEST(ProfilerAttributionTest, MonitorAppSplitAndFunctionTagging) {
 }
 
 TEST(ProfilerAttributionTest, LineSelfTimeCoversVmWallTime) {
-  // Pin the bytecode tier: the line clock lives in the VM dispatch loop, so
-  // this must hold regardless of the TURNSTILE_EXEC_TIER default.
-  RunProfiledApp(ExecTier::kBytecode);
+  // The line clock lives in the VM dispatch loop of the default bytecode tier.
+  RunProfiledApp();
   Profiler& profiler = Profiler::Global();
   double vm_seconds = profiler.vm_seconds();
   std::vector<LineProfile> lines = profiler.LinesSnapshot();

@@ -44,7 +44,7 @@ struct InstanceOutcome {
 InstanceOutcome RunInstance(const CorpusApp& app, RuntimeContext& context) {
   InstanceOutcome outcome;
   context.event_log().Enable(1u << 16);
-  auto runtime = AppRuntime::Create(app, AppVersion::kSelective, std::nullopt, &context);
+  auto runtime = AppRuntime::Create(app, AppVersion::kSelective, ExecTier::kBytecode, &context);
   if (!runtime.ok()) {
     outcome.status = app.name + ": " + runtime.status().ToString();
     return outcome;

@@ -1,7 +1,7 @@
 // Strict environment-variable parsing (src/support/env.h): the whole-string
-// integer contract behind TURNSTILE_FLEET_SHARDS and
-// TURNSTILE_BENCH_MESSAGES. Malformed values never half-parse — they keep
-// the default and warn once per variable, the ExecTierFromName arrangement.
+// integer contract behind TURNSTILE_BENCH_MESSAGES and the numeric forms of
+// TURNSTILE_AUDIT and TURNSTILE_TELEMETRY. Malformed values never
+// half-parse — they keep the default and warn once per variable.
 #include <gtest/gtest.h>
 
 #include <cstdlib>

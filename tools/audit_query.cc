@@ -1,8 +1,8 @@
 // Privacy-accounting queries over the event log's decisions — the
 // flow-provenance audit ledger (ISSUE 6).
 //
-//   audit_query [<app>] [--messages=N] [--tier=bytecode|bytecode-lowered]
-//               [--source=LABEL] [--sink=NAME] [--out=PATH] [--check-fig10]
+//   audit_query [<app>] [--messages=N] [--source=LABEL] [--sink=NAME]
+//               [--out=PATH] [--check-fig10] [--fleet-lineage]
 //
 // Runs corpus apps (all 61 by default) under the selectively-instrumented
 // version with the event log enabled, then answers accounting questions
@@ -32,7 +32,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,9 +48,8 @@ namespace {
 
 void PrintUsage(std::FILE* out) {
   std::fprintf(out,
-               "usage: audit_query [<app>] [--messages=N] [--tier=bytecode|bytecode-lowered]\n"
-               "                   [--source=LABEL] [--sink=NAME] [--out=PATH]\n"
-               "                   [--check-fig10] [--fleet-lineage]\n");
+               "usage: audit_query [<app>] [--messages=N] [--source=LABEL] [--sink=NAME]\n"
+               "                   [--out=PATH] [--check-fig10] [--fleet-lineage]\n");
 }
 
 // Everything the ledger tells us about one app's run.
@@ -70,7 +68,7 @@ struct AppAudit {
   std::vector<obs::Event> ledger;  // the log's decisions, kept for lineage queries
 };
 
-AppAudit RunApp(const CorpusApp& app, int messages, std::optional<ExecTier> tier) {
+AppAudit RunApp(const CorpusApp& app, int messages) {
   AppAudit out;
   out.app = app.name;
   out.ground_truth_paths = app.ground_truth_paths;
@@ -81,7 +79,7 @@ AppAudit RunApp(const CorpusApp& app, int messages, std::optional<ExecTier> tier
   log.Disable();
   log.Enable(1u << 18);
 
-  auto runtime = AppRuntime::Create(app, AppVersion::kSelective, tier);
+  auto runtime = AppRuntime::Create(app, AppVersion::kSelective);
   if (!runtime.ok()) {
     // Apps without detected paths carry no usable policy (profile_app makes
     // the same call); without a tracker there is no ledger to account.
@@ -182,13 +180,14 @@ int ExplainLineage(const AppAudit& audit, const std::string& source_label,
 // propagation enabled, and print the stitched source -> wire -> sink chain —
 // each hop's audit events selected by the local trace id its fleet binding
 // names. Returns 0 iff at least one fleet trace crossed the wire.
-int FleetLineage(int messages, std::optional<ExecTier> tier) {
+int FleetLineage(int messages) {
   // Probe for a source worth wiring: its drive must produce terminal sends
   // (flow outputs) — otherwise nothing ever crosses.
   const CorpusApp* source = nullptr;
   for (const CorpusApp& app : Corpus()) {
     auto context = RuntimeContext::CreateIsolated();
-    auto runtime = AppRuntime::Create(app, AppVersion::kSelective, tier, context.get());
+    auto runtime =
+        AppRuntime::Create(app, AppVersion::kSelective, ExecTier::kBytecode, context.get());
     if (!runtime.ok()) {
       continue;
     }
@@ -224,7 +223,6 @@ int FleetLineage(int messages, std::optional<ExecTier> tier) {
   FleetRuntime::Options options;
   options.shards = 2;
   options.version = AppVersion::kSelective;
-  options.tier = tier;
   options.event_capacity = 1u << 18;
   FleetRuntime fleet(options);
   const std::string src_id = fleet.AddApp(*source, /*shard=*/0);
@@ -295,7 +293,6 @@ int Main(int argc, char** argv) {
   int messages = 5;
   bool check_fig10 = false;
   bool fleet_lineage = false;
-  std::optional<ExecTier> tier;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -305,11 +302,6 @@ int Main(int argc, char** argv) {
     cli::FlagParse parse;
     if ((parse = cli::ParseIntFlag(arg, "--messages", "audit_query", 100000, &messages)) !=
         cli::FlagParse::kNoMatch) {
-      if (parse == cli::FlagParse::kBad) {
-        return 2;
-      }
-    } else if ((parse = cli::ParseTierFlag(arg, "audit_query", &tier)) !=
-               cli::FlagParse::kNoMatch) {
       if (parse == cli::FlagParse::kBad) {
         return 2;
       }
@@ -355,7 +347,7 @@ int Main(int argc, char** argv) {
     return 2;
   }
   if (fleet_lineage) {
-    return FleetLineage(messages, tier);
+    return FleetLineage(messages);
   }
 
   std::vector<AppAudit> audits;
@@ -363,7 +355,7 @@ int Main(int argc, char** argv) {
     if (!app_filter.empty() && app.name != app_filter) {
       continue;
     }
-    audits.push_back(RunApp(app, messages, tier));
+    audits.push_back(RunApp(app, messages));
   }
 
   // --- lineage query ---------------------------------------------------------

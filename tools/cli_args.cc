@@ -75,20 +75,5 @@ FlagParse ParseStringFlag(const std::string& arg, const char* flag, const char* 
   return FlagParse::kOk;
 }
 
-FlagParse ParseTierFlag(const std::string& arg, const char* tool, std::optional<ExecTier>* out) {
-  const char* value = FlagValue(arg, "--tier");
-  if (value == nullptr) {
-    return FlagParse::kNoMatch;
-  }
-  NoteFlagMatchForRepeatWarning(tool, "--tier");
-  *out = ExecTierFromName(value);
-  if (!out->has_value()) {
-    std::fprintf(stderr, "%s: unknown tier '%s' (accepted: bytecode, bytecode-lowered)\n", tool,
-                 value);
-    return FlagParse::kBad;
-  }
-  return FlagParse::kOk;
-}
-
 }  // namespace cli
 }  // namespace turnstile

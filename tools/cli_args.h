@@ -6,10 +6,7 @@
 #ifndef TURNSTILE_TOOLS_CLI_ARGS_H_
 #define TURNSTILE_TOOLS_CLI_ARGS_H_
 
-#include <optional>
 #include <string>
-
-#include "src/interp/interp.h"
 
 namespace turnstile {
 namespace cli {
@@ -34,12 +31,6 @@ FlagParse ParseIntFlag(const std::string& arg, const char* flag, const char* too
 // values are accepted verbatim.
 FlagParse ParseStringFlag(const std::string& arg, const char* flag, const char* tool,
                           const char* what, std::string* out);
-
-// Execution-tier flag: matches "--tier=T" against ExecTierFromName, rejecting
-// unknown names with
-//   "<tool>: unknown tier '<T>' (accepted: bytecode, bytecode-lowered)"
-// on stderr.
-FlagParse ParseTierFlag(const std::string& arg, const char* tool, std::optional<ExecTier>* out);
 
 // Repeated-flag detection. Every Parse*Flag above notes each successful flag
 // match; a flag seen a second time in one process warns once on stderr —

@@ -2,13 +2,10 @@
 // event log and exports its profile and trace views.
 //
 //   profile_app <app> [--messages=N] [--version=original|selective|exhaustive|roundtrip]
-//               [--tier=bytecode|bytecode-lowered] [--disasm]
-//               [--profile=PATH] [--trace-export=PATH] [--json[=PATH]]
+//               [--disasm] [--profile=PATH] [--trace-export=PATH] [--json[=PATH]]
 //
-//   --disasm             print the bytecode listing of the program and every
-//                        function (the fused flavor, or the call-lowered one
-//                        under --tier=bytecode-lowered) and exit without
-//                        driving messages.
+//   --disasm             print the fused bytecode listing of the program and
+//                        every function and exit without driving messages.
 //
 //   --trace-export=PATH  Chrome trace-event JSON (open in Perfetto or
 //                        chrome://tracing), one event per logged event;
@@ -28,7 +25,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,7 +56,7 @@ bool WriteFile(const std::string& path, const std::string& content) {
 
 void PrintUsage(std::FILE* out) {
   std::fprintf(out,
-               "usage: profile_app <app> [--messages=N] [--version=V] [--tier=T] [--disasm]\n"
+               "usage: profile_app <app> [--messages=N] [--version=V] [--disasm]\n"
                "                   [--profile=PATH] [--trace-export=PATH] [--json[=PATH]]\n"
                "corpus apps:\n");
   for (const CorpusApp& app : Corpus()) {
@@ -77,7 +73,6 @@ int Main(int argc, char** argv) {
   std::string app_name;
   int messages = 200;
   AppVersion version = AppVersion::kSelective;
-  std::optional<ExecTier> tier;
   bool disasm = false;
   std::string profile_path;
   std::string trace_export_path;
@@ -105,11 +100,6 @@ int Main(int argc, char** argv) {
         version = AppVersion::kRoundTrip;
       } else {
         std::fprintf(stderr, "profile_app: unknown version '%s'\n", v.c_str());
-        return 2;
-      }
-    } else if ((parse = cli::ParseTierFlag(arg, "profile_app", &tier)) !=
-               cli::FlagParse::kNoMatch) {
-      if (parse == cli::FlagParse::kBad) {
         return 2;
       }
     } else if (arg == "--disasm") {
@@ -142,14 +132,14 @@ int Main(int argc, char** argv) {
     return Usage();
   }
 
-  auto runtime = AppRuntime::Create(*app, version, tier);
+  auto runtime = AppRuntime::Create(*app, version);
   if (!runtime.ok() && version == AppVersion::kSelective) {
     // Apps without detected paths carry no usable policy; profile the
     // original program instead (all-app split by construction).
     std::fprintf(stderr, "profile_app: selective setup failed (%s); using original version\n",
                  runtime.status().ToString().c_str());
     version = AppVersion::kOriginal;
-    runtime = AppRuntime::Create(*app, version, tier);
+    runtime = AppRuntime::Create(*app, version);
   }
   if (!runtime.ok()) {
     std::fprintf(stderr, "profile_app: %s setup failed: %s\n", app->name.c_str(),
@@ -158,19 +148,16 @@ int Main(int argc, char** argv) {
   }
 
   if (disasm) {
-    // Compile-and-print, no execution: show exactly the chunks this runtime's
-    // tier would run (program top level, every function body, and every try,
-    // catch and finally block).
-    bool lowered = (*runtime)->interp().exec_tier() == ExecTier::kBytecodeLowered;
+    // Compile-and-print, no execution: show exactly the chunks the fused VM
+    // runs (program top level, every function body, and every try, catch and
+    // finally block).
     const NodePtr& root = (*runtime)->program_root();
-    vm::ChunkPtr program_chunk =
-        lowered ? vm::GetOrCompileProgram(root) : vm::GetOrCompileProgramFused(root);
-    std::printf("=== %s: program (%s) ===\n%s", app->name.c_str(),
-                lowered ? "call-lowered" : "fused", vm::DisassembleChunk(*program_chunk).c_str());
+    vm::ChunkPtr program_chunk = vm::GetOrCompileProgramFused(root);
+    std::printf("=== %s: program (fused) ===\n%s", app->name.c_str(),
+                vm::DisassembleChunk(*program_chunk).c_str());
     auto print_body = [&](const char* what, const std::string& name, const NodePtr& owner,
                           const NodePtr& body) {
-      vm::ChunkPtr chunk = lowered ? vm::GetOrCompileFunctionBody(body)
-                                   : vm::GetOrCompileFunctionBodyFused(body);
+      vm::ChunkPtr chunk = vm::GetOrCompileFunctionBodyFused(body);
       std::printf("\n=== %s %s (line %d) ===\n%s", what, name.c_str(), owner->loc.line,
                   vm::DisassembleChunk(*chunk).c_str());
     };
