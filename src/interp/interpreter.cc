@@ -742,7 +742,17 @@ Result<Completion> Interpreter::EvalBinaryOp(BinaryOp op, const Value& left_in,
   switch (op) {
     case BinaryOp::kAdd:
       if (left.IsString() || right.IsString()) {
-        return Completion::Normal(Value(left.ToDisplayString() + right.ToDisplayString()));
+        // One allocation for the result; string operands are not copied.
+        std::string left_text;
+        std::string right_text;
+        const std::string& l =
+            left.IsString() ? left.AsString() : (left_text = left.ToDisplayString());
+        const std::string& r =
+            right.IsString() ? right.AsString() : (right_text = right.ToDisplayString());
+        std::string joined;
+        joined.reserve(l.size() + r.size());
+        joined.append(l).append(r);
+        return Completion::Normal(Value(std::move(joined)));
       }
       return Completion::Normal(Value(left.ToNumber() + right.ToNumber()));
     case BinaryOp::kSub:

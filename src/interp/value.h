@@ -109,6 +109,19 @@ class Value {
   const ArrayPtr& AsArray() const { return std::get<ArrayPtr>(data_); }
   const FunctionPtr& AsFunction() const { return std::get<FunctionPtr>(data_); }
 
+  // The string buffer when this value and `alias` hold the same string and no
+  // other Value shares it, else nullptr. Strings are immutable while shared:
+  // a caller that owns both holders may append through the result once it
+  // has dropped `alias` (the VM's in-place `+=`).
+  std::string* StringSharedOnlyWith(const Value& alias) {
+    auto* mine = std::get_if<std::shared_ptr<std::string>>(&data_);
+    auto* theirs = std::get_if<std::shared_ptr<std::string>>(&alias.data_);
+    if (mine == nullptr || theirs == nullptr || *mine != *theirs || mine->use_count() != 2) {
+      return nullptr;
+    }
+    return mine->get();
+  }
+
   // Stable identity pointer for reference types (nullptr for value types).
   // Keys the DIFT tracker's per-walk visited set, its deep-label memo and
   // its $invoke-labeller registrations.

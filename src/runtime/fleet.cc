@@ -136,10 +136,14 @@ Status FleetRuntime::Wire(const std::string& src_id, const std::string& dst_id) 
 
 Status FleetRuntime::Start() {
   started_ = true;
-  // Start every shard; each Start() blocks until that shard's instances are
-  // built (on the shard's own thread), so setup parallelizes across shards.
+  // Launch every shard before waiting for any: each builds its instances on
+  // its own thread, so setup runs concurrently across shards. Statuses are
+  // read in shard order, so the first failing shard's error wins.
   for (std::unique_ptr<Shard>& shard : shards_) {
-    shard->Start();
+    shard->Launch();
+  }
+  for (std::unique_ptr<Shard>& shard : shards_) {
+    shard->AwaitSetup();
   }
   for (std::unique_ptr<Shard>& shard : shards_) {
     if (!shard->status().ok()) {

@@ -98,8 +98,10 @@ class FleetRuntime {
   Status Wire(const std::string& src_id, const std::string& dst_id);
 
   // --- lifecycle --------------------------------------------------------------
-  // Starts every shard; each builds its instances on its own thread. Returns
-  // the first setup error (the fleet still runs with surviving instances).
+  // Launches every shard, then waits for each: the shards build their
+  // instances concurrently, each on its own thread. Returns the setup error
+  // of the lowest-numbered failing shard (the fleet still runs with the
+  // surviving instances); errors() lists every setup error in shard order.
   Status Start();
 
   // Enqueues workload message #seq for `app_id`. Blocks under backpressure

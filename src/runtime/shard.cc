@@ -102,9 +102,12 @@ uint32_t Shard::AddInstance(InstanceSpec spec) {
 
 void Shard::WireInstance(uint32_t instance) { specs_[instance].wired = true; }
 
-void Shard::Start() {
+void Shard::Launch() {
   started_ = true;
   thread_ = std::thread([this] { Run(); });
+}
+
+void Shard::AwaitSetup() {
   std::unique_lock<std::mutex> lock(setup_mu_);
   setup_cv_.wait(lock, [this] { return setup_done_; });
 }

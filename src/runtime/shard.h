@@ -132,7 +132,7 @@ struct ShardTraceBinding {
 };
 
 // A worker shard. Configure (AddInstance/WireInstance) from the fleet thread
-// before Start(); after Start() the only safe cross-thread entry is Post().
+// before Launch(); after Launch() the only safe cross-thread entry is Post().
 // Accessors over instances (runtime_of, context_of, errors) are valid only
 // while the fleet is quiescent: after Drain() with no concurrent posts, or
 // after Join().
@@ -154,9 +154,15 @@ class Shard {
 
   // Launches the shard thread, which builds every instance (parse, analyze,
   // instrument, compile — the per-tenant cold path) before it starts draining
-  // the mailbox. Start() returns once setup finished; a setup failure is
-  // reported in status() and the shard runs with the surviving instances.
-  void Start();
+  // the mailbox. Launch() returns at once, so the fleet launches every shard
+  // before it waits for any and the shards build their instances
+  // concurrently.
+  void Launch();
+
+  // Blocks until the launched shard thread has finished setup. A setup
+  // failure is reported in status() and the shard runs with the surviving
+  // instances.
+  void AwaitSetup();
 
   // Close the mailbox and join the thread. Idempotent.
   void Join();
@@ -231,8 +237,8 @@ class Shard {
   obs::Counter* wire_in_ = nullptr;        // routed envelopes received
   obs::Counter* wire_out_ = nullptr;       // terminal sends routed onward
 
-  std::vector<InstanceSpec> specs_;  // frozen at Start()
-  std::vector<Instance> instances_;  // shard-thread owned after Start()
+  std::vector<InstanceSpec> specs_;  // frozen at Launch()
+  std::vector<Instance> instances_;  // shard-thread owned after Launch()
   // Per-shard label interning: one parsed Policy per app, shared by every
   // same-app instance on this shard (and only this shard).
   std::unordered_map<const CorpusApp*, std::shared_ptr<Policy>> policies_;

@@ -1,7 +1,9 @@
 #include "src/support/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
@@ -94,9 +96,14 @@ std::string NumberToString(double value) {
   }
   double integral = 0.0;
   if (std::modf(value, &integral) == 0.0 && std::fabs(value) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", value);
-    return buf;
+    // Exactly representable in int64, so to_chars prints what "%.0f" would,
+    // at a fraction of the cost; only -0 needs its sign spelled out.
+    if (value == 0.0 && std::signbit(value)) {
+      return "-0";
+    }
+    char buf[24];
+    char* end = std::to_chars(buf, buf + sizeof(buf), static_cast<int64_t>(value)).ptr;
+    return std::string(buf, end);
   }
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.12g", value);

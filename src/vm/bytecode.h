@@ -48,6 +48,11 @@ enum class Op : uint8_t {
 
   // --- operators -------------------------------------------------------------
   kBinary,           // r[a] = EvalBinaryOp(BinaryOp b, r[c], r[d])
+  kAddSlot,          // `+=` on a slot local: r[a] = frame(b hops up).slots[c] =
+                     //   r[d] + r[e], where r[d] holds the slot's value loaded
+                     //   before r[e] was evaluated. Appends in place when the
+                     //   slot and r[d] are the sole owners of one plain string.
+                     //   Invariant: a, d and e are three distinct registers.
   kUnary,            // r[a] = UnaryOp b applied to Unbox(r[c])
   kTypeof,           // r[a] = typeof Unbox(r[b])
 

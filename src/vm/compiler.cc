@@ -792,6 +792,15 @@ class Compiler {
           }
         }
       }
+      if (compound == BinaryOp::kAdd && target->hops >= 0) {
+        // `s += x` on a slot local: one kAddSlot instead of kBinary +
+        // kStoreSlot, so a string built up in a loop grows in place.
+        RegScope rhs_scope(this);
+        int rhs = AllocReg();
+        CompileExprInto(rhs, node->children[1]);
+        Emit(node.get(), Op::kAddSlot, dst, target->hops, target->slot, old_raw, rhs);
+        return;
+      }
       EmitAssignValue(node, plain, logical, compound, dst, old_raw);
       EmitStoreIdent(target, dst);
       return;
@@ -1144,6 +1153,7 @@ const char* OpName(Op op) {
     case Op::kLoadThisDyn: return "LoadThisDyn";
     case Op::kSetFnName: return "SetFnName";
     case Op::kBinary: return "Binary";
+    case Op::kAddSlot: return "AddSlot";
     case Op::kUnary: return "Unary";
     case Op::kTypeof: return "Typeof";
     case Op::kJump: return "Jump";

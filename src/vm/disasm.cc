@@ -46,6 +46,7 @@ const char* OperandSpec(Op op) {
     case Op::kLoadThisDyn:      return "ra";
     case Op::kSetFnName:        return "rn";
     case Op::kBinary:           return "rbrr";
+    case Op::kAddSlot:          return "riirr";
     case Op::kUnary:            return "rur";
     case Op::kTypeof:           return "rr";
     case Op::kJump:             return "j";

@@ -339,6 +339,56 @@ TEST(FleetRuntimeTest, CyclicMessageOverAWireIsCutAtTheSerializeDepth) {
             "cut at " + std::to_string(kMaxSerializeDepth) + ", seq 0 then null");
 }
 
+// The setup error AppRuntime::Create reports for `app` on the caller's thread.
+std::string SetupError(const CorpusApp& app) {
+  auto context = RuntimeContext::CreateIsolated();
+  auto runtime = AppRuntime::Create(app, FleetRuntime::Options().version, ExecTier::kBytecode,
+                                    context.get());
+  return runtime.ok() ? "" : runtime.status().ToString();
+}
+
+// Shards build their instances concurrently, so shard 1 may finish (and
+// fail) first; Start() and errors() must still report in shard order.
+TEST(FleetRuntimeTest, SetupFailuresOnEveryShardAreReportedInShardOrder) {
+  const CorpusApp broken_zero = OneNodeApp("broken-zero", "let = 1;");
+  const CorpusApp broken_one = OneNodeApp("broken-one", "node.send(msg;");
+  const CorpusApp echo = OneNodeApp("echo", "console.log(\"got \" + msg.seq);");
+  const std::string error_zero = SetupError(broken_zero);
+  const std::string error_one = SetupError(broken_one);
+  ASSERT_NE(error_zero, "");
+  ASSERT_NE(error_one, "");
+  ASSERT_NE(error_zero, error_one);
+
+  FleetRuntime fleet(TestOptions(/*shards=*/2));
+  // Shard 1's failure is added first: shard order, not AddApp order, decides.
+  std::string bad_one = fleet.AddApp(broken_one, /*shard=*/1);
+  std::string good_zero = fleet.AddApp(echo, /*shard=*/0);
+  std::string bad_zero = fleet.AddApp(broken_zero, /*shard=*/0);
+  std::string good_one = fleet.AddApp(echo, /*shard=*/1);
+  Status started = fleet.Start();
+  EXPECT_EQ(started.ToString(), error_zero);
+  EXPECT_EQ(fleet.errors(), (std::vector<std::string>{bad_zero + ": setup: " + error_zero,
+                                                     bad_one + ": setup: " + error_one}));
+  EXPECT_EQ(fleet.runtime_of(bad_zero), nullptr);
+  EXPECT_EQ(fleet.runtime_of(bad_one), nullptr);
+
+  // The surviving tenants on both shards process messages.
+  ASSERT_TRUE(fleet.Post(good_zero, 0));
+  ASSERT_TRUE(fleet.Post(good_one, 0));
+  ASSERT_TRUE(fleet.Post(bad_one, 1));  // drains as a no-op
+  fleet.Drain();
+  fleet.Stop();
+  EXPECT_EQ(fleet.messages_processed(), 3u);
+  EXPECT_EQ(fleet.errors().size(), 2u);
+  for (const std::string& id : {good_zero, good_one}) {
+    AppRuntime* runtime = fleet.runtime_of(id);
+    ASSERT_NE(runtime, nullptr) << id;
+    const std::vector<IoRecord>& records = runtime->interp().io_world().records;
+    ASSERT_EQ(records.size(), 1u) << id;
+    EXPECT_EQ(records[0].payload, "got 0") << id;
+  }
+}
+
 TEST(FleetRuntimeTest, MailboxBoundsExternalProducersAndDrainsOnClose) {
   ShardMailbox mailbox(/*capacity=*/2);
   std::atomic<int> pushed{0};

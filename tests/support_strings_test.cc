@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <vector>
+
 #include "src/support/rng.h"
 
 namespace turnstile {
@@ -57,6 +61,40 @@ TEST(StringsTest, NumberToStringMatchesJsStyle) {
   EXPECT_EQ(NumberToString(1.0 / 0.0), "Infinity");
   EXPECT_EQ(NumberToString(-1.0 / 0.0), "-Infinity");
   EXPECT_EQ(NumberToString(0.0 / 0.0), "NaN");
+}
+
+// Today's outputs at the edges of the integer path and just past them. These
+// are the "%.0f"/"%.12g" renderings, not JavaScript's: a change to
+// JS-compatible number formatting changes this table on purpose.
+TEST(StringsTest, NumberToStringEdgeCasesArePinned) {
+  EXPECT_EQ(NumberToString(-0.0), "-0");
+  EXPECT_EQ(NumberToString(999999999999999.0), "999999999999999");
+  EXPECT_EQ(NumberToString(-999999999999999.0), "-999999999999999");
+  EXPECT_EQ(NumberToString(1e15), "1e+15");
+  EXPECT_EQ(NumberToString(9007199254740992.0), "9.00719925474e+15");  // 2^53
+  EXPECT_EQ(NumberToString(0.1 + 0.2), "0.3");
+  EXPECT_EQ(NumberToString(4294967296.0), "4294967296");
+  EXPECT_EQ(NumberToString(-5e-7), "-5e-07");
+}
+
+// The integer path must print exactly what "%.0f" prints for every integral
+// value it accepts.
+TEST(StringsTest, NumberToStringIntegersMatchPrintf) {
+  Rng rng(7);
+  std::vector<double> values = {1, -1, 9, 10, -10, 99, 100, 1e14, -1e14, 123456789012345.0};
+  for (int bits = 0; bits < 50; ++bits) {
+    double p = std::ldexp(1.0, bits);
+    values.insert(values.end(), {p, -p, p - 1, -(p - 1), p + 1});
+  }
+  for (int i = 0; i < 2000; ++i) {
+    double magnitude = std::ldexp(1.0, static_cast<int>(rng.NextBelow(50)));
+    values.push_back(std::floor(magnitude * rng.NextDouble()) * (i % 2 == 0 ? 1 : -1));
+  }
+  for (double v : values) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+    EXPECT_EQ(NumberToString(v), buf) << v;
+  }
 }
 
 TEST(StringsTest, Repeat) {

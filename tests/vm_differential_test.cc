@@ -595,7 +595,177 @@ constexpr DiffProgram kSemanticsPrograms[] = {
     )"},
 };
 
+// --- `+=` programs -------------------------------------------------------------
+// The bytecode tiers compile `+=` on a slot local to one kAddSlot that may
+// append to the slot's string in place. Each row probes a way the old string
+// could still be visible elsewhere (or the slot could change under the rhs);
+// the tree-walker, which never mutates a string, is the reference. Targets
+// live in function bodies: top-level bindings are globals, not slots.
+
+constexpr DiffProgram kAddAssignPrograms[] = {
+    {"add-assign-alias-unchanged", R"(
+      function f() {
+        let a = "x";
+        a += "";
+        let b = a;
+        a += "y";
+        return b + "|" + a;
+      }
+      let result = f();
+    )"},
+    {"add-assign-alias-mid-loop", R"(
+      function f() {
+        let s = "";
+        let snap = "";
+        for (let i = 0; i < 10; i++) {
+          s += i;
+          if (i === 4) { snap = s; }
+        }
+        return snap + "|" + s;
+      }
+      let result = f();
+    )"},
+    {"add-assign-rhs-reassigns-target", R"(
+      function f() {
+        let s = "x";
+        s += "";
+        s += (s = "z", "w");
+        let t = "p";
+        t += "";
+        t += (() => { t = "q"; return "r"; })();
+        return s + "|" + t;
+      }
+      let result = f();
+    )"},
+    {"add-assign-closure-reads-target", R"(
+      function f() {
+        let s = "ab";
+        s += "";
+        let seen = "";
+        let peek = () => { seen = s; return "!"; };
+        s += peek();
+        s += peek();
+        return seen + "|" + s;
+      }
+      let result = f();
+    )"},
+    {"add-assign-outer-frame", R"(
+      function f() {
+        let s = "";
+        let add = x => { s += x; return s.length; };
+        for (let i = 0; i < 5; i++) { add("ab"); }
+        { let inner = "-"; s += inner; }
+        return s;
+      }
+      let result = f();
+    )"},
+    {"add-assign-non-string-rhs", R"(
+      function f() {
+        let s = "v";
+        s += "";
+        s += 1.5;
+        s += true;
+        s += undefined;
+        s += null;
+        s += { k: 1, t: "x" };
+        s += [1, "a"];
+        s += -0;
+        s += () => 1;
+        return s;
+      }
+      let result = f();
+    )"},
+    {"add-assign-non-string-target", R"(
+      function f() {
+        let n = 1;
+        n += 2;
+        let m = 1;
+        m += "3";
+        let b = true;
+        b += 1;
+        let u;
+        u += 1;
+        let o = { k: 1 };
+        o += "!";
+        let z = 0;
+        z += -0;
+        return [n, m, b, typeof u, o, z].join(",");
+      }
+      let result = f();
+    )"},
+    {"add-assign-numbers", R"(
+      function f() {
+        let acc = 0;
+        for (let i = 0; i < 100; i++) {
+          acc += i;
+        }
+        let x = 0.1;
+        x += 0.2;
+        let nz = -0;
+        nz += -0;
+        let inf = 1 / 0;
+        inf += -1 / 0;
+        let big = 9007199254740992;
+        big += 1;
+        let captured = 1;
+        const bump = d => { captured += d; return captured; };
+        bump(2);
+        bump(0.5);
+        return [acc, x, 1 / nz, inf, big, captured].join(",");
+      }
+      let result = f();
+    )"},
+    {"add-assign-const-target", R"(
+      function f() {
+        const c = "a";
+        c += "b";
+        return c;
+      }
+      let result = f();
+    )"},
+    {"add-assign-member-and-index", R"(
+      function f() {
+        let o = { s: "a" };
+        o.s += "b";
+        o.s += 1;
+        let arr = ["x"];
+        arr[0] += "y";
+        arr[0] += arr[0];
+        let k = "s";
+        o[k] += "c";
+        return o.s + "|" + arr[0];
+      }
+      let result = f();
+    )"},
+    {"add-assign-2000-appends", R"(
+      function f() {
+        let s = "";
+        let t = "";
+        for (let i = 0; i < 2000; i++) {
+          s += i + ",";
+          t = t + i + ",";
+        }
+        return s.length + "/" + (s === t) + "/" + s.slice(0, 8) + "/" + s.slice(s.length - 10);
+      }
+      let result = f();
+    )"},
+};
+
 // --- DIFT programs (tracker installed, violations compared) ------------------
+
+constexpr const char* kBoxedAddAssignSource = R"(
+      function f() {
+        let s = __dift.label("sec", "secret");
+        let sink = __dift.label({ port: 1 }, "public");
+        s += "-tail";
+        s += 7;
+        let flagged = __dift.check(s, sink);
+        let t = __dift.label("lab", "secret");
+        t += __dift.label("el", "public");
+        return s + "/" + flagged + "/" + t + "/" + __dift.labelsOf(s) + "/" + __dift.labelsOf(t);
+      }
+      let result = f();
+    )";
 
 constexpr DiffProgram kDiftPrograms[] = {
     {"boxed-string-methods", R"(
@@ -687,6 +857,9 @@ constexpr DiffProgram kDiftPrograms[] = {
       let after = __dift.check(msg, sink);
       let result = "" + before + "/" + after;
     )"},
+    // `+=` whose slot holds a labelled (boxed) string: never the in-place
+    // path, and its monitor decisions are pinned below.
+    {"add-assign-boxed-target", kBoxedAddAssignSource},
 };
 
 TEST(VmDifferentialTest, EvalProgramsAgreeAcrossTiers) {
@@ -700,9 +873,57 @@ TEST(VmDifferentialTest, SemanticsProgramsAgreeAcrossTiers) {
                    /*with_tracker=*/false);
 }
 
+TEST(VmDifferentialTest, AddAssignProgramsAgreeAcrossTiers) {
+  ExpectTiersAgree(kAddAssignPrograms,
+                   sizeof(kAddAssignPrograms) / sizeof(kAddAssignPrograms[0]),
+                   /*with_tracker=*/false);
+}
+
+// What the `+=` rows printed before kAddSlot existed: agreeing tiers are not
+// enough when all three share the changed string-building code.
+TEST(VmDifferentialTest, AddAssignResultsArePinned) {
+  constexpr const char* kExpected[] = {
+      "x|xy",
+      "01234|0123456789",
+      "xw|pr",
+      "ab!|ab!!",
+      "ababababab-",
+      "v1.5trueundefinednull{ k: 1, t: \"x\" }[1, a]-0[function ]",
+      "3,13,2,number,{ k: 1 }!,0",
+      "4950,0.3,-Infinity,NaN,9.00719925474e+15,3.5",
+      "ab",
+      "ab1c|xyxy",
+      "8890/true/0,1,2,3,/1998,1999,",
+  };
+  static_assert(sizeof(kExpected) / sizeof(kExpected[0]) ==
+                sizeof(kAddAssignPrograms) / sizeof(kAddAssignPrograms[0]));
+  for (size_t i = 0; i < sizeof(kExpected) / sizeof(kExpected[0]); ++i) {
+    SCOPED_TRACE(kAddAssignPrograms[i].name);
+    TierOutcome fused =
+        RunTier(kAddAssignPrograms[i].source, ExecTier::kBytecode, /*with_tracker=*/false);
+    EXPECT_EQ(fused.run_status, "");
+    EXPECT_EQ(fused.result, kExpected[i]);
+  }
+}
+
 TEST(VmDifferentialTest, DiftProgramsAgreeAcrossTiers) {
   ExpectTiersAgree(kDiftPrograms, sizeof(kDiftPrograms) / sizeof(kDiftPrograms[0]),
                    /*with_tracker=*/true);
+}
+
+// The boxed-target `+=` row's monitor decisions, pinned as the tiers recorded
+// them before `+=` on slot locals got its own opcode.
+TEST(VmDifferentialTest, BoxedAddAssignKeepsItsCanonicalLog) {
+  TierOutcome fused = RunTier(kBoxedAddAssignSource, ExecTier::kBytecode, /*with_tracker=*/true);
+  EXPECT_EQ(fused.run_status, "");
+  EXPECT_EQ(fused.result, "sec-tail7/true/label/[]/[]");
+  EXPECT_EQ(fused.audit,
+            "#1 label_attach[secret] data=0 recv=0 out=1 {secret} trace=0\n"
+            "#2 label_attach[public] data=0 recv=0 out=2 {public} trace=0\n"
+            "#3 flow_check[check] data=0 recv=2 out=0 allow {} vs {public} "
+            "rule='empty-data' trace=0\n"
+            "#4 label_attach[secret] data=0 recv=0 out=1 {secret} trace=0\n"
+            "#5 label_attach[public] data=0 recv=0 out=2 {public} trace=0\n");
 }
 
 // The same Program object (and therefore the same cached chunks) must be
