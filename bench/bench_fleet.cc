@@ -18,7 +18,7 @@
 //   --messages=N    base messages per instance (default:
 //                   TURNSTILE_BENCH_MESSAGES, then 200).
 //   --warmup=N      unrecorded messages per instance before the timed
-//                   window (default 5).
+//                   window (default 5; 0 times every message).
 //   --trace-export=PATH
 //                   enables fleet trace propagation (per-context event logs +
 //                   fleet trace ids), wires instance #0 -> instance #1 so
@@ -82,22 +82,22 @@ int Main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     cli::FlagParse parse;
-    if ((parse = cli::ParseIntFlag(arg, "--instances", "bench_fleet", 100000, &instances)) !=
+    if ((parse = cli::ParseIntFlag(arg, "--instances", "bench_fleet", 1, 100000, &instances)) !=
         cli::FlagParse::kNoMatch) {
       if (parse == cli::FlagParse::kBad) {
         return 2;
       }
-    } else if ((parse = cli::ParseIntFlag(arg, "--shards", "bench_fleet", 256, &shards)) !=
+    } else if ((parse = cli::ParseIntFlag(arg, "--shards", "bench_fleet", 1, 256, &shards)) !=
                cli::FlagParse::kNoMatch) {
       if (parse == cli::FlagParse::kBad) {
         return 2;
       }
-    } else if ((parse = cli::ParseIntFlag(arg, "--messages", "bench_fleet", 1000000,
+    } else if ((parse = cli::ParseIntFlag(arg, "--messages", "bench_fleet", 1, 1000000,
                                           &base_messages)) != cli::FlagParse::kNoMatch) {
       if (parse == cli::FlagParse::kBad) {
         return 2;
       }
-    } else if ((parse = cli::ParseIntFlag(arg, "--warmup", "bench_fleet", 100000, &warmup)) !=
+    } else if ((parse = cli::ParseIntFlag(arg, "--warmup", "bench_fleet", 0, 100000, &warmup)) !=
                cli::FlagParse::kNoMatch) {
       if (parse == cli::FlagParse::kBad) {
         return 2;

@@ -58,6 +58,24 @@ void BM_ArithmeticLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_ArithmeticLoop);
 
+// BM_ArithmeticLoop with `acc` also read by a closure: `acc` stays in its
+// frame slot (kLoadSlot/kStoreSlot), while `i` is a register local.
+void BM_CapturedLocalLoop(benchmark::State& state) {
+  TickFixture f(R"(
+    function tick() {
+      let acc = 0;
+      const peek = () => acc;
+      for (let i = 0; i < 100; i++) {
+        acc = (acc * 31 + i) % 65521;
+      }
+      return peek();
+    }
+  )");
+  f.Run(state);
+  state.SetItemsProcessed(state.iterations() * 100);
+}
+BENCHMARK(BM_CapturedLocalLoop);
+
 void BM_StringConcat(benchmark::State& state) {
   TickFixture f(R"(
     function tick() {
@@ -287,7 +305,8 @@ void RunTierBench(benchmark::State& state, const char* source, int ops_per_tick)
 
 #define TURNSTILE_TIER_BENCH(name) BENCHMARK(name)->ArgName("tier")->Arg(0)->Arg(1)
 
-// kLoadSlot / kStoreSlot: local variable shuffle, no arithmetic to speak of.
+// Local variable shuffle, no arithmetic to speak of (register locals under
+// tier:1, so kMove rather than kLoadSlot / kStoreSlot).
 void BM_OpLoadStoreSlot(benchmark::State& state) {
   RunTierBench(state, R"(
     function tick() {
@@ -315,7 +334,7 @@ void BM_OpBinaryArith(benchmark::State& state) {
 }
 TURNSTILE_TIER_BENCH(BM_OpBinaryArith);
 
-// Numeric `+=` on a slot local (tier:1 runs kAddSlot's number-number case).
+// Numeric `+=` on a local (tier:1 runs kAddReg's number-number case).
 void BM_OpAddSlotNumber(benchmark::State& state) {
   RunTierBench(state, R"(
     function tick() {

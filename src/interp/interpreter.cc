@@ -313,7 +313,7 @@ Result<Value> Interpreter::CallFunction(const FunctionPtr& fn, const Value& this
   }
   Result<Completion> body_result =
       exec_tier_ != ExecTier::kTreeWalk
-          ? vm::Vm::ExecuteBody(*this, fn->body, call_env)
+          ? vm::Vm::ExecuteBody(*this, fn->body, call_env, fn->params->children)
           : fn->body->kind == NodeKind::kBlockStmt ? EvalBlock(fn->body, call_env)
                                                    : EvalExpression(fn->body, call_env);
   --call_depth_;

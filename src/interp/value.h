@@ -90,6 +90,10 @@ class Value {
   Value(ArrayPtr a) : data_(std::move(a)) {}
   Value(FunctionPtr f) : data_(std::move(f)) {}
 
+  // Overwrite with a number or boolean in place (no temporary Value).
+  void SetNumber(double n) { data_ = n; }
+  void SetBool(bool b) { data_ = b; }
+
   bool IsUndefined() const { return std::holds_alternative<UndefinedTag>(data_); }
   bool IsNull() const { return std::holds_alternative<NullTag>(data_); }
   bool IsNullish() const { return IsUndefined() || IsNull(); }
@@ -120,6 +124,13 @@ class Value {
       return nullptr;
     }
     return mine->get();
+  }
+
+  // The string buffer when no other Value shares this string, else nullptr
+  // (the VM's in-place `+=` on a register local).
+  std::string* UniqueString() {
+    auto* mine = std::get_if<std::shared_ptr<std::string>>(&data_);
+    return mine != nullptr && mine->use_count() == 1 ? mine->get() : nullptr;
   }
 
   // Stable identity pointer for reference types (nullptr for value types).

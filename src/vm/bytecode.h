@@ -2,14 +2,24 @@
 //
 // A Chunk is the compiled form of one function body, program top level, or
 // try/catch/finally block. Instructions address a per-activation register
-// file holding expression temporaries only; variables live in the
+// file. Its low registers hold the chunk's register-resident locals: every
+// resolved local whose declaration and uses all sit in this chunk (no nested
+// function and no try/catch/finally sub-chunk names it) lives in a register
+// of its own, and uncaptured parameters (and a catch parameter) are copied
+// there from their frame slot once, in the prologue. Registers above those
+// hold expression temporaries. Every other variable lives in the
 // slot-indexed Environment frames of src/interp/environment.h, addressed by
-// the (hops, slot) coordinates the resolver annotated onto the AST. The
-// tree-walking reference oracle uses the same frames, so a closure created
-// by either evaluator can capture an environment built by the other.
+// the (hops, slot) coordinates the resolver annotated onto the AST. Frames
+// keep their resolver-assigned size and are pushed exactly as before; the
+// slots of register-resident locals just stay undefined. The tree-walking
+// reference oracle uses the same frames, so a closure created by either
+// evaluator can capture an environment built by the other.
 //
 // Operand conventions:
 //   - registers are indices into the activation's register file
+//   - value operands (`v` below) are a register when >= 0, or the number
+//     constant constants[~v] when negative, so a literal operand needs no
+//     kLoadConst of its own
 //   - jump targets always live in operand `a` (the patching invariant)
 //   - `atom` operands are interned atoms (src/lang/atoms.h)
 //   - `name`/`msg` operands index Chunk::names (keys and precomputed
@@ -47,12 +57,18 @@ enum class Op : uint8_t {
   kSetFnName,        // if r[a] is an unnamed function, set its name to names[b]
 
   // --- operators -------------------------------------------------------------
-  kBinary,           // r[a] = EvalBinaryOp(BinaryOp b, r[c], r[d])
+  kBinary,           // r[a] = EvalBinaryOp(BinaryOp b, v[c], v[d])
   kAddSlot,          // `+=` on a slot local: r[a] = frame(b hops up).slots[c] =
                      //   r[d] + r[e], where r[d] holds the slot's value loaded
                      //   before r[e] was evaluated. Appends in place when the
                      //   slot and r[d] are the sole owners of one plain string.
                      //   Invariant: a, d and e are three distinct registers.
+  kAddReg,           // `+=` on a register local: r[a] = r[a] + v[b]. Appends in
+                     //   place when r[a] is the sole owner of a plain string.
+  kIncLocal,         // `x++`/`x--` whose value is unused, x a register local:
+                     //   r[a] = ToNumber(Unbox(r[a])) + b   (b = +1 or -1)
+  kIncSlot,          // the same on a slot local: frame(a hops up).slots[b] =
+                     //   ToNumber(Unbox(frame(a hops up).slots[b])) + c
   kUnary,            // r[a] = UnaryOp b applied to Unbox(r[c])
   kTypeof,           // r[a] = typeof Unbox(r[b])
 
@@ -62,6 +78,8 @@ enum class Op : uint8_t {
   kJumpIfTrue,       // if (r[b].Truthy()) pc = a
   kJumpIfNullish,    // if (r[b].IsNullish()) pc = a
   kJumpIfNotNullish, // if (!r[b].IsNullish()) pc = a
+  kJumpUnless,       // compare-and-jump: if !EvalBinaryOp(BinaryOp b, v[c],
+                     //   v[d]).Truthy() pc = a  (b is <, >, <=, >=, === or !==)
 
   // --- property access -------------------------------------------------------
   kGetProp,          // r[a] = GetProperty(r[b], atom c)
@@ -119,9 +137,9 @@ enum class Op : uint8_t {
                      //   (unbound -> RuntimeError names[c]), r[a] =
                      //   GetProperty(r[a+1], atom b). Emitted before operand
                      //   evaluation, mirroring the lowered evaluation order.
-  kBinaryLabelled,   // r[a] = hook->FusedBinary(names[f], BinaryOp b, r[c], r[d]);
+  kBinaryLabelled,   // r[a] = hook->FusedBinary(names[f], BinaryOp b, v[c], v[d]);
                      //   slow path: r[a] = InvokeValue(r[e], r[e+1],
-                     //   [names[f], r[c], r[d]], "binaryOp")
+                     //   [names[f], v[c], v[d]], "binaryOp")
   kCheckSink,        // r[a] = hook->FusedCheck(r[b], r[c]); slow path:
                      //   r[a] = InvokeValue(r[d], r[d+1], [r[b], r[c]], "check")
   kCallLabelled,     // r[a] = hook->FusedInvoke(r[b], names[f], args r[c]..r[c+d));

@@ -1,6 +1,9 @@
 #include "src/vm/compiler.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -13,6 +16,318 @@ namespace turnstile {
 namespace vm {
 
 namespace {
+
+// Register residency: which of a chunk's locals live in registers.
+//
+// A local is a (frame, slot) pair, the frame named by the node that owns it
+// (nullptr for the chunk's entry frame). It is register-resident when the
+// chunk owns its frame — the chunk pushes it, or it is the entry frame and
+// the slot is one of `entry_decls` — and no code outside the chunk names it:
+// no nested function or class, and no try/catch/finally sub-chunk. The walk
+// pushes frames exactly where the compiler emits kEnvPush (and where nested
+// functions and Vm::RunTry create theirs), so a use's hop count picks out
+// its frame the way it does at run time.
+//
+// A resident local whose frame is entered again within one activation (a
+// block in a loop body) keeps the previous iteration's value in its
+// register, where a fresh frame would read undefined. The compiler clears it
+// on re-entry unless the local's first access in walk order is a store that
+// runs on every entry before any read: a declarator that is a direct
+// statement of the frame's block or for-header, a hoisted function
+// declaration, or the for-of variable.
+class LocalAnalysis {
+ public:
+  struct Locals {
+    int count = 0;                                   // registers r0 .. r(count-1)
+    std::unordered_map<const Node*, int> regs;       // use/declaration node -> register
+    std::unordered_map<const Node*, std::vector<int>> resets;  // frame owner -> registers
+    std::vector<std::pair<int32_t, int>> entry_copies;         // (entry slot, register)
+  };
+
+  // `chunk_root` is a kProgram root or a function/try/catch/finally body.
+  LocalAnalysis(const NodePtr& chunk_root, std::span<const NodePtr> entry_decls) {
+    for (const NodePtr& decl : entry_decls) {
+      if (decl->slot >= 0) {
+        entry_slots_.push_back(decl->slot);
+      }
+    }
+    frames_.push_back(Frame{nullptr, !entry_slots_.empty()});
+    owned_frames_ = entry_slots_.empty() ? 0 : 1;
+    if (chunk_root->kind == NodeKind::kProgram) {
+      for (const NodePtr& stmt : chunk_root->children) {
+        Stmt(stmt);
+      }
+    } else if (chunk_root->kind == NodeKind::kBlockStmt) {
+      Stmt(chunk_root);
+    } else {
+      Expr(chunk_root);
+    }
+  }
+
+  Locals Assign() const {
+    Locals out;
+    for (const Local& local : locals_) {
+      if (local.pinned) {
+        continue;
+      }
+      int reg = out.count++;
+      for (const Node* node : local.nodes) {
+        out.regs.emplace(node, reg);
+      }
+      if (local.owner == nullptr) {
+        out.entry_copies.emplace_back(local.slot, reg);
+      } else if (!local.stored_first) {
+        out.resets[local.owner].push_back(reg);
+      }
+    }
+    return out;
+  }
+
+ private:
+  struct Frame {
+    const Node* owner;
+    bool owned;
+  };
+  struct Local {
+    const Node* owner;
+    int32_t slot;
+    bool pinned = false;        // named from outside the chunk: stays in its slot
+    bool stored_first = false;  // first access is a store on every frame entry
+    std::vector<const Node*> nodes;
+  };
+  enum class Access { kUse, kFirstStore, kPin };
+
+  void Note(const Node* node, int32_t hops, int32_t slot, Access access) {
+    int index = static_cast<int>(frames_.size()) - 1 - hops;
+    if (slot < 0 || index < 0 || !frames_[static_cast<size_t>(index)].owned) {
+      return;
+    }
+    const Node* owner = frames_[static_cast<size_t>(index)].owner;
+    if (index == 0 &&
+        std::find(entry_slots_.begin(), entry_slots_.end(), slot) == entry_slots_.end()) {
+      return;  // `this` or the self binding: the entry frame keeps them
+    }
+    auto [it, inserted] = local_index_.try_emplace({owner, slot}, locals_.size());
+    if (inserted) {
+      locals_.push_back(Local{owner, slot, false, false, {}});
+    }
+    Local& local = locals_[it->second];
+    if (foreign_ > 0 || access == Access::kPin) {
+      local.pinned = true;
+      return;
+    }
+    if (local.nodes.empty()) {
+      local.stored_first = owner == nullptr || access == Access::kFirstStore;
+    }
+    local.nodes.push_back(node);
+  }
+
+  void Push(const Node* owner) {
+    bool owned = foreign_ == 0;
+    frames_.push_back(Frame{owner, owned});
+    owned_frames_ += owned ? 1 : 0;
+  }
+
+  void Pop() {
+    owned_frames_ -= frames_.back().owned ? 1 : 0;
+    frames_.pop_back();
+  }
+
+  // Code that runs outside this chunk (a nested function, class or try
+  // sub-chunk): every owned local it names is pinned to its slot. With no
+  // owned frame in scope there is nothing it could pin.
+  template <typename Fn>
+  void Foreign(Fn walk) {
+    if (owned_frames_ == 0) {
+      return;
+    }
+    ++foreign_;
+    const Node* saved = direct_;
+    direct_ = nullptr;
+    walk();
+    direct_ = saved;
+    --foreign_;
+  }
+
+  void Function(const NodePtr& fn) {
+    Foreign([&] {
+      Push(fn.get());  // the call frame
+      const NodePtr& body = fn->children[1];
+      if (body->kind == NodeKind::kBlockStmt) {
+        Stmt(body);
+      } else {
+        Expr(body);
+      }
+      Pop();
+    });
+  }
+
+  void Block(const NodePtr& block) {
+    bool transparent = block->slot == 0 && block->frame_size == 0;
+    const Node* saved = direct_;
+    if (!transparent) {
+      Push(block.get());
+      for (const NodePtr& stmt : block->children) {
+        if (stmt->kind == NodeKind::kFunctionDecl) {
+          Note(stmt.get(), 0, stmt->slot, Access::kFirstStore);  // hoisted
+        }
+      }
+    }
+    for (const NodePtr& stmt : block->children) {
+      direct_ = transparent ? nullptr : stmt.get();
+      Stmt(stmt);
+    }
+    direct_ = saved;
+    if (!transparent) {
+      Pop();
+    }
+  }
+
+  void Stmt(const NodePtr& node) {
+    switch (node->kind) {
+      case NodeKind::kVarDecl: {
+        Access store = node.get() == direct_ ? Access::kFirstStore : Access::kUse;
+        for (const NodePtr& declarator : node->children) {
+          if (!declarator->children.empty()) {
+            Expr(declarator->children[0]);
+          }
+          Note(declarator.get(), 0, declarator->slot, store);
+        }
+        return;
+      }
+      case NodeKind::kFunctionDecl:
+        Note(node.get(), 0, node->slot, Access::kUse);
+        Function(node);
+        return;
+      case NodeKind::kClassDecl:
+        // Interpreter::DeclareClass reads the superclass and writes the class
+        // binding through the frame, so both stay in their slots.
+        Note(node.get(), 0, node->slot, Access::kPin);
+        if (node->children[0]->kind != NodeKind::kEmpty) {
+          const NodePtr& super = node->children[0];
+          Note(super.get(), super->hops, super->slot, Access::kPin);
+        }
+        for (size_t i = 1; i < node->children.size(); ++i) {
+          Function(node->children[i]);
+        }
+        return;
+      case NodeKind::kBlockStmt:
+        Block(node);
+        return;
+      case NodeKind::kIfStmt:
+        Expr(node->children[0]);
+        Stmt(node->children[1]);
+        if (node->children.size() > 2) {
+          Stmt(node->children[2]);
+        }
+        return;
+      case NodeKind::kWhileStmt:
+        Expr(node->children[0]);
+        Stmt(node->children[1]);
+        return;
+      case NodeKind::kForStmt: {
+        bool header = !(node->slot == 0 && node->frame_size == 0);
+        const Node* saved = direct_;
+        if (header) {
+          Push(node.get());
+        }
+        direct_ = node->children[0].get();  // the init runs first on every entry
+        if (node->children[0]->kind != NodeKind::kEmpty) {
+          Stmt(node->children[0]);
+        }
+        direct_ = nullptr;
+        if (node->children[1]->kind != NodeKind::kEmpty) {
+          Expr(node->children[1]);
+        }
+        Stmt(node->children[3]);
+        if (node->children[2]->kind != NodeKind::kEmpty) {
+          Expr(node->children[2]);
+        }
+        direct_ = saved;
+        if (header) {
+          Pop();
+        }
+        return;
+      }
+      case NodeKind::kForOfStmt: {
+        Expr(node->children[1]);
+        Push(node.get());
+        const NodePtr& loop_var = node->children[0];
+        Note(loop_var.get(), 0, loop_var->slot, Access::kFirstStore);
+        const Node* saved = direct_;
+        direct_ = nullptr;
+        Stmt(node->children[2]);
+        direct_ = saved;
+        Pop();
+        return;
+      }
+      case NodeKind::kReturnStmt:
+      case NodeKind::kThrowStmt:
+      case NodeKind::kExprStmt:
+        if (!node->children.empty()) {
+          Expr(node->children[0]);
+        }
+        return;
+      case NodeKind::kTryStmt:
+        Foreign([&] {
+          Stmt(node->children[0]);
+          if (node->children[2]->kind == NodeKind::kBlockStmt) {
+            Push(node.get());  // the catch frame
+            Stmt(node->children[2]);
+            Pop();
+          }
+          if (node->children.size() > 3 && node->children[3]->kind == NodeKind::kBlockStmt) {
+            Stmt(node->children[3]);
+          }
+        });
+        return;
+      case NodeKind::kBreakStmt:
+      case NodeKind::kContinueStmt:
+      case NodeKind::kEmpty:
+        return;
+      default:
+        Expr(node);
+        return;
+    }
+  }
+
+  void Expr(const NodePtr& node) {
+    if (node->kind == NodeKind::kIdentifier) {
+      if (node->hops >= 0) {
+        Note(node.get(), node->hops, node->slot, Access::kUse);
+      }
+      return;
+    }
+    if (node->kind == NodeKind::kThisExpr) {
+      if (node->hops >= 0) {
+        Note(node.get(), node->hops, 0, Access::kPin);
+      }
+      return;
+    }
+    if (node->IsFunctionLike()) {
+      Function(node);
+      return;
+    }
+    for (const NodePtr& child : node->children) {
+      if (child == nullptr) {
+        continue;
+      }
+      if (child->kind == NodeKind::kBlockStmt) {
+        Stmt(child);
+      } else {
+        Expr(child);
+      }
+    }
+  }
+
+  std::vector<int32_t> entry_slots_;
+  std::vector<Frame> frames_;
+  int owned_frames_ = 0;
+  int foreign_ = 0;            // > 0 while walking code that runs outside the chunk
+  const Node* direct_ = nullptr;  // the statement whose stores run first on frame entry
+  std::vector<Local> locals_;
+  std::map<std::pair<const Node*, int32_t>, size_t> local_index_;
+};
 
 // The compiler mirrors the reference tree-walker's evaluation order and
 // environment discipline instruction for instruction: every
@@ -33,6 +348,7 @@ class Compiler {
       : chunk_(chunk), fuse_dift_(fuse_dift) {}
 
   void CompileProgram(const NodePtr& root) {
+    ReserveLocals(LocalAnalysis(root, {}).Assign());
     // Function-declaration hoisting: same double-definition the tree-walker
     // performs (hoist pass + textual position).
     for (const NodePtr& stmt : root->children) {
@@ -47,15 +363,18 @@ class Compiler {
     Finish();
   }
 
-  void CompileFunctionBody(const NodePtr& body) {
+  void CompileFunctionBody(const NodePtr& body, std::span<const NodePtr> entry_decls) {
+    ReserveLocals(LocalAnalysis(body, entry_decls).Assign());
+    // Prologue: register-resident parameters leave their call-frame slots.
+    for (const auto& [slot, reg] : locals_.entry_copies) {
+      Emit(body.get(), Op::kLoadSlot, reg, 0, slot);
+    }
     if (body->kind == NodeKind::kBlockStmt) {
       CompileBlock(body);
       Emit(body.get(), Op::kHalt);
     } else {
       RegScope scope(this);
-      int r = AllocReg();
-      CompileExprInto(r, body);
-      Emit(body.get(), Op::kHaltValue, r);
+      Emit(body.get(), Op::kHaltValue, CompileOperand(body));
     }
     Finish();
   }
@@ -76,6 +395,119 @@ class Compiler {
       max_regs_ = next_reg_;
     }
     return r;
+  }
+
+  // --- register locals -------------------------------------------------------
+
+  // Resident locals take the low registers; temporaries start above them.
+  void ReserveLocals(LocalAnalysis::Locals locals) {
+    locals_ = std::move(locals);
+    next_reg_ = max_regs_ = locals_.count;
+  }
+
+  // The register of a resident local's use or declaration node, else -1.
+  int LocalReg(const NodePtr& node) const {
+    auto it = locals_.regs.find(node.get());
+    return it != locals_.regs.end() ? it->second : -1;
+  }
+
+  // A frame re-entered within one activation (inside a loop) starts over with
+  // undefined slots; its resident locals that may be read before they are
+  // stored start over too (see LocalAnalysis).
+  void EmitLocalResets(const NodePtr& frame_owner) {
+    if (loops_.empty()) {
+      return;
+    }
+    auto it = locals_.resets.find(frame_owner.get());
+    if (it == locals_.resets.end()) {
+      return;
+    }
+    for (int reg : it->second) {
+      EmitLoadUndef(frame_owner.get(), reg);
+    }
+  }
+
+  // Does `expr` assign or update the register local `reg`? Nested functions
+  // cannot: a local they name is never resident.
+  bool Assigns(const NodePtr& expr, int reg) const {
+    if ((expr->kind == NodeKind::kAssignExpr || expr->kind == NodeKind::kUpdateExpr) &&
+        LocalReg(expr->children[0]) == reg) {
+      return true;
+    }
+    if (expr->IsFunctionLike()) {
+      return false;
+    }
+    for (const NodePtr& child : expr->children) {
+      if (child != nullptr && Assigns(child, reg)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // Does any of parent->children[next..] assign the register local `reg`?
+  bool AssignsLater(const Node* parent, size_t next, int reg) const {
+    for (size_t i = next; parent != nullptr && i < parent->children.size(); ++i) {
+      if (Assigns(parent->children[i], reg)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // The register holding `node`'s value for an instruction that reads it
+  // after parent->children[next..] are evaluated: a resident local's own
+  // register unless one of those may assign it (then the read must see the
+  // value from before), otherwise a fresh temporary `node` is compiled into.
+  int CompileOperand(const NodePtr& node, const Node* parent = nullptr, size_t next = 0) {
+    int reg = LocalReg(node);
+    if (reg >= 0 && !AssignsLater(parent, next, reg)) {
+      return reg;
+    }
+    int r = AllocReg();
+    CompileExprInto(r, node);
+    return r;
+  }
+
+  // As CompileOperand, for value operands (bytecode.h): a number literal
+  // becomes a constant operand with no kLoadConst of its own.
+  int CompileValueOperand(const NodePtr& node, const Node* parent = nullptr, size_t next = 0) {
+    if (node->kind == NodeKind::kNumberLit) {
+      return ~ConstIdx(Value(node->num));
+    }
+    return CompileOperand(node, parent, next);
+  }
+
+  // True when compiling `expr` into a register writes that register only with
+  // its last instruction on every path, so the expression may read the
+  // register's old value until then: compiling straight into a resident
+  // local is then safe even when `expr` reads the local.
+  static bool WritesDstLast(const NodePtr& expr) {
+    switch (expr->kind) {
+      case NodeKind::kObjectLit:
+      case NodeKind::kLogicalExpr:
+      case NodeKind::kAssignExpr:
+        return false;
+      case NodeKind::kSequenceExpr:
+        return expr->children.empty() ||
+               (expr->children.size() == 1 && WritesDstLast(expr->children[0]));
+      case NodeKind::kConditionalExpr:
+        return WritesDstLast(expr->children[1]) && WritesDstLast(expr->children[2]);
+      default:
+        return true;
+    }
+  }
+
+  // Compiles `expr` into the resident local `reg`.
+  void CompileIntoLocal(int reg, const NodePtr& expr) {
+    if (WritesDstLast(expr)) {
+      CompileExprInto(reg, expr);
+      return;
+    }
+    RegScope scope(this);
+    int value = AllocReg();
+    CompileExprInto(value, expr);
+    Emit(expr.get(), Op::kMove, reg, value);
   }
 
   // --- emission and pools ----------------------------------------------------
@@ -213,6 +645,12 @@ class Compiler {
   // --- identifiers -----------------------------------------------------------
 
   void EmitLoadIdent(int dst, const NodePtr& node, const char* error_verb) {
+    if (int reg = LocalReg(node); reg >= 0) {
+      if (reg != dst) {
+        Emit(node.get(), Op::kMove, dst, reg);
+      }
+      return;
+    }
     if (node->hops >= 0) {
       Emit(node.get(), Op::kLoadSlot, dst, node->hops, node->slot);
       return;
@@ -229,7 +667,11 @@ class Compiler {
   }
 
   void EmitStoreIdent(const NodePtr& node, int src) {
-    if (node->hops >= 0) {
+    if (int reg = LocalReg(node); reg >= 0) {
+      if (reg != src) {
+        Emit(node.get(), Op::kMove, reg, src);
+      }
+    } else if (node->hops >= 0) {
       Emit(node.get(), Op::kStoreSlot, node->hops, node->slot, src);
     } else if (node->hops == kHopsGlobal) {
       Emit(node.get(), Op::kStoreGlobal, AtomOf(node), src);
@@ -285,8 +727,7 @@ class Compiler {
         return;
       case NodeKind::kMemberExpr: {
         RegScope scope(this);
-        int obj = AllocReg();
-        CompileExprInto(obj, node->children[0]);
+        int obj = CompileOperand(node->children[0]);
         size_t skip = SIZE_MAX;
         if (node->num != 0) {  // optional chaining
           skip = Emit(node.get(), Op::kJumpIfNullish, -1, obj);
@@ -302,20 +743,16 @@ class Compiler {
       }
       case NodeKind::kIndexExpr: {
         RegScope scope(this);
-        int obj = AllocReg();
-        CompileExprInto(obj, node->children[0]);
-        int key = AllocReg();
-        CompileExprInto(key, node->children[1]);
+        int obj = CompileOperand(node->children[0], node.get(), 1);
+        int key = CompileOperand(node->children[1]);
         Emit(node.get(), Op::kGetIndex, dst, obj, key);
         return;
       }
       case NodeKind::kBinaryExpr: {
         BinaryOp op = BinaryOpFromString(node->str);
         RegScope scope(this);
-        int left = AllocReg();
-        CompileExprInto(left, node->children[0]);
-        int right = AllocReg();
-        CompileExprInto(right, node->children[1]);
+        int left = CompileValueOperand(node->children[0], node.get(), 1);
+        int right = CompileValueOperand(node->children[1]);
         if (op == BinaryOp::kInvalid) {
           EmitRaise(node, UnimplementedError("binary operator " + node->str));
           return;
@@ -343,13 +780,7 @@ class Compiler {
         CompileAssign(dst, node);
         return;
       case NodeKind::kConditionalExpr: {
-        size_t to_else;
-        {
-          RegScope scope(this);
-          int cond = AllocReg();
-          CompileExprInto(cond, node->children[0]);
-          to_else = Emit(node.get(), Op::kJumpIfFalse, -1, cond);
-        }
+        size_t to_else = CompileBranchIfFalse(node, node->children[0]);
         CompileExprInto(dst, node->children[1]);
         size_t to_end = Emit(node.get(), Op::kJump, -1);
         PatchJump(to_else, Here());
@@ -359,9 +790,7 @@ class Compiler {
       }
       case NodeKind::kAwaitExpr: {
         RegScope scope(this);
-        int operand = AllocReg();
-        CompileExprInto(operand, node->children[0]);
-        Emit(node.get(), Op::kAwait, dst, operand);
+        Emit(node.get(), Op::kAwait, dst, CompileOperand(node->children[0]));
         return;
       }
       case NodeKind::kSequenceExpr:
@@ -528,10 +957,8 @@ class Compiler {
       BinaryOp op = BinaryOpFromString(node->children[1]->str);
       RegScope scope(this);
       int guard = EmitDiftGuard(object, callee);
-      int left = AllocReg();
-      CompileExprInto(left, node->children[2]);
-      int right = AllocReg();
-      CompileExprInto(right, node->children[3]);
+      int left = CompileValueOperand(node->children[2], node.get(), 3);
+      int right = CompileValueOperand(node->children[3]);
       Emit(node.get(), Op::kBinaryLabelled, dst, static_cast<int32_t>(op), left, right,
            guard, NameIdx(node->children[1]->str));
       return true;
@@ -539,10 +966,8 @@ class Compiler {
     if (method == "check" && node->children.size() == 3) {
       RegScope scope(this);
       int guard = EmitDiftGuard(object, callee);
-      int data = AllocReg();
-      CompileExprInto(data, node->children[1]);
-      int recv = AllocReg();
-      CompileExprInto(recv, node->children[2]);
+      int data = CompileOperand(node->children[1], node.get(), 2);
+      int recv = CompileOperand(node->children[2]);
       Emit(node.get(), Op::kCheckSink, dst, data, recv, guard);
       return true;
     }
@@ -579,17 +1004,18 @@ class Compiler {
     const NodePtr& callee = node->children[0];
     int name = NameIdx(callee->str);
     RegScope scope(this);
-    int fn = AllocReg();
+    int fn = -1;
     int this_reg = -1;
     size_t skip = SIZE_MAX;
     if (callee->kind == NodeKind::kMemberExpr) {
-      this_reg = AllocReg();
-      CompileExprInto(this_reg, callee->children[0]);
+      fn = AllocReg();
+      this_reg = CompileOperand(callee->children[0], node.get(), 1);
       if (callee->num != 0) {  // optional call a?.b(...): nullish skips args too
         skip = Emit(callee.get(), Op::kJumpIfNullish, -1, this_reg);
       }
       EmitGetMember(fn, this_reg, callee);
     } else if (callee->kind == NodeKind::kIndexExpr) {
+      fn = AllocReg();
       this_reg = AllocReg();
       CompileExprInto(this_reg, callee->children[0]);
       {
@@ -599,7 +1025,7 @@ class Compiler {
         Emit(callee.get(), Op::kGetIndex, fn, this_reg, key);
       }
     } else {
-      CompileExprInto(fn, callee);
+      fn = CompileOperand(callee, node.get(), 1);
     }
     int base = 0;
     int count = 0;
@@ -634,20 +1060,19 @@ class Compiler {
     if (op == "typeof") {
       const NodePtr& operand = node->children[0];
       RegScope scope(this);
-      int r = AllocReg();
-      if (operand->kind == NodeKind::kIdentifier) {
+      int r;
+      if (operand->kind == NodeKind::kIdentifier && operand->hops < 0) {
         // typeof tolerates unbound names: soft loads yield undefined, whose
         // TypeName matches the tree-walker's literal "undefined".
-        if (operand->hops >= 0) {
-          Emit(operand.get(), Op::kLoadSlot, r, operand->hops, operand->slot);
-        } else if (operand->hops == kHopsGlobal) {
+        r = AllocReg();
+        if (operand->hops == kHopsGlobal) {
           Emit(operand.get(), Op::kLoadGlobalSoft, r, AtomOf(operand));
         } else {
           Emit(operand.get(), Op::kLoadDynSoft, r,
                static_cast<int32_t>(InternAtom(operand->str)));
         }
       } else {
-        CompileExprInto(r, operand);
+        r = CompileOperand(operand);
       }
       Emit(node.get(), Op::kTypeof, dst, r);
       return;
@@ -673,8 +1098,7 @@ class Compiler {
       return;
     }
     RegScope scope(this);
-    int r = AllocReg();
-    CompileExprInto(r, node->children[0]);
+    int r = CompileOperand(node->children[0]);
     UnaryOp decoded;
     if (op == "!") {
       decoded = UnaryOp::kNot;
@@ -697,16 +1121,21 @@ class Compiler {
     bool prefix = node->num != 0;
     if (target->kind == NodeKind::kIdentifier) {
       RegScope scope(this);
-      int old_raw = AllocReg();
-      if (target->hops >= 0) {
-        Emit(target.get(), Op::kLoadSlot, old_raw, target->hops, target->slot);
-      } else {
-        int msg = NameIdx("update of undeclared variable " + target->str);
-        if (target->hops == kHopsGlobal) {
-          Emit(target.get(), Op::kLoadGlobal, old_raw, AtomOf(target), msg);
+      // A resident local is read in place: the coercion below consumes it
+      // before anything can change it.
+      int old_raw = LocalReg(target);
+      if (old_raw < 0) {
+        old_raw = AllocReg();
+        if (target->hops >= 0) {
+          Emit(target.get(), Op::kLoadSlot, old_raw, target->hops, target->slot);
         } else {
-          Emit(target.get(), Op::kLoadDyn, old_raw,
-               static_cast<int32_t>(InternAtom(target->str)), msg);
+          int msg = NameIdx("update of undeclared variable " + target->str);
+          if (target->hops == kHopsGlobal) {
+            Emit(target.get(), Op::kLoadGlobal, old_raw, AtomOf(target), msg);
+          } else {
+            Emit(target.get(), Op::kLoadDyn, old_raw,
+                 static_cast<int32_t>(InternAtom(target->str)), msg);
+          }
         }
       }
       EmitUpdateArithmetic(node, target, step, prefix, dst, old_raw,
@@ -715,12 +1144,10 @@ class Compiler {
     }
     if (target->kind == NodeKind::kMemberExpr || target->kind == NodeKind::kIndexExpr) {
       RegScope scope(this);
-      int obj = AllocReg();
-      CompileExprInto(obj, target->children[0]);
+      int obj = CompileOperand(target->children[0], target.get(), 1);
       int key = -1;
       if (target->kind == NodeKind::kIndexExpr) {
-        key = AllocReg();
-        CompileExprInto(key, target->children[1]);
+        key = CompileOperand(target->children[1]);
       }
       int old_raw = AllocReg();
       if (target->kind == NodeKind::kMemberExpr) {
@@ -741,10 +1168,9 @@ class Compiler {
                             const Node* member) {
     int old_num = AllocReg();
     Emit(node.get(), Op::kUnary, old_num, static_cast<int32_t>(UnaryOp::kPlus), old_raw);
-    int one = AllocReg();
-    Emit(node.get(), Op::kLoadConst, one, ConstIdx(Value(1.0)));
     int updated = AllocReg();
-    Emit(node.get(), Op::kBinary, updated, static_cast<int32_t>(step), old_num, one);
+    Emit(node.get(), Op::kBinary, updated, static_cast<int32_t>(step), old_num,
+         ~ConstIdx(Value(1.0)));
     if (member == nullptr) {
       EmitStoreIdent(target, updated);
     } else if (member->kind == NodeKind::kMemberExpr) {
@@ -774,6 +1200,13 @@ class Compiler {
     BinaryOp compound = BinaryOp::kInvalid;
     if (!plain && !logical) {
       compound = BinaryOpFromString(op.substr(0, op.size() - 1));
+    }
+    if (int reg = LocalReg(target); reg >= 0) {
+      CompileAssignLocal(node, reg, plain, logical, compound);
+      if (dst >= 0 && dst != reg) {
+        Emit(node.get(), Op::kMove, dst, reg);
+      }
+      return;
     }
     if (target->kind == NodeKind::kIdentifier) {
       RegScope scope(this);
@@ -807,12 +1240,15 @@ class Compiler {
     }
     if (target->kind == NodeKind::kMemberExpr || target->kind == NodeKind::kIndexExpr) {
       RegScope scope(this);
-      int obj = AllocReg();
-      CompileExprInto(obj, target->children[0]);
+      // The store reads the object (and key) after the value is computed.
+      int obj = LocalReg(target->children[0]);
+      if (obj < 0 || AssignsLater(target.get(), 1, obj) || AssignsLater(node.get(), 1, obj)) {
+        obj = AllocReg();
+        CompileExprInto(obj, target->children[0]);
+      }
       int key = -1;
       if (target->kind == NodeKind::kIndexExpr) {
-        key = AllocReg();
-        CompileExprInto(key, target->children[1]);
+        key = CompileOperand(target->children[1], node.get(), 1);
       }
       int old_raw = -1;
       if (!plain) {
@@ -832,6 +1268,34 @@ class Compiler {
       return;
     }
     EmitRaise(node, Interpreter::TypeError("invalid assignment target"));
+  }
+
+  // Assignment to a resident local: the value lands in its register.
+  void CompileAssignLocal(const NodePtr& node, int reg, bool plain, bool logical,
+                          BinaryOp compound) {
+    const NodePtr& rhs = node->children[1];
+    if (plain) {
+      CompileIntoLocal(reg, rhs);
+      return;
+    }
+    RegScope scope(this);
+    if (!logical && compound != BinaryOp::kInvalid && !Assigns(rhs, reg)) {
+      // The right-hand side cannot change the local, so the operator reads
+      // the old value straight from its register.
+      int right = CompileValueOperand(rhs);
+      if (compound == BinaryOp::kAdd) {
+        Emit(node.get(), Op::kAddReg, reg, right);
+      } else {
+        Emit(node.get(), Op::kBinary, reg, static_cast<int32_t>(compound), reg, right);
+      }
+      return;
+    }
+    // Otherwise snapshot the old value first, as the slot path loads it.
+    int old_raw = AllocReg();
+    Emit(node->children[0].get(), Op::kMove, old_raw, reg);
+    int value = AllocReg();
+    EmitAssignValue(node, plain, logical, compound, value, old_raw);
+    Emit(node.get(), Op::kMove, reg, value);
   }
 
   // Computes the stored value of an assignment into `dst`. The RHS is always
@@ -855,8 +1319,7 @@ class Compiler {
       return;
     }
     RegScope scope(this);
-    int rhs = AllocReg();
-    CompileExprInto(rhs, node->children[1]);
+    int rhs = CompileValueOperand(node->children[1]);
     if (compound == BinaryOp::kInvalid) {
       EmitRaise(node, UnimplementedError("binary operator " + op.substr(0, op.size() - 1)));
       return;
@@ -871,6 +1334,15 @@ class Compiler {
       case NodeKind::kVarDecl:
         for (const NodePtr& declarator : node->children) {
           RegScope scope(this);
+          if (int reg = LocalReg(declarator); reg >= 0) {
+            if (declarator->children.empty()) {
+              EmitLoadUndef(declarator.get(), reg);
+            } else {
+              CompileIntoLocal(reg, declarator->children[0]);
+              Emit(declarator.get(), Op::kSetFnName, reg, NameIdx(declarator->str));
+            }
+            continue;
+          }
           int r = AllocReg();
           if (!declarator->children.empty()) {
             CompileExprInto(r, declarator->children[0]);
@@ -887,23 +1359,14 @@ class Compiler {
           }
         }
         return;
-      case NodeKind::kExprStmt: {
-        RegScope scope(this);
-        int r = AllocReg();
-        CompileExprInto(r, node->children[0]);
+      case NodeKind::kExprStmt:
+        CompileEffect(node->children[0]);
         return;
-      }
       case NodeKind::kBlockStmt:
         CompileBlock(node);
         return;
       case NodeKind::kIfStmt: {
-        size_t to_else;
-        {
-          RegScope scope(this);
-          int cond = AllocReg();
-          CompileExprInto(cond, node->children[0]);
-          to_else = Emit(node.get(), Op::kJumpIfFalse, -1, cond);
-        }
+        size_t to_else = CompileBranchIfFalse(node, node->children[0]);
         CompileStmt(node->children[1]);
         if (node->children.size() > 2) {
           size_t to_end = Emit(node.get(), Op::kJump, -1);
@@ -926,20 +1389,19 @@ class Compiler {
         return;
       case NodeKind::kReturnStmt: {
         RegScope scope(this);
-        int r = AllocReg();
+        int r;
         if (node->children.empty()) {
+          r = AllocReg();
           EmitLoadUndef(node.get(), r);
         } else {
-          CompileExprInto(r, node->children[0]);
+          r = CompileOperand(node->children[0]);
         }
         Emit(node.get(), Op::kReturn, r);
         return;
       }
       case NodeKind::kThrowStmt: {
         RegScope scope(this);
-        int r = AllocReg();
-        CompileExprInto(r, node->children[0]);
-        Emit(node.get(), Op::kThrow, r);
+        Emit(node.get(), Op::kThrow, CompileOperand(node->children[0]));
         return;
       }
       case NodeKind::kBreakStmt:
@@ -952,6 +1414,10 @@ class Compiler {
         return;
       case NodeKind::kFunctionDecl: {
         RegScope scope(this);
+        if (int reg = LocalReg(node); reg >= 0) {
+          Emit(node.get(), Op::kClosure, reg, NodeIdx(node));
+          return;
+        }
         int r = AllocReg();
         Emit(node.get(), Op::kClosure, r, NodeIdx(node));
         if (node->slot >= 0) {
@@ -967,14 +1433,59 @@ class Compiler {
       case NodeKind::kClassDecl:
         Emit(node.get(), Op::kClass, NodeIdx(node));
         return;
-      default: {
+      default:
         // Expression in statement position (anything else raises there).
-        RegScope scope(this);
-        int r = AllocReg();
-        CompileExprInto(r, node);
+        CompileEffect(node);
+        return;
+    }
+  }
+
+  // An expression whose value is unused (statement and for-update
+  // position). `x++`/`x--` on a local becomes one increment; an assignment to
+  // a resident local skips the copy of its value.
+  void CompileEffect(const NodePtr& node) {
+    if (node->kind == NodeKind::kUpdateExpr &&
+        node->children[0]->kind == NodeKind::kIdentifier) {
+      const NodePtr& target = node->children[0];
+      int32_t delta = node->str == "++" ? 1 : -1;
+      if (int reg = LocalReg(target); reg >= 0) {
+        Emit(node.get(), Op::kIncLocal, reg, delta);
+        return;
+      }
+      if (target->hops >= 0) {
+        Emit(node.get(), Op::kIncSlot, target->hops, target->slot, delta);
         return;
       }
     }
+    if (node->kind == NodeKind::kAssignExpr && LocalReg(node->children[0]) >= 0) {
+      CompileAssign(/*dst=*/-1, node);
+      return;
+    }
+    if (node->kind == NodeKind::kSequenceExpr && !node->children.empty()) {
+      for (const NodePtr& part : node->children) {
+        CompileEffect(part);
+      }
+      return;
+    }
+    RegScope scope(this);
+    int r = AllocReg();
+    CompileExprInto(r, node);
+  }
+
+  // Emits the jump taken when `cond` is falsy and returns it for patching. A
+  // relational or strict-equality test fuses into one kJumpUnless.
+  size_t CompileBranchIfFalse(const NodePtr& stmt, const NodePtr& cond) {
+    RegScope scope(this);
+    if (cond->kind == NodeKind::kBinaryExpr) {
+      BinaryOp op = BinaryOpFromString(cond->str);
+      if (op == BinaryOp::kLt || op == BinaryOp::kGt || op == BinaryOp::kLe ||
+          op == BinaryOp::kGe || op == BinaryOp::kStrictEq || op == BinaryOp::kStrictNe) {
+        int left = CompileValueOperand(cond->children[0], cond.get(), 1);
+        int right = CompileValueOperand(cond->children[1]);
+        return Emit(cond.get(), Op::kJumpUnless, -1, static_cast<int32_t>(op), left, right);
+      }
+    }
+    return Emit(stmt.get(), Op::kJumpIfFalse, -1, CompileOperand(cond));
   }
 
   void CompileBlock(const NodePtr& block) {
@@ -984,6 +1495,7 @@ class Compiler {
     if (!transparent) {
       Emit(block.get(), Op::kEnvPush, static_cast<int32_t>(block->frame_size));
       ++env_depth_;
+      EmitLocalResets(block);
       for (const NodePtr& stmt : block->children) {
         if (stmt->kind == NodeKind::kFunctionDecl) {
           CompileStmt(stmt);  // hoist: same double definition as the oracle
@@ -1002,13 +1514,7 @@ class Compiler {
   void CompileWhile(const NodePtr& node) {
     loops_.push_back(LoopCtx{env_depth_, env_depth_, false, {}, {}, {}});
     int start = Here();
-    size_t exit_jump;
-    {
-      RegScope scope(this);
-      int cond = AllocReg();
-      CompileExprInto(cond, node->children[0]);
-      exit_jump = Emit(node.get(), Op::kJumpIfFalse, -1, cond);
-    }
+    size_t exit_jump = CompileBranchIfFalse(node, node->children[0]);
     CompileStmt(node->children[1]);
     Emit(node.get(), Op::kJump, start);
     int exit = Here();
@@ -1022,6 +1528,7 @@ class Compiler {
     if (header) {
       Emit(node.get(), Op::kEnvPush, static_cast<int32_t>(node->frame_size));
       ++env_depth_;
+      EmitLocalResets(node);
     }
     if (node->children[0]->kind != NodeKind::kEmpty) {
       CompileStmt(node->children[0]);
@@ -1030,17 +1537,12 @@ class Compiler {
     int start = Here();
     size_t exit_jump = SIZE_MAX;
     if (node->children[1]->kind != NodeKind::kEmpty) {
-      RegScope scope(this);
-      int cond = AllocReg();
-      CompileExprInto(cond, node->children[1]);
-      exit_jump = Emit(node.get(), Op::kJumpIfFalse, -1, cond);
+      exit_jump = CompileBranchIfFalse(node, node->children[1]);
     }
     CompileStmt(node->children[3]);
     int cont = Here();
     if (node->children[2]->kind != NodeKind::kEmpty) {
-      RegScope scope(this);
-      int update = AllocReg();
-      CompileExprInto(update, node->children[2]);
+      CompileEffect(node->children[2]);
     }
     Emit(node.get(), Op::kJump, start);
     int exit = Here();
@@ -1063,7 +1565,10 @@ class Compiler {
       CompileExprInto(iterable, node->children[1]);  // evaluated in outer scope
       Emit(node.get(), Op::kIterNew, 0, iterable);
     }
-    int item = AllocReg();
+    // A resident loop variable receives each item directly.
+    const NodePtr& loop_var = node->children[0];
+    const bool resident = LocalReg(loop_var) >= 0;
+    int item = resident ? LocalReg(loop_var) : AllocReg();
     // The per-iteration environment sits one deeper than the break landing
     // site; the iteration frame must be popped on break (kIterNext pops it on
     // normal exhaustion).
@@ -1072,10 +1577,10 @@ class Compiler {
     size_t next = Emit(node.get(), Op::kIterNext, -1, item);
     Emit(node.get(), Op::kEnvPush, static_cast<int32_t>(node->frame_size));
     ++env_depth_;
-    const NodePtr& loop_var = node->children[0];
-    if (loop_var->slot >= 0) {
+    EmitLocalResets(node);
+    if (!resident && loop_var->slot >= 0) {
       Emit(loop_var.get(), Op::kStoreSlot, 0, loop_var->slot, item);
-    } else {
+    } else if (!resident) {
       Emit(loop_var.get(), Op::kDefineCur, static_cast<int32_t>(InternAtom(loop_var->str)),
            item);
     }
@@ -1100,6 +1605,7 @@ class Compiler {
 
   Chunk* chunk_;
   bool fuse_dift_ = false;
+  LocalAnalysis::Locals locals_;
   int next_reg_ = 0;
   int max_regs_ = 0;
   int env_depth_ = 0;
@@ -1154,6 +1660,9 @@ const char* OpName(Op op) {
     case Op::kSetFnName: return "SetFnName";
     case Op::kBinary: return "Binary";
     case Op::kAddSlot: return "AddSlot";
+    case Op::kAddReg: return "AddReg";
+    case Op::kIncLocal: return "IncLocal";
+    case Op::kIncSlot: return "IncSlot";
     case Op::kUnary: return "Unary";
     case Op::kTypeof: return "Typeof";
     case Op::kJump: return "Jump";
@@ -1161,6 +1670,7 @@ const char* OpName(Op op) {
     case Op::kJumpIfTrue: return "JumpIfTrue";
     case Op::kJumpIfNullish: return "JumpIfNullish";
     case Op::kJumpIfNotNullish: return "JumpIfNotNullish";
+    case Op::kJumpUnless: return "JumpUnless";
     case Op::kGetProp: return "GetProp";
     case Op::kGetPropName: return "GetPropName";
     case Op::kGetIndex: return "GetIndex";
@@ -1219,12 +1729,12 @@ ChunkPtr GetOrCompileProgram(const NodePtr& root) {
   return chunk;
 }
 
-ChunkPtr GetOrCompileFunctionBody(const NodePtr& body) {
+ChunkPtr GetOrCompileFunctionBody(const NodePtr& body, std::span<const NodePtr> entry_decls) {
   if (body->compiled_chunk != nullptr) {
     return std::static_pointer_cast<const Chunk>(body->compiled_chunk);
   }
   auto chunk = std::make_shared<Chunk>();
-  Compiler(chunk.get()).CompileFunctionBody(body);
+  Compiler(chunk.get()).CompileFunctionBody(body, entry_decls);
   ChunksCompiledCounter()->Increment();
   body->compiled_chunk = chunk;
   return chunk;
@@ -1248,17 +1758,18 @@ ChunkPtr GetOrCompileProgramFused(const NodePtr& root) {
   return chunk;
 }
 
-ChunkPtr GetOrCompileFunctionBodyFused(const NodePtr& body) {
+ChunkPtr GetOrCompileFunctionBodyFused(const NodePtr& body,
+                                       std::span<const NodePtr> entry_decls) {
   if (body->compiled_chunk_fused != nullptr) {
     return std::static_pointer_cast<const Chunk>(body->compiled_chunk_fused);
   }
   if (!MentionsDift(body)) {
-    ChunkPtr lowered = GetOrCompileFunctionBody(body);
+    ChunkPtr lowered = GetOrCompileFunctionBody(body, entry_decls);
     body->compiled_chunk_fused = body->compiled_chunk;
     return lowered;
   }
   auto chunk = std::make_shared<Chunk>();
-  Compiler(chunk.get(), /*fuse_dift=*/true).CompileFunctionBody(body);
+  Compiler(chunk.get(), /*fuse_dift=*/true).CompileFunctionBody(body, entry_decls);
   ChunksCompiledCounter()->Increment();
   body->compiled_chunk_fused = chunk;
   return chunk;

@@ -11,6 +11,8 @@
 #ifndef TURNSTILE_SRC_VM_COMPILER_H_
 #define TURNSTILE_SRC_VM_COMPILER_H_
 
+#include <span>
+
 #include "src/lang/ast.h"
 #include "src/vm/bytecode.h"
 
@@ -27,8 +29,13 @@ ChunkPtr GetOrCompileProgram(const NodePtr& root);
 // expression body lowers to the expression followed by kHaltValue. The caller
 // owns frame setup — Interpreter::CallFunction binds `this`, the self binding
 // and parameters; Vm::RunTry builds the catch frame — so the chunk starts with
-// its environment current.
-ChunkPtr GetOrCompileFunctionBody(const NodePtr& body);
+// its environment current. `entry_decls` are the declarations the caller
+// bound in that entry frame on the chunk's behalf: a function's parameters,
+// or a catch block's parameter (empty for try and finally blocks, whose
+// entry frame belongs to the enclosing chunk). Those only this chunk uses
+// are copied into registers by its prologue (see bytecode.h).
+ChunkPtr GetOrCompileFunctionBody(const NodePtr& body,
+                                  std::span<const NodePtr> entry_decls = {});
 
 // The DIFT-fused compilation flavor (default bytecode tier): recognized
 // `__dift.*` call shapes lower onto the labelled opcodes and member accesses
@@ -37,7 +44,8 @@ ChunkPtr GetOrCompileFunctionBody(const NodePtr& body);
 // one cache entry, identical code. Cached in Node::compiled_chunk_fused,
 // invalidated by ResolveProgram alongside the lowered cache.
 ChunkPtr GetOrCompileProgramFused(const NodePtr& root);
-ChunkPtr GetOrCompileFunctionBodyFused(const NodePtr& body);
+ChunkPtr GetOrCompileFunctionBodyFused(const NodePtr& body,
+                                       std::span<const NodePtr> entry_decls = {});
 
 }  // namespace vm
 }  // namespace turnstile

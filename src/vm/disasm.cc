@@ -25,6 +25,7 @@ namespace {
 
 // Operand spec characters:
 //   r  register            a  atom (interned; rendered via AtomName)
+//   v  value operand (a register, or ~k for constants[k])
 //   n  Chunk::names index  k  Chunk::constants index
 //   j  jump target (pc)    d  Chunk::nodes index
 //   i  plain integer       b  BinaryOp    u  UnaryOp
@@ -45,8 +46,11 @@ const char* OperandSpec(Op op) {
     case Op::kDefineCur:        return "ar";
     case Op::kLoadThisDyn:      return "ra";
     case Op::kSetFnName:        return "rn";
-    case Op::kBinary:           return "rbrr";
+    case Op::kBinary:           return "rbvv";
     case Op::kAddSlot:          return "riirr";
+    case Op::kAddReg:           return "rv";
+    case Op::kIncLocal:         return "ri";
+    case Op::kIncSlot:          return "iii";
     case Op::kUnary:            return "rur";
     case Op::kTypeof:           return "rr";
     case Op::kJump:             return "j";
@@ -54,6 +58,7 @@ const char* OperandSpec(Op op) {
     case Op::kJumpIfTrue:       return "jr";
     case Op::kJumpIfNullish:    return "jr";
     case Op::kJumpIfNotNullish: return "jr";
+    case Op::kJumpUnless:       return "jbvv";
     case Op::kGetProp:          return "rra";
     case Op::kGetPropName:      return "rrn";
     case Op::kGetIndex:         return "rrr";
@@ -83,7 +88,7 @@ const char* OperandSpec(Op op) {
     case Op::kIterNext:         return "jr";
     case Op::kIterPop:          return "";
     case Op::kDiftGuard:        return "rana";
-    case Op::kBinaryLabelled:   return "rbrrrn";
+    case Op::kBinaryLabelled:   return "rbvvrn";
     case Op::kCheckSink:        return "rrrr";
     case Op::kCallLabelled:     return "rrrirn";
     case Op::kGetPropLabelled:  return "rra";
@@ -165,6 +170,8 @@ std::string RenderOperand(const Chunk& chunk, char kind, int32_t value) {
     case 'r':
       // Negative register operands are "absent" markers (kCall's this-slot).
       return value < 0 ? "_" : "r" + std::to_string(value);
+    case 'v':
+      return value >= 0 ? "r" + std::to_string(value) : RenderOperand(chunk, 'k', ~value);
     case 'a':
       return "atom(" + AtomName(static_cast<Atom>(value)) + ")";
     case 'n': {

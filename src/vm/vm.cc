@@ -23,10 +23,11 @@ Result<Completion> Vm::ExecuteProgram(Interpreter& interp, const NodePtr& root,
   return Execute(interp, *chunk, env);
 }
 
-Result<Completion> Vm::ExecuteBody(Interpreter& interp, const NodePtr& body, const EnvPtr& env) {
+Result<Completion> Vm::ExecuteBody(Interpreter& interp, const NodePtr& body, const EnvPtr& env,
+                                   std::span<const NodePtr> entry_decls) {
   ChunkPtr chunk = interp.exec_tier() == ExecTier::kBytecodeLowered
-                       ? GetOrCompileFunctionBody(body)
-                       : GetOrCompileFunctionBodyFused(body);
+                       ? GetOrCompileFunctionBody(body, entry_decls)
+                       : GetOrCompileFunctionBodyFused(body, entry_decls);
   return Execute(interp, *chunk, env);
 }
 
@@ -37,14 +38,17 @@ Result<Completion> Vm::RunTry(Interpreter& interp, const Node& try_node, const E
     // The try node carries the catch frame's size (see resolve.h).
     EnvPtr catch_env = Environment::MakeChild(env, try_node.frame_size);
     const NodePtr& param = try_node.children[1];
+    std::span<const NodePtr> catch_decls;
     if (param->kind != NodeKind::kEmpty) {
       if (param->slot >= 0) {
         catch_env->slots[static_cast<size_t>(param->slot)] = outcome.value;
       } else {
         catch_env->Define(param->str, outcome.value);
       }
+      catch_decls = std::span<const NodePtr>(&param, 1);
     }
-    TURNSTILE_ASSIGN_OR_RETURN(caught, ExecuteBody(interp, catch_block, catch_env));
+    TURNSTILE_ASSIGN_OR_RETURN(caught,
+                               ExecuteBody(interp, catch_block, catch_env, catch_decls));
     outcome = std::move(caught);
   }
   if (try_node.children.size() > 3 && try_node.children[3]->kind == NodeKind::kBlockStmt) {

@@ -4,6 +4,8 @@
 #ifndef TURNSTILE_SRC_VM_VM_H_
 #define TURNSTILE_SRC_VM_VM_H_
 
+#include <span>
+
 #include "src/interp/dift_hook.h"
 #include "src/interp/environment.h"
 #include "src/interp/interp.h"
@@ -28,9 +30,11 @@ class Vm {
   // interpreter's tier selects (fused or call-lowered). Returns the same
   // Completion shapes the tree-walked body dispatch does: Normal(undefined)
   // for a block falling off the end, Normal(value) for expression-body
-  // arrows, Return/Throw/Break/Continue passed through.
+  // arrows, Return/Throw/Break/Continue passed through. `entry_decls` are
+  // the parameters the caller bound in `env` (see GetOrCompileFunctionBody).
   static Result<Completion> ExecuteBody(Interpreter& interp, const NodePtr& body,
-                                        const EnvPtr& env);
+                                        const EnvPtr& env,
+                                        std::span<const NodePtr> entry_decls = {});
 
   // Runs one chunk. Host errors surface as Status; MiniScript throws as
   // Completion::Throw, which only a kTry instruction (RunTry) catches.

@@ -751,6 +751,291 @@ constexpr DiffProgram kAddAssignPrograms[] = {
     )"},
 };
 
+// --- register locals and the fused loop ops ----------------------------------
+//
+// Locals that only their own chunk names live in registers; one that a
+// closure, a class or a try/catch/finally block names stays in its frame
+// slot. These rows sit on both sides of that line, and exercise the
+// increment, compare-and-jump and constant-operand fast paths on every
+// operand type their EvalBinaryOp fallbacks cover.
+
+constexpr DiffProgram kRegisterLocalPrograms[] = {
+    {"closure-declared-before-use", R"(
+      function f() {
+        let n = 1;
+        const get = () => n;
+        n = n + 1;
+        let a = get();
+        n += 10;
+        n++;
+        return a + "," + get() + "," + n;
+      }
+      let result = f();
+    )"},
+    {"closure-declared-after-use", R"(
+      function f() {
+        let total = 0;
+        for (let i = 0; i < 5; i++) { total = total + i; }
+        let before = show();
+        const read = () => total;
+        total++;
+        function show() { return typeof total + ":" + total; }
+        return before + "/" + read() + "/" + total;
+      }
+      let result = f();
+    )"},
+    {"loop-variable-captured", R"(
+      function f() {
+        let fns = [];
+        for (let i = 0; i < 3; i++) { fns.push(() => i); }
+        for (let k of [10, 20]) {
+          let j = k + 1;
+          fns.push(() => j + k);
+        }
+        let out = [];
+        for (let fn of fns) { out.push(fn()); }
+        return out.join(",");
+      }
+      let result = f();
+    )"},
+    {"locals-in-try-catch-finally", R"(
+      function f() {
+        let a = 1;
+        let b = 2;
+        let c = 3;
+        let log = "";
+        for (let i = 0; i < 3; i++) {
+          try {
+            a = a + i;
+            let t = a * 2;
+            if (i === 1) { throw "boom" + t; }
+            log += "t" + t;
+          } catch (e) {
+            b = b * 10 + i;
+            let inner = e + "!";
+            log += "c" + inner;
+          } finally {
+            c = c + a;
+            log += "f" + c;
+          }
+        }
+        return [a, b, c, log].join("|");
+      }
+      let result = f();
+    )"},
+    {"parameters-shadowing-recursion", R"(
+      function add(x, y) { x = x + 1; y++; return x * 10 + y; }
+      function adder(base, step) {
+        const inc = () => base += step;
+        inc();
+        inc();
+        return base + step;
+      }
+      function shadow(x) {
+        let r = x;
+        { let x = r + 100; r = r + x; }
+        return r + x;
+      }
+      function fact(n) { if (n <= 1) { return 1; } return n * fact(n - 1); }
+      function rest(first, ...more) {
+        first = first + more.length;
+        more.push(first);
+        return more.join("-");
+      }
+      const named = function me(k) { return k > 0 ? me(k - 1) + k : 0; };
+      const arrow = (p, q) => p - q;
+      function twice(a, a2) { let a3 = a; a = a2; a2 = a3; return a + ":" + a2; }
+      let result = [add(1, 2), adder(5, 3), shadow(7), fact(10), rest(1, 2, 3), named(4),
+                    arrow(9, 4), twice("l", "r"), add()].join(",");
+    )"},
+    {"break-continue-nested-register-loops", R"(
+      function f() {
+        let hits = 0;
+        let trail = "";
+        for (let i = 0; i < 5; i++) {
+          if (i === 3) { continue; }
+          for (let j = 0; j < 5; j++) {
+            if (j > i) { break; }
+            if ((i + j) % 2 === 0) { continue; }
+            hits++;
+            trail += i + "" + j + ";";
+          }
+          let w = 0;
+          while (true) {
+            w++;
+            if (w >= i) { break; }
+          }
+          hits += w;
+          for (let x of [1, 2, 3]) {
+            if (x === 2) { continue; }
+            if (x > i) { break; }
+            trail += "x" + x;
+          }
+        }
+        return hits + "|" + trail;
+      }
+      let result = f();
+    )"},
+    {"block-locals-reenter-as-undefined", R"(
+      function f() {
+        let seen = [];
+        for (let i = 0; i < 3; i++) {
+          seen.push(typeof late + ":" + late);
+          let late = i * 2;
+          if (i > 0) var cond = i;
+          seen.push(cond);
+          let again;
+          seen.push(again);
+          again = i;
+        }
+        let k = 0;
+        while (k < 3) {
+          k++;
+          let acc = acc === undefined ? k : acc + 100;
+          seen.push(acc);
+        }
+        for (let v of ["p", "q"]) {
+          seen.push(w);
+          let w = v + v;
+        }
+        return seen.join(",");
+      }
+      let result = f();
+    )"},
+    {"increment-odd-operands", R"(
+      function f() {
+        let s = "5";
+        s++;
+        let u;
+        u++;
+        let nz = -0;
+        nz++;
+        let nz2 = -0;
+        nz2--;
+        let nzk = -0;
+        let r1 = nzk++;
+        let str = "abc";
+        str--;
+        let b = true;
+        b++;
+        let n = null;
+        n--;
+        let y = 1;
+        let z = y++ + ++y;
+        let w = 5;
+        let q = w--;
+        let p = "7";
+        let pre = ++p;
+        let post = p--;
+        let e = 1;
+        e = e++;
+        return [s, u, nz, 1 / nz2, r1, 1 / nzk, str, b, n, y, z, w, q, p, pre, post, e,
+                typeof s, typeof r1].join(",");
+      }
+      let g = "9";
+      g++;
+      let gs = "x";
+      gs--;
+      for (let t = "0"; t < 3; t++) { g = g + t; }
+      let result = f() + "|" + g + "|" + gs;
+    )"},
+    {"compare-and-jump-odd-operands", R"(
+      function f() {
+        let out = [];
+        let nan = 0 / 0;
+        let nz = -0;
+        if (nan < 1) { out.push("a"); } else { out.push("A"); }
+        if (nan >= nan) { out.push("b"); } else { out.push("B"); }
+        if (nan !== nan) { out.push("c"); }
+        if (nan === nan) { out.push("C"); }
+        if ("b" < "a") { out.push("d"); } else { out.push("D"); }
+        if ("10" < "9") { out.push("e"); }
+        if ("10" < 9) { out.push("f"); } else { out.push("F"); }
+        if (null <= 0) { out.push("g"); }
+        if (undefined < 1) { out.push("h"); } else { out.push("H"); }
+        if (nz === 0) { out.push("i"); }
+        if (1 / nz < 0) { out.push("j"); }
+        if ("1" === 1) { out.push("k"); } else { out.push("K"); }
+        if (nz <= -0 && nz >= 0) { out.push("l"); }
+        if (true > false) { out.push("m"); }
+        if ([2] > 1) { out.push("n"); } else { out.push("N"); }
+        let i = 0;
+        while (i !== "3" && i < 5) { i++; }
+        let c = 0;
+        for (let k = "a"; k < "aaaa"; k += "a") { c++; }
+        out.push(i, c, nan < 1 ? "o" : "O", "x" > 1 ? "p" : "P", nz === 0 ? "q" : "Q");
+        return out.join("");
+      }
+      let result = f();
+    )"},
+    {"operands-read-before-a-later-assignment", R"(
+      function f() {
+        let x = 1;
+        let a = x + (x = 5);
+        let b = x * (x++, 2);
+        let o = { k: 0 };
+        let key = "k";
+        o[key] = (key = "j", 7);
+        let arr = [10, 20, 30];
+        let i = 0;
+        let c = arr[i] + arr[(i = 2)];
+        let s = "p";
+        s += (s = "q", "r");
+        let t = "u";
+        let u = t + (t += "v");
+        let n = 3;
+        n -= (n = 10, 1);
+        let cmp = 0;
+        if (cmp < (cmp = 5)) { cmp = cmp + 100; }
+        let self = { v: 1, next: null };
+        let first = self;
+        self.next = (self = { v: 2, next: null }, self);
+        let d = "ab";
+        d += d;
+        d += d + "!";
+        let m = 1.5;
+        m += m;
+        return [a, b, x, o.k, o.j, key, c, i, s, t, u, n, cmp, self.v, self.next,
+                first.next.v, d, m].join(",");
+      }
+      let result = f();
+    )"},
+    {"assignments-whose-value-reads-the-target", R"(
+      function f() {
+        let x = 1;
+        x = { prev: x };
+        let y = 0;
+        y = 5 && y;
+        let z = "a";
+        z = (z + "b", z + "c");
+        let w = 2;
+        w = w > 1 ? { w: w } : w;
+        let v = 3;
+        v = (v = v + 1) + v;
+        let q = 4;
+        q = q || 9;
+        let arr = [1];
+        arr = [arr.length, ...arr];
+        return [x.prev, y, z, w.w, v, q, arr.join("")].join(",");
+      }
+      let result = f();
+    )"},
+    {"constant-operands-both-sides", R"(
+      function f() {
+        let x = 7;
+        let s = "12";
+        let h = "ab";
+        let z = 0;
+        let n = null;
+        return [x % 3, 10 % x, x - 2, 10 - x, s % 5, 100 % s, s - 1, 20 - s, h - 1, 1 - h,
+                x % 0, 0 % x, 1 / (z - 0), 1 / (0 - z), 1 / (z * -1), n - 1, 1 - n,
+                x * 1.5, 2 ** x, x + 1, 1 + x, s + 1, 1 + s, h % 2, 5.5 % 2, -7 % 2,
+                x < 8, 8 < x, x === 7, 7 !== x].join(",");
+      }
+      let result = f();
+    )"},
+};
+
 // --- DIFT programs (tracker installed, violations compared) ------------------
 
 constexpr const char* kBoxedAddAssignSource = R"(
@@ -860,6 +1145,29 @@ constexpr DiffProgram kDiftPrograms[] = {
     // `+=` whose slot holds a labelled (boxed) string: never the in-place
     // path, and its monitor decisions are pinned below.
     {"add-assign-boxed-target", kBoxedAddAssignSource},
+    // The fused loop ops on labelled boxes: each falls back to the unboxing
+    // path, so results and monitor decisions match the oracle tiers.
+    {"register-local-ops-on-labelled-boxes", R"(
+      function f() {
+        let n = __dift.label(5, "secret");
+        n++;
+        let m = __dift.label(7, "secret");
+        let old = m++;
+        let k = __dift.label("3", "public");
+        k--;
+        let hits = 0;
+        let lim = __dift.label(4, "secret");
+        for (let i = 0; i < lim; i++) { hits++; }
+        if (lim === 4) { hits += 10; }
+        let r = lim % 3;
+        let l = 10 - lim;
+        let sink = __dift.label({ port: 1 }, "public");
+        let flagged = __dift.check(lim, sink);
+        return [n, old, m, k, hits, r, l, flagged, __dift.labelsOf(n), __dift.labelsOf(lim)]
+            .join("/");
+      }
+      let result = f();
+    )"},
 };
 
 TEST(VmDifferentialTest, EvalProgramsAgreeAcrossTiers) {
@@ -904,6 +1212,12 @@ TEST(VmDifferentialTest, AddAssignResultsArePinned) {
     EXPECT_EQ(fused.run_status, "");
     EXPECT_EQ(fused.result, kExpected[i]);
   }
+}
+
+TEST(VmDifferentialTest, RegisterLocalProgramsAgreeAcrossTiers) {
+  ExpectTiersAgree(kRegisterLocalPrograms,
+                   sizeof(kRegisterLocalPrograms) / sizeof(kRegisterLocalPrograms[0]),
+                   /*with_tracker=*/false);
 }
 
 TEST(VmDifferentialTest, DiftProgramsAgreeAcrossTiers) {

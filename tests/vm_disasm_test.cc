@@ -132,38 +132,31 @@ constexpr const char* kTryClassSource =
 
 // The program chunk declares the class with one kClass and runs the try
 // statement with one kTry whose break/continue trampolines land on the loop
-// exit (17) and the for-update (10); the try, catch and finally blocks are
-// sub-chunks of their own, where break/continue are kComplete and `++1` is a
-// kRaise of the tree-walker's exact status.
-constexpr const char* kTryClassGolden = R"(; chunk: 19 insns, 5 regs, 3 constants, 1 names, 2 nodes
+// exit (10) and the for-update (8). `i` stays in its header-frame slot
+// because the try sub-chunk reads it, so the for-update is one kIncSlot and
+// the loop test one kJumpUnless against a constant operand. The try, catch
+// and finally blocks are sub-chunks of their own, where break/continue are
+// kComplete and `++1` is a kRaise of the tree-walker's exact status.
+constexpr const char* kTryClassGolden = R"(; chunk: 12 insns, 1 regs, 2 constants, 1 names, 2 nodes
    0  Class             node[0](ClassDecl)  ; line 1
    1  EnvPush           1  ; line 4
    2  LoadConst         r0, const "0"  ; line 4
    3  SetFnName         r0, "i"  ; line 4
    4  StoreSlot         0, 0, r0  ; line 4
-   5  LoadSlot          r1, 0, 0  ; line 4
-   6  LoadConst         r2, const "3"  ; line 4
-   7  Binary            r0, op(<), r1, r2  ; line 4
-   8  JumpIfFalse       ->17, r0  ; line 4
-   9  Try               node[1](TryStmt), ->17, 0, 0, ->10, 0  ; line 5
-  10  LoadSlot          r1, 0, 0  ; line 4
-  11  Unary             r2, op(+), r1  ; line 4
-  12  LoadConst         r3, const "1"  ; line 4
-  13  Binary            r4, op(+), r2, r3  ; line 4
-  14  StoreSlot         0, 0, r4  ; line 4
-  15  Move              r0, r2  ; line 4
-  16  Jump              ->5  ; line 4
-  17  EnvPop              ; line 4
-  18  Halt                ; line 1
+   5  LoadSlot          r0, 0, 0  ; line 4
+   6  JumpUnless        ->10, op(<), r0, const "3"  ; line 4
+   7  Try               node[1](TryStmt), ->10, 0, 0, ->8, 0  ; line 5
+   8  IncSlot           0, 0, 1  ; line 4
+   9  Jump              ->5  ; line 4
+  10  EnvPop              ; line 4
+  11  Halt                ; line 1
 -- try
-; chunk: 7 insns, 3 regs, 1 constants, 0 names, 0 nodes
-   0  LoadSlot          r1, 0, 0  ; line 6
-   1  LoadConst         r2, const "1"  ; line 6
-   2  Binary            r0, op(===), r1, r2  ; line 6
-   3  JumpIfFalse       ->5, r0  ; line 6
-   4  Complete          1  ; line 6
-   5  Complete          0  ; line 7
-   6  Halt                ; line 5
+; chunk: 5 insns, 1 regs, 1 constants, 0 names, 0 nodes
+   0  LoadSlot          r0, 0, 0  ; line 6
+   1  JumpUnless        ->3, op(===), r0, const "1"  ; line 6
+   2  Complete          1  ; line 6
+   3  Complete          0  ; line 7
+   4  Halt                ; line 5
 -- catch
 ; chunk: 3 insns, 1 regs, 0 constants, 0 names, 0 nodes
    0  LoadSlot          r0, 0, 0  ; line 9
@@ -192,6 +185,71 @@ TEST(VmDisasmGoldenTest, TryCatchFinallyAndClassLowering) {
                vm::DisassembleChunk(*vm::GetOrCompileFunctionBody(try_stmt->children[i]));
   }
   EXPECT_EQ(listing, kTryClassGolden);
+}
+
+// modbus's calibration sweep (src/corpus/corpus_data_b.cc), which runs no
+// DIFT op. Nothing outside the function body names `cal`, `k` or `frame`,
+// so all three live in registers: the parameter is copied out of its
+// call-frame slot once, in the prologue, and the loop runs on register
+// operands, number-constant operands, one compare-and-jump and one
+// increment: six instructions per iteration (7..12), where the slot-based
+// lowering took 19. The frames are still pushed (1, 4) at their resolved
+// sizes; their slots just stay undefined.
+constexpr const char* kCalibrationSource =
+    "function calibrate(frame) {\n"
+    "  let cal = 0;\n"
+    "  for (let k = 0; k < 36000; k++) {\n"
+    "    cal = (cal * 31 + k) % 65521;\n"
+    "  }\n"
+    "  return cal + frame;\n"
+    "}\n";
+
+constexpr const char* kCalibrationGolden = R"(; chunk: 18 insns, 5 regs, 5 constants, 2 names, 0 nodes
+   0  LoadSlot          r2, 0, 1  ; line 1
+   1  EnvPush           1  ; line 1
+   2  LoadConst         r0, const "0"  ; line 2
+   3  SetFnName         r0, "cal"  ; line 2
+   4  EnvPush           1  ; line 3
+   5  LoadConst         r1, const "0"  ; line 3
+   6  SetFnName         r1, "k"  ; line 3
+   7  JumpUnless        ->13, op(<), r1, const "36000"  ; line 3
+   8  Binary            r4, op(*), r0, const "31"  ; line 4
+   9  Binary            r3, op(+), r4, r1  ; line 4
+  10  Binary            r0, op(%), r3, const "65521"  ; line 4
+  11  IncLocal          r1, 1  ; line 3
+  12  Jump              ->7  ; line 3
+  13  EnvPop              ; line 3
+  14  Binary            r3, op(+), r0, r2  ; line 6
+  15  Return            r3  ; line 6
+  16  EnvPop              ; line 1
+  17  Halt                ; line 1
+)";
+
+TEST(VmDisasmGoldenTest, CalibrationLoopRunsOnRegisterLocals) {
+  auto parsed = ParseProgram(kCalibrationSource);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  Program program = std::move(parsed).value();
+  ResolveProgram(program);
+  const NodePtr& fn = program.root->children[0];
+  ASSERT_EQ(fn->kind, NodeKind::kFunctionDecl);
+
+  // Parameters are passed as the VM passes them (Interpreter::CallFunction).
+  vm::ChunkPtr chunk = vm::GetOrCompileFunctionBody(fn->children[1], fn->children[0]->children);
+  EXPECT_EQ(vm::DisassembleChunk(*chunk), kCalibrationGolden);
+
+  // One iteration runs from the loop test to the back jump, inclusive.
+  size_t head = 0;
+  size_t back = 0;
+  for (size_t pc = 0; pc < chunk->code.size(); ++pc) {
+    if (chunk->code[pc].op == vm::Op::kJumpUnless) {
+      head = pc;
+    }
+    if (chunk->code[pc].op == vm::Op::kJump && static_cast<size_t>(chunk->code[pc].a) == head) {
+      back = pc;
+    }
+  }
+  ASSERT_GT(back, head);
+  EXPECT_LE(back - head + 1, 6u);
 }
 
 }  // namespace

@@ -300,7 +300,7 @@ int Main(int argc, char** argv) {
       return 0;
     }
     cli::FlagParse parse;
-    if ((parse = cli::ParseIntFlag(arg, "--messages", "audit_query", 100000, &messages)) !=
+    if ((parse = cli::ParseIntFlag(arg, "--messages", "audit_query", 1, 100000, &messages)) !=
         cli::FlagParse::kNoMatch) {
       if (parse == cli::FlagParse::kBad) {
         return 2;

@@ -42,8 +42,8 @@ const char* FlagValue(const std::string& arg, const char* flag) {
 }
 }  // namespace
 
-FlagParse ParseIntFlag(const std::string& arg, const char* flag, const char* tool, long max,
-                       int* out) {
+FlagParse ParseIntFlag(const std::string& arg, const char* flag, const char* tool, long min,
+                       long max, int* out) {
   const char* value = FlagValue(arg, flag);
   if (value == nullptr) {
     return FlagParse::kNoMatch;
@@ -52,7 +52,7 @@ FlagParse ParseIntFlag(const std::string& arg, const char* flag, const char* too
   // Strict parse: "--messages=12abc" must be rejected, not read as 12.
   char* end = nullptr;
   long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || parsed <= 0 || parsed > max) {
+  if (end == value || *end != '\0' || parsed < min || parsed > max) {
     std::fprintf(stderr, "%s: bad %s value '%s'\n", tool, flag, arg.c_str());
     return FlagParse::kBad;
   }

@@ -17,14 +17,14 @@ namespace cli {
 // parser already printed the diagnostic; the caller exits 2).
 enum class FlagParse { kNoMatch, kOk, kBad };
 
-// Strict positive-integer flag: matches "<flag>=N" (e.g. flag = "--messages").
-// The value must be a whole-string decimal integer in [1, max] — an empty
-// value, trailing garbage ("--messages=12abc"), a non-positive value, or one
+// Strict integer flag: matches "<flag>=N" (e.g. flag = "--messages").
+// The value must be a whole-string decimal integer in [min, max] — an empty
+// value, trailing garbage ("--messages=12abc"), or a value below `min` or
 // above `max` is rejected with
 //   "<tool>: bad <flag> value '<full-arg>'"
 // on stderr (the historical wording, full token included).
-FlagParse ParseIntFlag(const std::string& arg, const char* flag, const char* tool, long max,
-                       int* out);
+FlagParse ParseIntFlag(const std::string& arg, const char* flag, const char* tool, long min,
+                       long max, int* out);
 
 // String flag: matches "<flag>=V". When `what` is non-null an empty value is
 // rejected with "<tool>: <flag> needs a <what>" on stderr; when null, empty

@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,7 +84,7 @@ int Main(int argc, char** argv) {
       return 0;
     }
     cli::FlagParse parse;
-    if ((parse = cli::ParseIntFlag(arg, "--messages", "profile_app", 1000000, &messages)) !=
+    if ((parse = cli::ParseIntFlag(arg, "--messages", "profile_app", 1, 1000000, &messages)) !=
         cli::FlagParse::kNoMatch) {
       if (parse == cli::FlagParse::kBad) {
         return 2;
@@ -155,21 +156,27 @@ int Main(int argc, char** argv) {
     vm::ChunkPtr program_chunk = vm::GetOrCompileProgramFused(root);
     std::printf("=== %s: program (fused) ===\n%s", app->name.c_str(),
                 vm::DisassembleChunk(*program_chunk).c_str());
+    // `entry_decls` as the VM passes them: parameters, or the catch parameter.
     auto print_body = [&](const char* what, const std::string& name, const NodePtr& owner,
-                          const NodePtr& body) {
-      vm::ChunkPtr chunk = vm::GetOrCompileFunctionBodyFused(body);
+                          const NodePtr& body, std::span<const NodePtr> entry_decls) {
+      vm::ChunkPtr chunk = vm::GetOrCompileFunctionBodyFused(body, entry_decls);
       std::printf("\n=== %s %s (line %d) ===\n%s", what, name.c_str(), owner->loc.line,
                   vm::DisassembleChunk(*chunk).c_str());
     };
     ForEachNode(root, [&](const NodePtr& node) {
       if (node->IsFunctionLike()) {
         print_body("function", node->str.empty() ? "<anonymous>" : node->str, node,
-                   node->children[1]);
+                   node->children[1], node->children[0]->children);
       } else if (node->kind == NodeKind::kTryStmt) {
         const char* blocks[] = {"try", nullptr, "catch", "finally"};
+        const NodePtr& param = node->children[1];
         for (size_t i : {0, 2, 3}) {
+          std::span<const NodePtr> entry_decls;
+          if (i == 2 && param->kind != NodeKind::kEmpty) {
+            entry_decls = std::span<const NodePtr>(&param, 1);
+          }
           if (node->children[i]->kind == NodeKind::kBlockStmt) {
-            print_body("block", blocks[i], node->children[i], node->children[i]);
+            print_body("block", blocks[i], node->children[i], node->children[i], entry_decls);
           }
         }
       }
