@@ -95,6 +95,9 @@ Result<std::unique_ptr<AppRuntime>> AppRuntime::Create(const CorpusApp& app, App
   // no-op when the name is unchanged; harmless when the log is disabled).
   ctx.event_log().set_app(app.name);
   runtime->interp_ = std::make_unique<Interpreter>(ctx);
+  // Everything built below (flow nodes, injected sinks, the tracker's bridge
+  // objects) belongs to this instance's heap and is freed with it.
+  Heap::Scope heap_scope(&runtime->interp_->heap());
   runtime->interp_->set_exec_tier(tier);
   runtime->engine_ = std::make_unique<FlowEngine>(runtime->interp_.get());
 
@@ -144,8 +147,7 @@ Result<std::unique_ptr<AppRuntime>> AppRuntime::Create(const CorpusApp& app, App
   }
   InstallRuntimeInjections(*runtime->interp_);
   // Inject node.transport on every instantiated flow node (bucket D16).
-  TURNSTILE_ASSIGN_OR_RETURN(flow_again, Json::Parse(app.flow_json));
-  for (const Json& spec : flow_again.is_array() ? flow_again.array_items() : JsonArray{}) {
+  for (const Json& spec : flow.is_array() ? flow.array_items() : JsonArray{}) {
     ObjectPtr node = runtime->engine_->FindNode(spec.GetString("id"));
     if (node != nullptr) {
       node->Set("transport",
@@ -162,6 +164,11 @@ Status AppRuntime::DriveMessage(Rng* rng, int seq) {
 }
 
 Status AppRuntime::InjectValue(Value msg) {
+  // A message built outside this instance (a materialized wire payload) is
+  // untracked; adopt it, so a program that stores it into itself
+  // (`msg.self = msg`) still leaves nothing behind at teardown.
+  Heap::Scope heap_scope(&interp_->heap());
+  interp_->heap().Adopt(msg);
   if (app_->entry_kind == "node") {
     // Mailbox-driven: if this instance is already pumping (the message was
     // routed in mid-flow by a terminal sink), the post queues and the

@@ -236,7 +236,7 @@ Result<FunctionPtr> DiftTracker::CompileLabelFn(const LabellerSpec* spec) {
   // code (labellers run on every labelled value).
   ResolveProgram(program);
   // The closure retains the literal's AST for as long as it is cached.
-  FunctionPtr fn = interp_->MakeClosure(literal, interp_->global_env());
+  FunctionPtr fn = interp_->MakeClosure(*literal, interp_->global_env());
   compiled_fns_[spec] = fn;
   return fn;
 }

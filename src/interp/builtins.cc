@@ -612,25 +612,31 @@ std::unordered_map<std::string, FunctionPtr> BuildFunctionMethods() {
   return methods;
 }
 
+// The method tables are process-wide and shared by every interpreter, so
+// they are built untracked: they must not belong to (and be torn down with)
+// the heap of whichever interpreter first asks for them.
+using MethodTable = std::unordered_map<std::string, FunctionPtr>;
+const MethodTable* BuildUntracked(MethodTable (*build)()) {
+  Heap::Scope untracked(nullptr);
+  return new MethodTable(build());
+}
+
 }  // namespace
 
 FunctionPtr GetArrayMethod(const std::string& name) {
-  static const auto* kMethods =
-      new std::unordered_map<std::string, FunctionPtr>(BuildArrayMethods());
+  static const MethodTable* kMethods = BuildUntracked(BuildArrayMethods);
   auto it = kMethods->find(name);
   return it == kMethods->end() ? nullptr : it->second;
 }
 
 FunctionPtr GetStringMethod(const std::string& name) {
-  static const auto* kMethods =
-      new std::unordered_map<std::string, FunctionPtr>(BuildStringMethods());
+  static const MethodTable* kMethods = BuildUntracked(BuildStringMethods);
   auto it = kMethods->find(name);
   return it == kMethods->end() ? nullptr : it->second;
 }
 
 FunctionPtr GetFunctionMethod(const std::string& name) {
-  static const auto* kMethods =
-      new std::unordered_map<std::string, FunctionPtr>(BuildFunctionMethods());
+  static const MethodTable* kMethods = BuildUntracked(BuildFunctionMethods);
   auto it = kMethods->find(name);
   return it == kMethods->end() ? nullptr : it->second;
 }

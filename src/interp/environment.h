@@ -26,7 +26,9 @@
 
 namespace turnstile {
 
-struct Environment : std::enable_shared_from_this<Environment> {
+struct Environment : HeapCell {
+  Environment() : HeapCell(Kind::kEnvironment) {}
+
   std::vector<Value> slots;                    // resolved frame (fixed size)
   std::unordered_map<Atom, Value> bindings;    // name-keyed dynamic/global store
   EnvPtr parent;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/interp/environment.h"
+#include "src/interp/heap.h"
 #include "src/interp/value.h"
 #include "src/lang/ast.h"
 #include "src/obs/metrics.h"
@@ -126,6 +127,12 @@ class Interpreter {
 
   RuntimeContext& context() const { return *context_; }
 
+  // The registry of everything this interpreter allocated. The constructor
+  // and the entry points below (RunProgram, RunEventLoop, CallFunction,
+  // RequireModule) make it current; a host that builds values for this
+  // interpreter elsewhere opens its own Heap::Scope or calls Adopt().
+  Heap& heap() { return heap_; }
+
   // Evaluates the top level of a program in the global scope. An uncaught
   // MiniScript exception or a host error is returned as a Status.
   Status RunProgram(const Program& program);
@@ -200,7 +207,7 @@ class Interpreter {
   // first); anything else awaits to itself.
   Result<Completion> AwaitValue(const Value& operand);
   // Creates a closure from a function-like node capturing `env`.
-  FunctionPtr MakeClosure(const NodePtr& node, const EnvPtr& env);
+  FunctionPtr MakeClosure(const Node& node, const EnvPtr& env);
 
   // Execution-tier selection (see ExecTier). Affects RunProgram and calls to
   // MiniScript closures.
@@ -300,6 +307,9 @@ class Interpreter {
   void InstallBuiltins();   // builtins.cc
   void InstallIoModules();  // modules.cc
 
+  // First member, so it is destroyed last: every other member's references
+  // are released before it detaches the cells that outlived teardown.
+  Heap heap_;
   EnvPtr global_env_;
   IoWorld io_world_;
   Rng rng_{0x7457eeull};

@@ -38,6 +38,7 @@ constexpr size_t kMaxDenseArrayLength = size_t{1} << 20;
 Interpreter::Interpreter() : Interpreter(RuntimeContext::Default()) {}
 
 Interpreter::Interpreter(RuntimeContext& context) : context_(&context) {
+  Heap::Scope heap_scope(&heap_);
   global_env_ = std::make_shared<Environment>();
   // Honor TURNSTILE_PROFILE / TURNSTILE_AUDIT before resolving handles so any
   // binary that constructs an interpreter picks up env-driven observability
@@ -56,9 +57,10 @@ Interpreter::Interpreter(RuntimeContext& context) : context_(&context) {
   InstallIoModules();
 }
 
-Interpreter::~Interpreter() = default;
+Interpreter::~Interpreter() { heap_.Teardown(); }
 
 Status Interpreter::RunProgram(const Program& program) {
+  Heap::Scope heap_scope(&heap_);
   // Parsed (and instrumented/re-parsed) trees carry no resolution annotations
   // until someone runs the sema pass; do it here so every execution path —
   // harnesses, the flow engine, DIFT labellers — gets slot-indexed frames.
@@ -190,6 +192,7 @@ Status Interpreter::DrainMicrotasks(int max_tasks) {
 }
 
 Status Interpreter::RunEventLoop(int max_tasks) {
+  Heap::Scope heap_scope(&heap_);
   int executed = 0;
   while (true) {
     TURNSTILE_RETURN_IF_ERROR(DrainMicrotasks());
@@ -221,6 +224,7 @@ void Interpreter::RegisterModule(const std::string& name,
 }
 
 Result<Value> Interpreter::RequireModule(const std::string& name) {
+  Heap::Scope heap_scope(&heap_);
   auto cached = module_cache_.find(name);
   if (cached != module_cache_.end()) {
     return cached->second;
@@ -236,19 +240,19 @@ Result<Value> Interpreter::RequireModule(const std::string& name) {
 
 // --- functions ---------------------------------------------------------------
 
-FunctionPtr Interpreter::MakeClosure(const NodePtr& node, const EnvPtr& env) {
+FunctionPtr Interpreter::MakeClosure(const Node& node, const EnvPtr& env) {
   BumpHeapWriteEpoch();  // fresh identity (see value.h epoch contract)
   FunctionPtr fn = std::make_shared<FunctionObject>();
-  fn->name = node->str;
-  fn->params = node->children[0];
-  fn->body = node->children[1];
+  fn->name = node.str;
+  fn->params = node.children[0];
+  fn->body = node.children[1];
   fn->closure = env;
-  fn->frame_size = node->frame_size;
+  fn->frame_size = node.frame_size;
   // Only function *expressions* carry a self-binding slot; on declarations
   // `slot` is the name's slot in the enclosing scope.
-  fn->self_slot = node->kind == NodeKind::kFunctionExpr ? node->slot : -1;
-  fn->is_arrow = node->kind == NodeKind::kArrowFunction;
-  fn->is_async = node->num != 0;
+  fn->self_slot = node.kind == NodeKind::kFunctionExpr ? node.slot : -1;
+  fn->is_arrow = node.kind == NodeKind::kArrowFunction;
+  fn->is_async = node.num != 0;
   return fn;
 }
 
@@ -257,6 +261,7 @@ Result<Value> Interpreter::CallFunction(const FunctionPtr& fn, const Value& this
   if (fn == nullptr) {
     return TypeError("value is not a function");
   }
+  Heap::Scope heap_scope(&heap_);
   // Instrumenting profiler frame hook: one branch when disabled. Covers
   // natives (__dift.* dispatch included) and both execution tiers — this is
   // the single funnel every call goes through.
@@ -515,7 +520,7 @@ Status Interpreter::DeclareClass(const Node& node, const EnvPtr& env) {
   }
   for (size_t i = 1; i < node.children.size(); ++i) {
     const NodePtr& method_node = node.children[i];
-    FunctionPtr method = MakeClosure(method_node, env);
+    FunctionPtr method = MakeClosure(*method_node, env);
     info->methods[method_node->str] = method;
   }
   BumpHeapWriteEpoch();
@@ -937,7 +942,7 @@ Result<Completion> Interpreter::EvalExpression(const NodePtr& node, const EnvPtr
       return EvalObjectLiteral(node, env);
     case NodeKind::kFunctionExpr:
     case NodeKind::kArrowFunction:
-      return Completion::Normal(Value(MakeClosure(node, env)));
+      return Completion::Normal(Value(MakeClosure(*node, env)));
     case NodeKind::kCallExpr:
       return EvalCall(node, env);
     case NodeKind::kNewExpr:
@@ -1246,7 +1251,7 @@ Result<Completion> Interpreter::EvalStatement(const NodePtr& node, const EnvPtr&
     case NodeKind::kEmpty:
       return Completion::Normal();
     case NodeKind::kFunctionDecl: {
-      Value closure = Value(MakeClosure(node, env));
+      Value closure = Value(MakeClosure(*node, env));
       if (node->slot >= 0) {
         env->slots[static_cast<size_t>(node->slot)] = std::move(closure);
       } else {

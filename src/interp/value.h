@@ -15,6 +15,7 @@
 #include <variant>
 #include <vector>
 
+#include "src/interp/heap.h"
 #include "src/lang/ast.h"
 #include "src/support/status.h"
 
@@ -175,7 +176,8 @@ struct ClassInfo {
 // key string. String-keyed convenience overloads intern on write and do a
 // non-inserting table probe on read (a key that was never interned anywhere
 // cannot be present).
-struct Object {
+struct Object : HeapCell {
+  Object() : HeapCell(Kind::kObject) {}
   ~Object() { BumpHeapWriteEpoch(); }  // this address may now be recycled
 
   std::unordered_map<Atom, Value> properties;
@@ -244,14 +246,16 @@ struct Object {
 };
 
 // A JS-style array with identity.
-struct ArrayObject {
+struct ArrayObject : HeapCell {
+  ArrayObject() : HeapCell(Kind::kArray) {}
   ~ArrayObject() { BumpHeapWriteEpoch(); }  // this address may now be recycled
   std::vector<Value> elements;
   LabelSlot label_slot;  // DIFT labels (see LabelSlot)
 };
 
 // A callable: either a MiniScript closure or a native function.
-struct FunctionObject {
+struct FunctionObject : HeapCell {
+  FunctionObject() : HeapCell(Kind::kFunction) {}
   ~FunctionObject() { BumpHeapWriteEpoch(); }  // this address may now be recycled
   std::string name;          // for diagnostics
   NodePtr params;            // kParams (closures only)

@@ -64,6 +64,25 @@ class Parser {
                       " (got '" + Peek().text + "')");
   }
 
+  // Held by every production that can nest itself (see kMaxParseNesting).
+  class NestingScope {
+   public:
+    explicit NestingScope(int* depth) : depth_(depth) { ++*depth_; }
+    ~NestingScope() { --*depth_; }
+    NestingScope(const NestingScope&) = delete;
+    NestingScope& operator=(const NestingScope&) = delete;
+
+   private:
+    int* depth_;
+  };
+
+  Status CheckNesting() const {
+    if (depth_ > kMaxParseNesting) {
+      return Fail("nesting deeper than " + std::to_string(kMaxParseNesting) + " levels");
+    }
+    return Status::Ok();
+  }
+
   Status ExpectPunct(const char* spelling) {
     if (!MatchPunct(spelling)) {
       return Fail(std::string("expected '") + spelling + "'");
@@ -81,6 +100,8 @@ class Parser {
   // ---- statements ----------------------------------------------------------
 
   Result<NodePtr> ParseStatement() {
+    NestingScope nesting(&depth_);
+    TURNSTILE_RETURN_IF_ERROR(CheckNesting());
     const Token& token = Peek();
     if (token.Is(TokenKind::kKeyword)) {
       const std::string& kw = token.text;
@@ -491,6 +512,8 @@ class Parser {
   }
 
   Result<NodePtr> ParseAssignment() {
+    NestingScope nesting(&depth_);
+    TURNSTILE_RETURN_IF_ERROR(CheckNesting());
     if (LooksLikeArrowFunction()) {
       return ParseArrowFunction();
     }
@@ -561,24 +584,38 @@ class Parser {
     return false;
   }
 
-  Result<NodePtr> ParseBinary(size_t level_index) {
+  // Precedence climbing over Levels(): every operator is left-associative,
+  // so this builds the same tree (and numbers its nodes in the same order) as
+  // one recursive production per level would, in one native frame per
+  // operand instead of one per level.
+  Result<NodePtr> ParseBinary(size_t min_level) {
+    TURNSTILE_ASSIGN_OR_RETURN(left, ParseUnary());
     const auto& levels = Levels();
-    if (level_index >= levels.size()) {
-      return ParseUnary();
-    }
-    TURNSTILE_ASSIGN_OR_RETURN(left, ParseBinary(level_index + 1));
-    const OpLevel& level = levels[level_index];
     std::string op;
-    while (PeekMatchesLevel(level, &op)) {
+    while (true) {
+      size_t level_index = min_level;
+      while (level_index < levels.size() && !PeekMatchesLevel(levels[level_index], &op)) {
+        ++level_index;
+      }
+      if (level_index == levels.size()) {
+        return left;
+      }
       Advance();
-      NodePtr node = NewNode(level.logical ? NodeKind::kLogicalExpr : NodeKind::kBinaryExpr);
+      NodePtr node = NewNode(levels[level_index].logical ? NodeKind::kLogicalExpr
+                                                         : NodeKind::kBinaryExpr);
       node->str = op;
       TURNSTILE_ASSIGN_OR_RETURN(right, ParseBinary(level_index + 1));
       node->children.push_back(std::move(left));
       node->children.push_back(std::move(right));
       left = std::move(node);
     }
-    return left;
+  }
+
+  // The operand of a prefix operator: one nesting level per operator.
+  Result<NodePtr> ParseUnaryOperand() {
+    NestingScope nesting(&depth_);
+    TURNSTILE_RETURN_IF_ERROR(CheckNesting());
+    return ParseUnary();
   }
 
   Result<NodePtr> ParseUnary() {
@@ -587,14 +624,14 @@ class Parser {
         token.IsKeyword("typeof") || token.IsKeyword("delete")) {
       NodePtr node = NewNode(NodeKind::kUnaryExpr);
       node->str = Advance().text;
-      TURNSTILE_ASSIGN_OR_RETURN(operand, ParseUnary());
+      TURNSTILE_ASSIGN_OR_RETURN(operand, ParseUnaryOperand());
       node->children.push_back(std::move(operand));
       return node;
     }
     if (token.IsKeyword("await")) {
       NodePtr node = NewNode(NodeKind::kAwaitExpr);
       Advance();
-      TURNSTILE_ASSIGN_OR_RETURN(operand, ParseUnary());
+      TURNSTILE_ASSIGN_OR_RETURN(operand, ParseUnaryOperand());
       node->children.push_back(std::move(operand));
       return node;
     }
@@ -602,7 +639,7 @@ class Parser {
       NodePtr node = NewNode(NodeKind::kUpdateExpr);
       node->str = Advance().text;
       node->num = 1;  // prefix
-      TURNSTILE_ASSIGN_OR_RETURN(operand, ParseUnary());
+      TURNSTILE_ASSIGN_OR_RETURN(operand, ParseUnaryOperand());
       node->children.push_back(std::move(operand));
       return node;
     }
@@ -769,6 +806,8 @@ class Parser {
   }
 
   Result<NodePtr> ParseNewExpr() {
+    NestingScope nesting(&depth_);
+    TURNSTILE_RETURN_IF_ERROR(CheckNesting());
     NodePtr node = NewNode(NodeKind::kNewExpr);
     Advance();  // new
     // Callee: identifier with optional member accesses (no calls).
@@ -879,6 +918,7 @@ class Parser {
   std::string source_name_;
   size_t pos_ = 0;
   int next_id_ = 0;
+  int depth_ = 0;  // current nesting (see kMaxParseNesting)
 };
 
 }  // namespace

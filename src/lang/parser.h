@@ -19,6 +19,13 @@
 
 namespace turnstile {
 
+// Deepest syntactic nesting ParseProgram accepts, counted across nested
+// statements and blocks (function bodies included), parenthesized and other
+// assignment-level subexpressions (array and object literal members,
+// arguments, arrow bodies, ternary arms), unary chains and `new` chains.
+// Deeper input is a ParseError rather than a native stack overflow.
+inline constexpr int kMaxParseNesting = 512;
+
 // Parses `source` into a Program. `source_name` is used in diagnostics and in
 // policy injection points ("file" field).
 Result<Program> ParseProgram(std::string_view source, std::string source_name = "<input>");

@@ -183,7 +183,11 @@ struct Insn {
 struct Chunk {
   std::vector<Insn> code;
   std::vector<Value> constants;
-  std::vector<NodePtr> nodes;       // closure, try and class nodes
+  // Closure, try and class nodes. Every one sits in the subtree of the node
+  // the chunk is cached on, which keeps it alive, so the chunk does not own
+  // them: an owning pointer would form a node -> chunk -> node cycle when an
+  // expression-bodied arrow returns a function (`() => () => x`).
+  std::vector<const Node*> nodes;
   std::vector<std::string> names;   // property keys and precompiled diagnostics
   uint32_t num_regs = 0;            // register-file size
 

@@ -550,7 +550,7 @@ class Compiler {
   }
 
   int NodeIdx(const NodePtr& node) {
-    chunk_->nodes.push_back(node);
+    chunk_->nodes.push_back(node.get());
     return static_cast<int>(chunk_->nodes.size() - 1);
   }
 
@@ -1329,6 +1329,28 @@ class Compiler {
 
   // --- statements ------------------------------------------------------------
 
+  // Anonymous function initializers inherit the declared name. Initializers
+  // that can never evaluate to a function (literals, arithmetic, updates,
+  // array and object literals) skip the instruction; anything else (calls,
+  // `new`, `this`, `?:`, `,`, `||`, identifiers, member reads) keeps it.
+  void EmitSetFnName(const NodePtr& declarator, int reg) {
+    switch (declarator->children[0]->kind) {
+      case NodeKind::kNumberLit:
+      case NodeKind::kStringLit:
+      case NodeKind::kBoolLit:
+      case NodeKind::kNullLit:
+      case NodeKind::kUndefinedLit:
+      case NodeKind::kBinaryExpr:
+      case NodeKind::kUnaryExpr:
+      case NodeKind::kUpdateExpr:
+      case NodeKind::kArrayLit:
+      case NodeKind::kObjectLit:
+        return;
+      default:
+        Emit(declarator.get(), Op::kSetFnName, reg, NameIdx(declarator->str));
+    }
+  }
+
   void CompileStmt(const NodePtr& node) {
     switch (node->kind) {
       case NodeKind::kVarDecl:
@@ -1339,15 +1361,14 @@ class Compiler {
               EmitLoadUndef(declarator.get(), reg);
             } else {
               CompileIntoLocal(reg, declarator->children[0]);
-              Emit(declarator.get(), Op::kSetFnName, reg, NameIdx(declarator->str));
+              EmitSetFnName(declarator, reg);
             }
             continue;
           }
           int r = AllocReg();
           if (!declarator->children.empty()) {
             CompileExprInto(r, declarator->children[0]);
-            // Anonymous function initializers inherit the declared name.
-            Emit(declarator.get(), Op::kSetFnName, r, NameIdx(declarator->str));
+            EmitSetFnName(declarator, r);
           } else {
             EmitLoadUndef(declarator.get(), r);
           }

@@ -51,6 +51,24 @@ TEST(CorpusTest, EveryAppParsesAndHasValidMetadata) {
   }
 }
 
+TEST(CorpusTest, NoAppNestsNearTheParseCap) {
+  // Wrapped in half the cap's worth of blocks, every app still parses: its
+  // own nesting stays below kMaxParseNesting / 2.
+  const int wrap = kMaxParseNesting / 2;
+  for (const CorpusApp& app : Corpus()) {
+    std::string wrapped;
+    for (int i = 0; i < wrap; ++i) {
+      wrapped += "{";
+    }
+    wrapped += app.source;
+    for (int i = 0; i < wrap; ++i) {
+      wrapped += "}";
+    }
+    auto program = ParseProgram(wrapped, app.name + ".js");
+    EXPECT_TRUE(program.ok()) << app.name << ": " << program.status().ToString();
+  }
+}
+
 TEST(CorpusTest, FindCorpusApp) {
   EXPECT_NE(FindCorpusApp("nlp.js"), nullptr);
   EXPECT_NE(FindCorpusApp("modbus"), nullptr);

@@ -1,5 +1,7 @@
 // Built-in globals: console, Math, JSON, Object, array/string methods,
 // promises, timers and the event loop.
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "src/interp/interp.h"
@@ -8,21 +10,26 @@
 namespace turnstile {
 namespace {
 
+// The interpreter stays alive as long as the outcome: no value outlives its
+// interpreter (src/interp/heap.h).
 struct RunOutcome {
+  std::unique_ptr<Interpreter> interp;
   Value result;
   std::vector<IoRecord> records;
 };
 
 RunOutcome RunScript(const std::string& source, const std::string& var = "result") {
-  Interpreter interp;
+  auto interp = std::make_unique<Interpreter>();
   auto program = ParseProgram(source);
   EXPECT_TRUE(program.ok()) << program.status().ToString();
-  Status status = interp.RunProgram(*program);
+  Status status = interp->RunProgram(*program);
   EXPECT_TRUE(status.ok()) << status.ToString();
-  Status loop_status = interp.RunEventLoop();
+  Status loop_status = interp->RunEventLoop();
   EXPECT_TRUE(loop_status.ok()) << loop_status.ToString();
-  Value* slot = interp.global_env()->Lookup(var);
-  return {slot != nullptr ? *slot : Value::Undefined(), interp.io_world().records};
+  Value* slot = interp->global_env()->Lookup(var);
+  Value result = slot != nullptr ? *slot : Value::Undefined();
+  std::vector<IoRecord> records = interp->io_world().records;
+  return {std::move(interp), std::move(result), std::move(records)};
 }
 
 double RunNumber(const std::string& source) { return RunScript(source).result.ToNumber(); }

@@ -1,6 +1,8 @@
 // Regression suite for tricky interpreter semantics: closure capture, abrupt
 // completion interplay, spread/rest composition, and box transparency in
 // library code.
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "src/dift/tracker.h"
@@ -10,15 +12,25 @@
 namespace turnstile {
 namespace {
 
-Value RunAndGet(const std::string& source, const std::string& var = "result") {
-  Interpreter interp;
+// A result together with the interpreter that produced it: no value
+// outlives its interpreter (src/interp/heap.h), so `value` is read only while
+// `interp` is alive.
+struct RunResult {
+  std::unique_ptr<Interpreter> interp;
+  Value value;
+  const Value* operator->() const { return &value; }
+};
+
+RunResult RunAndGet(const std::string& source, const std::string& var = "result") {
+  auto interp = std::make_unique<Interpreter>();
   auto program = ParseProgram(source);
   EXPECT_TRUE(program.ok()) << program.status().ToString();
-  Status status = interp.RunProgram(*program);
+  Status status = interp->RunProgram(*program);
   EXPECT_TRUE(status.ok()) << status.ToString();
-  EXPECT_TRUE(interp.RunEventLoop().ok());
-  Value* slot = interp.global_env()->Lookup(var);
-  return slot != nullptr ? *slot : Value::Undefined();
+  EXPECT_TRUE(interp->RunEventLoop().ok());
+  Value* slot = interp->global_env()->Lookup(var);
+  Value value = slot != nullptr ? *slot : Value::Undefined();
+  return {std::move(interp), std::move(value)};
 }
 
 TEST(SemanticsTest, ForOfFreshBindingPerIteration) {
@@ -30,7 +42,7 @@ TEST(SemanticsTest, ForOfFreshBindingPerIteration) {
       fns.push(() => i);
     }
     let result = fns.map(f => f()).join(",");
-  )").ToDisplayString(),
+  )")->ToDisplayString(),
             "1,2,3");
 }
 
@@ -45,7 +57,7 @@ TEST(SemanticsTest, SharedMutableCapture) {
     pair.inc();
     pair.inc();
     let result = pair.get();
-  )").AsNumber(),
+  )")->AsNumber(),
                    2);
 }
 
@@ -60,7 +72,7 @@ TEST(SemanticsTest, FinallyOverridesReturn) {
     }
     out = [];
     let result = f() + "/" + out.length;
-  )").ToDisplayString(),
+  )")->ToDisplayString(),
             "try/1");
 }
 
@@ -76,7 +88,7 @@ TEST(SemanticsTest, CatchRethrowPropagates) {
     } catch (e) {
       result = e;
     }
-  )").ToDisplayString(),
+  )")->ToDisplayString(),
             "inner+rethrown");
 }
 
@@ -94,7 +106,7 @@ TEST(SemanticsTest, ThrowAcrossFunctionBoundaryIsCatchable) {
     } catch (e) {
       result = e.code;
     }
-  )").AsNumber(),
+  )")->AsNumber(),
             42);
 }
 
@@ -105,7 +117,7 @@ TEST(SemanticsTest, SpreadIntoRestRoundTrips) {
     }
     let parts = [1, 2, 3, 4];
     let result = gather(...parts);
-  )").ToDisplayString(),
+  )")->ToDisplayString(),
             "1:234");
 }
 
@@ -113,7 +125,7 @@ TEST(SemanticsTest, HoistedFunctionUsableBeforeDeclaration) {
   EXPECT_DOUBLE_EQ(RunAndGet(R"(
     let result = later(20);
     function later(x) { return x * 2 + 2; }
-  )").AsNumber(),
+  )")->AsNumber(),
                    42);
 }
 
@@ -132,7 +144,7 @@ TEST(SemanticsTest, ShadowingAcrossNestedClosuresReadsNearestBinding) {
       return inner() + x;
     }
     let result = outer() + x;
-  )").ToDisplayString(),
+  )")->ToDisplayString(),
             "i!og");
 }
 
@@ -149,7 +161,7 @@ TEST(SemanticsTest, CatchParamShadowsWithoutLeaking) {
       seen = e;
     }
     let result = seen + "/" + e;
-  )").ToDisplayString(),
+  )")->ToDisplayString(),
             "thrown+edited/outer");
 }
 
@@ -161,7 +173,7 @@ TEST(SemanticsTest, NamedFunctionExpressionSelfReferenceRecurses) {
     let g = f;
     f = null;
     let result = g(5);
-  )").AsNumber(),
+  )")->AsNumber(),
                    120);
 }
 
@@ -175,7 +187,7 @@ TEST(SemanticsTest, ForOfIterableEvaluatesInOuterScope) {
       out.push(item);
     }
     let result = out.join(",");
-  )").ToDisplayString(),
+  )")->ToDisplayString(),
             "outer1,outer2");
 }
 
@@ -188,7 +200,7 @@ TEST(SemanticsTest, MethodExtractedLosesThisButBindRestores) {
     let box = new Box();
     let bound = box.get2.bind(box);
     let result = bound();
-  )").AsNumber(),
+  )")->AsNumber(),
                    7);
 }
 
@@ -199,7 +211,7 @@ TEST(SemanticsTest, NestedPromisesSettleInOrder) {
     new Promise(res => { res(2); }).then(v => { order.push("p2:" + v); });
     setTimeout(() => { order.push("timer"); }, 0);
     let result = order;
-  )").ToDisplayString(),
+  )")->ToDisplayString(),
             "[p1:1, p2:2, timer]");  // microtasks before macrotasks
 }
 
@@ -209,7 +221,7 @@ TEST(SemanticsTest, ImplicitGlobalAssignmentDefines) {
     init();
     counter = counter + 1;
     let result = counter;
-  )").AsNumber(),
+  )")->AsNumber(),
                    11);
 }
 

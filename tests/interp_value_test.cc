@@ -3,8 +3,12 @@
 #include "src/interp/value.h"
 
 #include <cmath>
+#include <memory>
 
 #include <gtest/gtest.h>
+
+#include "src/interp/environment.h"
+#include "src/interp/heap.h"
 
 namespace turnstile {
 namespace {
@@ -158,6 +162,62 @@ TEST(ValueTest, ClassMethodLookupWalksTheChain) {
   EXPECT_NE(derived->FindMethod("pong"), nullptr);
   EXPECT_NE(derived->FindMethod("ping"), nullptr);  // inherited
   EXPECT_EQ(derived->FindMethod("zap"), nullptr);
+}
+
+// --- the heap registry (src/interp/heap.h) ---------------------------------
+
+TEST(HeapTest, TeardownFreesCyclesAndLeavesHeldCellsEmpty) {
+  std::weak_ptr<Object> cycle;
+  std::weak_ptr<Environment> frame;
+  ObjectPtr held;
+  {
+    Heap heap;
+    {
+      Heap::Scope scope(&heap);
+      ObjectPtr self_loop = MakeObject();
+      self_loop->Set("self", Value(self_loop));
+      cycle = self_loop;
+      // function -> closure environment -> slot -> function
+      EnvPtr env = Environment::MakeChild(nullptr, 1);
+      FunctionPtr fn = MakeNativeFunction("f", nullptr);
+      fn->closure = env;
+      env->slots[0] = Value(fn);
+      frame = env;
+      held = MakeObject();
+      held->Set("child", Value(MakeArray({Value(1)})));
+    }
+    EXPECT_EQ(heap.size(), 5u);
+    EXPECT_FALSE(cycle.expired());
+    heap.Teardown();
+    EXPECT_TRUE(cycle.expired());
+    EXPECT_TRUE(frame.expired());
+    EXPECT_TRUE(held->properties.empty());  // still referenced here: a husk
+    EXPECT_EQ(heap.size(), 1u);
+    EXPECT_TRUE(held->tracked());
+  }
+  EXPECT_FALSE(held->tracked());  // detached when its heap was destroyed
+}
+
+TEST(HeapTest, AdoptTakesOnlyUntrackedCells) {
+  Heap mine;
+  Heap other;
+  ObjectPtr theirs;
+  {
+    Heap::Scope scope(&other);
+    theirs = MakeObject();
+  }
+  ObjectPtr host = MakeObject();  // no current heap: untracked
+  EXPECT_FALSE(host->tracked());
+  host->Set("theirs", Value(theirs));
+  host->Set("loop", Value(MakeArray({Value(host)})));
+  mine.Adopt(Value(host));
+  EXPECT_EQ(mine.size(), 2u);  // host and its array
+  EXPECT_EQ(other.size(), 1u);
+  std::weak_ptr<Object> weak_host = host;
+  host.reset();
+  mine.Teardown();  // cuts host -> array -> host
+  EXPECT_TRUE(weak_host.expired());
+  theirs.reset();
 }
 
 }  // namespace

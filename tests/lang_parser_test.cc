@@ -1,5 +1,8 @@
 #include "src/lang/parser.h"
 
+#include <string>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 #include "src/lang/printer.h"
@@ -287,6 +290,62 @@ TEST(ParserTest, SyntaxErrorsAreReportedWithLocation) {
   auto result = ParseProgram("let = 3;", "app.js");
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("app.js"), std::string::npos);
+}
+
+std::string Repeat(std::string_view unit, int times) {
+  std::string out;
+  out.reserve(unit.size() * static_cast<size_t>(times));
+  for (int i = 0; i < times; ++i) {
+    out += unit;
+  }
+  return out;
+}
+
+// One self-nesting form: `levels` copies of `open`, then `inner`, then as
+// many copies of `close`.
+struct NestingForm {
+  const char* name;
+  const char* prefix;
+  const char* open;
+  const char* inner;
+  const char* close;
+};
+
+constexpr NestingForm kNestingForms[] = {
+    {"parens", "let x = ", "(", "1", ")"},
+    {"arrays", "let x = ", "[", "1", "]"},
+    {"objects", "let x = ", "{a: ", "1", "}"},
+    {"unary", "let x = ", "!", "1", ""},
+    {"new", "let x = ", "new ", "X", ""},
+    {"arrows", "let f = ", "x => ", "1", ""},
+    {"ternaries", "let x = ", "c ? 1 : ", "2", ""},
+    {"blocks", "", "{", "", "}"},
+    {"functions", "", "function f() {", "", "}"},
+    {"ifs", "", "if (c) ", "x;", ""},
+};
+
+std::string Nested(const NestingForm& form, int levels) {
+  return std::string(form.prefix) + Repeat(form.open, levels) + form.inner +
+         Repeat(form.close, levels);
+}
+
+TEST(ParserTest, HostileNestingIsAParseErrorNotAStackOverflow) {
+  for (const NestingForm& form : kNestingForms) {
+    auto result = ParseProgram(Nested(form, 100000), "deep.js");
+    ASSERT_FALSE(result.ok()) << form.name;
+    const std::string& message = result.status().message();
+    EXPECT_EQ(message.rfind("deep.js:1:", 0), 0u) << form.name << ": " << message;
+    EXPECT_NE(message.find("nesting deeper than " + std::to_string(kMaxParseNesting) + " levels"),
+              std::string::npos)
+        << form.name << ": " << message;
+  }
+}
+
+TEST(ParserTest, NestingBelowTheCapParses) {
+  for (const NestingForm& form : kNestingForms) {
+    auto result = ParseProgram(Nested(form, kMaxParseNesting / 2), "deep.js");
+    EXPECT_TRUE(result.ok()) << form.name << ": " << result.status().ToString();
+  }
 }
 
 TEST(ParserTest, PaperFigure2aParses) {

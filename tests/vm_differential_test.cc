@@ -1036,6 +1036,47 @@ constexpr DiffProgram kRegisterLocalPrograms[] = {
     )"},
 };
 
+// --- declared names of anonymous function initializers ---------------------
+
+// `let x = <init>` names an anonymous function value after `x`; a function's
+// name shows in its display string ("[function x]"). The compiler drops the
+// naming instruction only for initializers that can never be a function, so
+// these rows keep it for `?:`, `,`, `||`, `&&`, `??`, calls and `this`, on
+// both register locals (inside `f`) and global slots.
+constexpr DiffProgram kFnNamePrograms[] = {
+    {"fn-name-from-non-literal-initializers", R"(
+      function f(flag) {
+        let pick = flag ? () => 1 : 0;
+        let seq = (0, () => 2);
+        let either = null || function () {};
+        return "" + pick + seq + either;
+      }
+      let viaTernary = true ? function () { return 1; } : null;
+      let viaSequence = (0, () => 2);
+      let viaLogical = null || (() => 3);
+      let viaAnd = 1 && function () {};
+      let viaNullish = undefined ?? (() => 4);
+      let viaCall = (() => () => 5)();
+      let viaThis = (function () { let me = this; return "" + me; }).call(() => 6);
+      let named = 0 || function inner() {};
+      let plain = 1 + 2;
+      let result = [f(true), f(false), "" + viaTernary, "" + viaSequence, "" + viaLogical,
+                    "" + viaAnd, "" + viaNullish, "" + viaCall, viaThis, "" + named,
+                    plain].join("|");
+    )"},
+};
+
+TEST(VmDifferentialTest, AnonymousFunctionInitializersTakeTheDeclaredName) {
+  ExpectTiersAgree(kFnNamePrograms, sizeof(kFnNamePrograms) / sizeof(kFnNamePrograms[0]),
+                   /*with_tracker=*/false);
+  TierOutcome fused = RunTier(kFnNamePrograms[0].source, ExecTier::kBytecode, false);
+  EXPECT_EQ(fused.result,
+            "[function pick][function seq][function either]|0[function seq][function either]|"
+            "[function viaTernary]|[function viaSequence]|[function viaLogical]|"
+            "[function viaAnd]|[function viaNullish]|[function viaCall]|[function me]|"
+            "[function inner]|3");
+}
+
 // --- DIFT programs (tracker installed, violations compared) ------------------
 
 constexpr const char* kBoxedAddAssignSource = R"(

@@ -132,24 +132,24 @@ constexpr const char* kTryClassSource =
 
 // The program chunk declares the class with one kClass and runs the try
 // statement with one kTry whose break/continue trampolines land on the loop
-// exit (10) and the for-update (8). `i` stays in its header-frame slot
+// exit (9) and the for-update (7). `let i = 0` stores its constant with no
+// kSetFnName, since a number literal can never be a function. `i` stays in its header-frame slot
 // because the try sub-chunk reads it, so the for-update is one kIncSlot and
 // the loop test one kJumpUnless against a constant operand. The try, catch
 // and finally blocks are sub-chunks of their own, where break/continue are
 // kComplete and `++1` is a kRaise of the tree-walker's exact status.
-constexpr const char* kTryClassGolden = R"(; chunk: 12 insns, 1 regs, 2 constants, 1 names, 2 nodes
+constexpr const char* kTryClassGolden = R"(; chunk: 11 insns, 1 regs, 2 constants, 0 names, 2 nodes
    0  Class             node[0](ClassDecl)  ; line 1
    1  EnvPush           1  ; line 4
    2  LoadConst         r0, const "0"  ; line 4
-   3  SetFnName         r0, "i"  ; line 4
-   4  StoreSlot         0, 0, r0  ; line 4
-   5  LoadSlot          r0, 0, 0  ; line 4
-   6  JumpUnless        ->10, op(<), r0, const "3"  ; line 4
-   7  Try               node[1](TryStmt), ->10, 0, 0, ->8, 0  ; line 5
-   8  IncSlot           0, 0, 1  ; line 4
-   9  Jump              ->5  ; line 4
-  10  EnvPop              ; line 4
-  11  Halt                ; line 1
+   3  StoreSlot         0, 0, r0  ; line 4
+   4  LoadSlot          r0, 0, 0  ; line 4
+   5  JumpUnless        ->9, op(<), r0, const "3"  ; line 4
+   6  Try               node[1](TryStmt), ->9, 0, 0, ->7, 0  ; line 5
+   7  IncSlot           0, 0, 1  ; line 4
+   8  Jump              ->4  ; line 4
+   9  EnvPop              ; line 4
+  10  Halt                ; line 1
 -- try
 ; chunk: 5 insns, 1 regs, 1 constants, 0 names, 0 nodes
    0  LoadSlot          r0, 0, 0  ; line 6
@@ -192,9 +192,10 @@ TEST(VmDisasmGoldenTest, TryCatchFinallyAndClassLowering) {
 // so all three live in registers: the parameter is copied out of its
 // call-frame slot once, in the prologue, and the loop runs on register
 // operands, number-constant operands, one compare-and-jump and one
-// increment: six instructions per iteration (7..12), where the slot-based
-// lowering took 19. The frames are still pushed (1, 4) at their resolved
-// sizes; their slots just stay undefined.
+// increment: six instructions per iteration (5..10), where the slot-based
+// lowering took 19. The `let`s initialize from number literals, so neither
+// is followed by a kSetFnName. The frames are still pushed (1, 3) at their
+// resolved sizes; their slots just stay undefined.
 constexpr const char* kCalibrationSource =
     "function calibrate(frame) {\n"
     "  let cal = 0;\n"
@@ -204,25 +205,23 @@ constexpr const char* kCalibrationSource =
     "  return cal + frame;\n"
     "}\n";
 
-constexpr const char* kCalibrationGolden = R"(; chunk: 18 insns, 5 regs, 5 constants, 2 names, 0 nodes
+constexpr const char* kCalibrationGolden = R"(; chunk: 16 insns, 5 regs, 5 constants, 0 names, 0 nodes
    0  LoadSlot          r2, 0, 1  ; line 1
    1  EnvPush           1  ; line 1
    2  LoadConst         r0, const "0"  ; line 2
-   3  SetFnName         r0, "cal"  ; line 2
-   4  EnvPush           1  ; line 3
-   5  LoadConst         r1, const "0"  ; line 3
-   6  SetFnName         r1, "k"  ; line 3
-   7  JumpUnless        ->13, op(<), r1, const "36000"  ; line 3
-   8  Binary            r4, op(*), r0, const "31"  ; line 4
-   9  Binary            r3, op(+), r4, r1  ; line 4
-  10  Binary            r0, op(%), r3, const "65521"  ; line 4
-  11  IncLocal          r1, 1  ; line 3
-  12  Jump              ->7  ; line 3
-  13  EnvPop              ; line 3
-  14  Binary            r3, op(+), r0, r2  ; line 6
-  15  Return            r3  ; line 6
-  16  EnvPop              ; line 1
-  17  Halt                ; line 1
+   3  EnvPush           1  ; line 3
+   4  LoadConst         r1, const "0"  ; line 3
+   5  JumpUnless        ->11, op(<), r1, const "36000"  ; line 3
+   6  Binary            r4, op(*), r0, const "31"  ; line 4
+   7  Binary            r3, op(+), r4, r1  ; line 4
+   8  Binary            r0, op(%), r3, const "65521"  ; line 4
+   9  IncLocal          r1, 1  ; line 3
+  10  Jump              ->5  ; line 3
+  11  EnvPop              ; line 3
+  12  Binary            r3, op(+), r0, r2  ; line 6
+  13  Return            r3  ; line 6
+  14  EnvPop              ; line 1
+  15  Halt                ; line 1
 )";
 
 TEST(VmDisasmGoldenTest, CalibrationLoopRunsOnRegisterLocals) {
