@@ -4,6 +4,8 @@
 //   - instrumentation cost (selective vs exhaustive rewriting)
 //   - injected-call-count ablation: how much work selective instrumentation
 //     avoids (reported as counters)
+//   - the front end on deploy's package: lexing (tokens/s) and lex + parse
+//     (AST nodes/s)
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_main.h"
@@ -12,6 +14,7 @@
 #include "src/baseline/querydl.h"
 #include "src/corpus/corpus.h"
 #include "src/instrument/instrumentor.h"
+#include "src/lang/lexer.h"
 #include "src/lang/parser.h"
 #include "src/lang/printer.h"
 
@@ -67,6 +70,43 @@ void BM_ParseProgram(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParseProgram)->Arg(8)->Arg(96);
+
+// Deploy's package shape (§6.1): the vendored dependency bundle plus one app.
+std::string DeployPackage() {
+  const CorpusApp* app = FindCorpusApp("camera-motion");
+  if (app == nullptr) {
+    std::abort();
+  }
+  return VendoredDependencyBundle(400) + app->source;
+}
+
+// items/s is tokens/s.
+void BM_LexPackage(benchmark::State& state) {
+  const std::string source = DeployPackage();
+  size_t tokens = 0;
+  for (auto _ : state) {
+    auto lexed = Lex(source);
+    tokens = lexed.ok() ? lexed->size() : 0;
+    benchmark::DoNotOptimize(tokens);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * tokens));
+  state.SetLabel(std::to_string(tokens) + " tokens, " + std::to_string(source.size()) + " bytes");
+}
+BENCHMARK(BM_LexPackage);
+
+// Lex plus parse; items/s is AST nodes/s.
+void BM_ParsePackage(benchmark::State& state) {
+  const std::string source = DeployPackage();
+  int nodes = 0;
+  for (auto _ : state) {
+    auto program = ParseProgram(source);
+    nodes = program.ok() ? program->node_count : 0;
+    benchmark::DoNotOptimize(nodes);
+  }
+  state.SetItemsProcessed(state.iterations() * nodes);
+  state.SetLabel(std::to_string(nodes) + " ast nodes");
+}
+BENCHMARK(BM_ParsePackage);
 
 struct InstrumentFixture {
   Program program;

@@ -7,6 +7,10 @@
 //   - single- and double-quoted strings with the usual escapes
 //   - template literals WITHOUT interpolation (`...`), lexed as plain strings
 //   - multi-character punctuators, longest-match (===, !==, =>, ..., &&= etc.)
+//
+// Bytes are classified by a 256-entry table (ASCII only, like the C
+// locale); punctuators are matched by a switch on their first byte and
+// keywords by length and first byte, so lexing allocates nothing per token.
 #ifndef TURNSTILE_SRC_LANG_LEXER_H_
 #define TURNSTILE_SRC_LANG_LEXER_H_
 
@@ -20,7 +24,8 @@
 namespace turnstile {
 
 // Tokenizes `source`. On success the token stream always ends with a
-// kEndOfFile token.
+// kEndOfFile token. The tokens view `source` (see src/lang/token.h): keep it
+// alive for as long as the tokens.
 Result<std::vector<Token>> Lex(std::string_view source);
 
 }  // namespace turnstile

@@ -43,16 +43,8 @@ class Parser {
 
   const Token& Advance() { return tokens_[pos_ < tokens_.size() - 1 ? pos_++ : pos_]; }
 
-  bool MatchPunct(const char* spelling) {
-    if (Peek().IsPunct(spelling)) {
-      Advance();
-      return true;
-    }
-    return false;
-  }
-
-  bool MatchKeyword(const char* spelling) {
-    if (Peek().IsKeyword(spelling)) {
+  bool Match(Tok code) {
+    if (Peek().Is(code)) {
       Advance();
       return true;
     }
@@ -60,8 +52,8 @@ class Parser {
   }
 
   Status Fail(const std::string& message) const {
-    return ParseError(source_name_ + ":" + Peek().loc.ToString() + ": " + message +
-                      " (got '" + Peek().text + "')");
+    return ParseError(source_name_ + ":" + Peek().loc.ToString() + ": " + message + " (got '" +
+                      std::string(Peek().text) + "')");
   }
 
   // Held by every production that can nest itself (see kMaxParseNesting).
@@ -76,6 +68,26 @@ class Parser {
     int* depth_;
   };
 
+  // Held by a loop that wraps the operand built so far in a new node (`a + b
+  // + c`, `o.a.b`, `f()()`): every link nests the tree one level deeper, so
+  // each counts against kMaxParseNesting until the loop ends.
+  class ChainScope {
+   public:
+    explicit ChainScope(int* depth) : depth_(depth) {}
+    ~ChainScope() { *depth_ -= links_; }
+    ChainScope(const ChainScope&) = delete;
+    ChainScope& operator=(const ChainScope&) = delete;
+
+    void Link() {
+      ++links_;
+      ++*depth_;
+    }
+
+   private:
+    int* depth_;
+    int links_ = 0;
+  };
+
   Status CheckNesting() const {
     if (depth_ > kMaxParseNesting) {
       return Fail("nesting deeper than " + std::to_string(kMaxParseNesting) + " levels");
@@ -83,9 +95,9 @@ class Parser {
     return Status::Ok();
   }
 
-  Status ExpectPunct(const char* spelling) {
-    if (!MatchPunct(spelling)) {
-      return Fail(std::string("expected '") + spelling + "'");
+  Status Expect(Tok code) {
+    if (!Match(code)) {
+      return Fail("expected '" + std::string(Spelling(code)) + "'");
     }
     return Status::Ok();
   }
@@ -102,79 +114,72 @@ class Parser {
   Result<NodePtr> ParseStatement() {
     NestingScope nesting(&depth_);
     TURNSTILE_RETURN_IF_ERROR(CheckNesting());
-    const Token& token = Peek();
-    if (token.Is(TokenKind::kKeyword)) {
-      const std::string& kw = token.text;
-      if (kw == "let" || kw == "const" || kw == "var") {
+    switch (Peek().code) {
+      case Tok::kLet:
+      case Tok::kConst:
+      case Tok::kVar: {
         TURNSTILE_ASSIGN_OR_RETURN(decl, ParseVarDecl());
-        MatchPunct(";");
+        Match(Tok::kSemicolon);
         return decl;
       }
-      if (kw == "function") {
+      case Tok::kFunction:
         return ParseFunctionDecl(/*is_async=*/false);
-      }
-      if (kw == "async" && Peek(1).IsKeyword("function")) {
-        Advance();  // async
-        return ParseFunctionDecl(/*is_async=*/true);
-      }
-      if (kw == "class") {
+      case Tok::kAsync:
+        if (Peek(1).Is(Tok::kFunction)) {
+          Advance();  // async
+          return ParseFunctionDecl(/*is_async=*/true);
+        }
+        break;
+      case Tok::kClass:
         return ParseClassDecl();
-      }
-      if (kw == "if") {
+      case Tok::kIf:
         return ParseIfStatement();
-      }
-      if (kw == "while") {
+      case Tok::kWhile:
         return ParseWhileStatement();
-      }
-      if (kw == "for") {
+      case Tok::kFor:
         return ParseForStatement();
-      }
-      if (kw == "return") {
+      case Tok::kReturn: {
         NodePtr stmt = NewNode(NodeKind::kReturnStmt);
         Advance();
-        if (!Peek().IsPunct(";") && !Peek().IsPunct("}") && !AtEnd()) {
+        if (!Peek().Is(Tok::kSemicolon) && !Peek().Is(Tok::kRBrace) && !AtEnd()) {
           TURNSTILE_ASSIGN_OR_RETURN(arg, ParseExpression());
           stmt->children.push_back(std::move(arg));
         }
-        MatchPunct(";");
+        Match(Tok::kSemicolon);
         return stmt;
       }
-      if (kw == "break") {
-        NodePtr stmt = NewNode(NodeKind::kBreakStmt);
+      case Tok::kBreak:
+      case Tok::kContinue: {
+        NodePtr stmt = NewNode(Peek().Is(Tok::kBreak) ? NodeKind::kBreakStmt
+                                                      : NodeKind::kContinueStmt);
         Advance();
-        MatchPunct(";");
+        Match(Tok::kSemicolon);
         return stmt;
       }
-      if (kw == "continue") {
-        NodePtr stmt = NewNode(NodeKind::kContinueStmt);
-        Advance();
-        MatchPunct(";");
-        return stmt;
-      }
-      if (kw == "try") {
+      case Tok::kTry:
         return ParseTryStatement();
-      }
-      if (kw == "throw") {
+      case Tok::kThrow: {
         NodePtr stmt = NewNode(NodeKind::kThrowStmt);
         Advance();
         TURNSTILE_ASSIGN_OR_RETURN(arg, ParseExpression());
         stmt->children.push_back(std::move(arg));
-        MatchPunct(";");
+        Match(Tok::kSemicolon);
         return stmt;
       }
-    }
-    if (token.IsPunct("{")) {
-      return ParseBlock();
-    }
-    if (token.IsPunct(";")) {
-      NodePtr stmt = NewNode(NodeKind::kEmpty);
-      Advance();
-      return stmt;
+      case Tok::kLBrace:
+        return ParseBlock();
+      case Tok::kSemicolon: {
+        NodePtr stmt = NewNode(NodeKind::kEmpty);
+        Advance();
+        return stmt;
+      }
+      default:
+        break;
     }
     NodePtr stmt = NewNode(NodeKind::kExprStmt);
     TURNSTILE_ASSIGN_OR_RETURN(expr, ParseExpression());
     stmt->children.push_back(std::move(expr));
-    MatchPunct(";");
+    Match(Tok::kSemicolon);
     return stmt;
   }
 
@@ -188,12 +193,12 @@ class Parser {
       }
       NodePtr declarator = NewNode(NodeKind::kDeclarator);
       declarator->str = Advance().text;
-      if (MatchPunct("=")) {
+      if (Match(Tok::kAssign)) {
         TURNSTILE_ASSIGN_OR_RETURN(init, ParseAssignment());
         declarator->children.push_back(std::move(init));
       }
       decl->children.push_back(std::move(declarator));
-      if (!MatchPunct(",")) {
+      if (!Match(Tok::kComma)) {
         return decl;
       }
     }
@@ -221,7 +226,7 @@ class Parser {
       return Fail("expected class name");
     }
     cls->str = Advance().text;
-    if (MatchKeyword("extends")) {
+    if (Match(Tok::kExtends)) {
       if (!Peek().Is(TokenKind::kIdentifier)) {
         return Fail("expected superclass name");
       }
@@ -231,15 +236,15 @@ class Parser {
     } else {
       cls->children.push_back(NewNode(NodeKind::kEmpty));
     }
-    TURNSTILE_RETURN_IF_ERROR(ExpectPunct("{"));
-    while (!Peek().IsPunct("}")) {
+    TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kLBrace));
+    while (!Peek().Is(Tok::kRBrace)) {
       if (AtEnd()) {
         return Fail("unterminated class body");
       }
-      if (MatchPunct(";")) {
+      if (Match(Tok::kSemicolon)) {
         continue;
       }
-      MatchKeyword("async");  // ignored modifier
+      Match(Tok::kAsync);  // ignored modifier
       NodePtr method = NewNode(NodeKind::kMethodDef);
       if (!Peek().Is(TokenKind::kIdentifier) && !Peek().Is(TokenKind::kKeyword)) {
         return Fail("expected method name");
@@ -257,12 +262,12 @@ class Parser {
 
   Result<NodePtr> ParseParams() {
     NodePtr params = NewNode(NodeKind::kParams);
-    TURNSTILE_RETURN_IF_ERROR(ExpectPunct("("));
-    if (MatchPunct(")")) {
+    TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kLParen));
+    if (Match(Tok::kRParen)) {
       return params;
     }
     while (true) {
-      if (MatchPunct("...")) {
+      if (Match(Tok::kEllipsis)) {
         if (!Peek().Is(TokenKind::kIdentifier)) {
           return Fail("expected rest parameter name");
         }
@@ -277,18 +282,18 @@ class Parser {
         param->str = Advance().text;
         params->children.push_back(std::move(param));
       }
-      if (MatchPunct(",")) {
+      if (Match(Tok::kComma)) {
         continue;
       }
-      TURNSTILE_RETURN_IF_ERROR(ExpectPunct(")"));
+      TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kRParen));
       return params;
     }
   }
 
   Result<NodePtr> ParseBlock() {
     NodePtr block = NewNode(NodeKind::kBlockStmt);
-    TURNSTILE_RETURN_IF_ERROR(ExpectPunct("{"));
-    while (!Peek().IsPunct("}")) {
+    TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kLBrace));
+    while (!Peek().Is(Tok::kRBrace)) {
       if (AtEnd()) {
         return Fail("unterminated block");
       }
@@ -302,13 +307,13 @@ class Parser {
   Result<NodePtr> ParseIfStatement() {
     NodePtr stmt = NewNode(NodeKind::kIfStmt);
     Advance();  // if
-    TURNSTILE_RETURN_IF_ERROR(ExpectPunct("("));
+    TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kLParen));
     TURNSTILE_ASSIGN_OR_RETURN(cond, ParseExpression());
-    TURNSTILE_RETURN_IF_ERROR(ExpectPunct(")"));
+    TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kRParen));
     TURNSTILE_ASSIGN_OR_RETURN(then_stmt, ParseStatement());
     stmt->children.push_back(std::move(cond));
     stmt->children.push_back(std::move(then_stmt));
-    if (MatchKeyword("else")) {
+    if (Match(Tok::kElse)) {
       TURNSTILE_ASSIGN_OR_RETURN(else_stmt, ParseStatement());
       stmt->children.push_back(std::move(else_stmt));
     }
@@ -318,9 +323,9 @@ class Parser {
   Result<NodePtr> ParseWhileStatement() {
     NodePtr stmt = NewNode(NodeKind::kWhileStmt);
     Advance();  // while
-    TURNSTILE_RETURN_IF_ERROR(ExpectPunct("("));
+    TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kLParen));
     TURNSTILE_ASSIGN_OR_RETURN(cond, ParseExpression());
-    TURNSTILE_RETURN_IF_ERROR(ExpectPunct(")"));
+    TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kRParen));
     TURNSTILE_ASSIGN_OR_RETURN(body, ParseStatement());
     stmt->children.push_back(std::move(cond));
     stmt->children.push_back(std::move(body));
@@ -330,11 +335,11 @@ class Parser {
   Result<NodePtr> ParseForStatement() {
     SourceLocation loc = Peek().loc;
     Advance();  // for
-    TURNSTILE_RETURN_IF_ERROR(ExpectPunct("("));
+    TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kLParen));
 
     // for-of: `for (let x of expr)`.
-    if ((Peek().IsKeyword("let") || Peek().IsKeyword("const") || Peek().IsKeyword("var")) &&
-        Peek(1).Is(TokenKind::kIdentifier) && Peek(2).IsKeyword("of")) {
+    if ((Peek().Is(Tok::kLet) || Peek().Is(Tok::kConst) || Peek().Is(Tok::kVar)) &&
+        Peek(1).Is(TokenKind::kIdentifier) && Peek(2).Is(Tok::kOf)) {
       NodePtr stmt = NewNode(NodeKind::kForOfStmt);
       stmt->loc = loc;
       stmt->str = Advance().text;  // decl kind
@@ -342,7 +347,7 @@ class Parser {
       var->str = Advance().text;
       Advance();  // of
       TURNSTILE_ASSIGN_OR_RETURN(iterable, ParseAssignment());
-      TURNSTILE_RETURN_IF_ERROR(ExpectPunct(")"));
+      TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kRParen));
       TURNSTILE_ASSIGN_OR_RETURN(body, ParseStatement());
       stmt->children.push_back(std::move(var));
       stmt->children.push_back(std::move(iterable));
@@ -353,35 +358,35 @@ class Parser {
     NodePtr stmt = NewNode(NodeKind::kForStmt);
     stmt->loc = loc;
     // init
-    if (Peek().IsPunct(";")) {
+    if (Peek().Is(Tok::kSemicolon)) {
       stmt->children.push_back(NewNode(NodeKind::kEmpty));
       Advance();
-    } else if (Peek().IsKeyword("let") || Peek().IsKeyword("const") || Peek().IsKeyword("var")) {
+    } else if (Peek().Is(Tok::kLet) || Peek().Is(Tok::kConst) || Peek().Is(Tok::kVar)) {
       TURNSTILE_ASSIGN_OR_RETURN(init, ParseVarDecl());
       stmt->children.push_back(std::move(init));
-      TURNSTILE_RETURN_IF_ERROR(ExpectPunct(";"));
+      TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kSemicolon));
     } else {
       TURNSTILE_ASSIGN_OR_RETURN(init, ParseExpression());
       stmt->children.push_back(std::move(init));
-      TURNSTILE_RETURN_IF_ERROR(ExpectPunct(";"));
+      TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kSemicolon));
     }
     // condition
-    if (Peek().IsPunct(";")) {
+    if (Peek().Is(Tok::kSemicolon)) {
       stmt->children.push_back(NewNode(NodeKind::kEmpty));
       Advance();
     } else {
       TURNSTILE_ASSIGN_OR_RETURN(cond, ParseExpression());
       stmt->children.push_back(std::move(cond));
-      TURNSTILE_RETURN_IF_ERROR(ExpectPunct(";"));
+      TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kSemicolon));
     }
     // update
-    if (Peek().IsPunct(")")) {
+    if (Peek().Is(Tok::kRParen)) {
       stmt->children.push_back(NewNode(NodeKind::kEmpty));
       Advance();
     } else {
       TURNSTILE_ASSIGN_OR_RETURN(update, ParseExpression());
       stmt->children.push_back(std::move(update));
-      TURNSTILE_RETURN_IF_ERROR(ExpectPunct(")"));
+      TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kRParen));
     }
     TURNSTILE_ASSIGN_OR_RETURN(body, ParseStatement());
     stmt->children.push_back(std::move(body));
@@ -393,15 +398,15 @@ class Parser {
     Advance();  // try
     TURNSTILE_ASSIGN_OR_RETURN(block, ParseBlock());
     stmt->children.push_back(std::move(block));
-    if (MatchKeyword("catch")) {
-      if (MatchPunct("(")) {
+    if (Match(Tok::kCatch)) {
+      if (Match(Tok::kLParen)) {
         if (!Peek().Is(TokenKind::kIdentifier)) {
           return Fail("expected catch parameter");
         }
         NodePtr param = NewNode(NodeKind::kIdentifier);
         param->str = Advance().text;
         stmt->children.push_back(std::move(param));
-        TURNSTILE_RETURN_IF_ERROR(ExpectPunct(")"));
+        TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kRParen));
       } else {
         stmt->children.push_back(NewNode(NodeKind::kEmpty));
       }
@@ -414,7 +419,7 @@ class Parser {
       stmt->children.push_back(NewNode(NodeKind::kEmpty));
       stmt->children.push_back(NewNode(NodeKind::kEmpty));
     }
-    if (MatchKeyword("finally")) {
+    if (Match(Tok::kFinally)) {
       TURNSTILE_ASSIGN_OR_RETURN(finally_block, ParseBlock());
       stmt->children.push_back(std::move(finally_block));
     } else {
@@ -427,12 +432,12 @@ class Parser {
 
   Result<NodePtr> ParseExpression() {
     TURNSTILE_ASSIGN_OR_RETURN(first, ParseAssignment());
-    if (!Peek().IsPunct(",")) {
+    if (!Peek().Is(Tok::kComma)) {
       return first;
     }
     NodePtr seq = NewNode(NodeKind::kSequenceExpr);
     seq->children.push_back(std::move(first));
-    while (MatchPunct(",")) {
+    while (Match(Tok::kComma)) {
       TURNSTILE_ASSIGN_OR_RETURN(next, ParseAssignment());
       seq->children.push_back(std::move(next));
     }
@@ -443,26 +448,26 @@ class Parser {
   // function head: `ident =>` or `( ... ) =>` (with balanced parens).
   bool LooksLikeArrowFunction() const {
     size_t i = pos_;
-    if (Peek().IsKeyword("async")) {
+    if (Peek().Is(Tok::kAsync)) {
       ++i;
     }
     const Token& t0 = i < tokens_.size() ? tokens_[i] : tokens_.back();
     const Token& t1 = i + 1 < tokens_.size() ? tokens_[i + 1] : tokens_.back();
-    if (t0.Is(TokenKind::kIdentifier) && t1.IsPunct("=>")) {
+    if (t0.Is(TokenKind::kIdentifier) && t1.Is(Tok::kArrow)) {
       return true;
     }
-    if (!t0.IsPunct("(")) {
+    if (!t0.Is(Tok::kLParen)) {
       return false;
     }
     int depth = 0;
     for (size_t j = i; j < tokens_.size(); ++j) {
       const Token& t = tokens_[j];
-      if (t.IsPunct("(")) {
+      if (t.Is(Tok::kLParen)) {
         ++depth;
-      } else if (t.IsPunct(")")) {
+      } else if (t.Is(Tok::kRParen)) {
         --depth;
         if (depth == 0) {
-          return j + 1 < tokens_.size() && tokens_[j + 1].IsPunct("=>");
+          return j + 1 < tokens_.size() && tokens_[j + 1].Is(Tok::kArrow);
         }
       } else if (t.Is(TokenKind::kEndOfFile)) {
         return false;
@@ -473,7 +478,7 @@ class Parser {
 
   Result<NodePtr> ParseArrowFunction() {
     NodePtr fn = NewNode(NodeKind::kArrowFunction);
-    if (MatchKeyword("async")) {
+    if (Match(Tok::kAsync)) {
       fn->num = 1;
     }
     NodePtr params = NewNode(NodeKind::kParams);
@@ -485,9 +490,9 @@ class Parser {
       TURNSTILE_ASSIGN_OR_RETURN(parsed, ParseParams());
       params = std::move(parsed);
     }
-    TURNSTILE_RETURN_IF_ERROR(ExpectPunct("=>"));
+    TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kArrow));
     fn->children.push_back(std::move(params));
-    if (Peek().IsPunct("{")) {
+    if (Peek().Is(Tok::kLBrace)) {
       TURNSTILE_ASSIGN_OR_RETURN(body, ParseBlock());
       fn->children.push_back(std::move(body));
     } else {
@@ -497,20 +502,6 @@ class Parser {
     return fn;
   }
 
-  bool IsAssignOp(const Token& token) const {
-    if (!token.Is(TokenKind::kPunct)) {
-      return false;
-    }
-    static const char* kOps[] = {"=", "+=", "-=", "*=", "/=", "%=", "&&=", "||=", "?\?=",
-                                 "&=", "|=", "^=", "<<=", ">>=", "**="};
-    for (const char* op : kOps) {
-      if (token.text == op) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   Result<NodePtr> ParseAssignment() {
     NestingScope nesting(&depth_);
     TURNSTILE_RETURN_IF_ERROR(CheckNesting());
@@ -518,7 +509,7 @@ class Parser {
       return ParseArrowFunction();
     }
     TURNSTILE_ASSIGN_OR_RETURN(left, ParseConditional());
-    if (!IsAssignOp(Peek())) {
+    if (!Operator(Peek().code).assign) {
       return left;
     }
     if (left->kind != NodeKind::kIdentifier && left->kind != NodeKind::kMemberExpr &&
@@ -535,13 +526,13 @@ class Parser {
 
   Result<NodePtr> ParseConditional() {
     TURNSTILE_ASSIGN_OR_RETURN(cond, ParseBinary(0));
-    if (!Peek().IsPunct("?") ) {
+    if (!Peek().Is(Tok::kQuestion)) {
       return cond;
     }
     Advance();
     NodePtr node = NewNode(NodeKind::kConditionalExpr);
     TURNSTILE_ASSIGN_OR_RETURN(then_expr, ParseAssignment());
-    TURNSTILE_RETURN_IF_ERROR(ExpectPunct(":"));
+    TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kColon));
     TURNSTILE_ASSIGN_OR_RETURN(else_expr, ParseAssignment());
     node->children.push_back(std::move(cond));
     node->children.push_back(std::move(then_expr));
@@ -549,62 +540,25 @@ class Parser {
     return node;
   }
 
-  // Operator precedence table for binary/logical operators (low to high).
-  struct OpLevel {
-    std::vector<const char*> ops;
-    bool logical;
-  };
-
-  const std::vector<OpLevel>& Levels() const {
-    static const std::vector<OpLevel> kLevels = {
-        {{"??"}, true},
-        {{"||"}, true},
-        {{"&&"}, true},
-        {{"|"}, false},
-        {{"^"}, false},
-        {{"&"}, false},
-        {{"===", "!==", "==", "!="}, false},
-        {{"<", ">", "<=", ">=", "in"}, false},
-        {{"<<", ">>"}, false},
-        {{"+", "-"}, false},
-        {{"*", "/", "%"}, false},
-        {{"**"}, false},
-    };
-    return kLevels;
-  }
-
-  bool PeekMatchesLevel(const OpLevel& level, std::string* matched) const {
-    const Token& token = Peek();
-    for (const char* op : level.ops) {
-      if (token.IsPunct(op) || (std::string(op) == "in" && token.IsKeyword("in"))) {
-        *matched = op;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  // Precedence climbing over Levels(): every operator is left-associative,
-  // so this builds the same tree (and numbers its nodes in the same order) as
-  // one recursive production per level would, in one native frame per
-  // operand instead of one per level.
-  Result<NodePtr> ParseBinary(size_t min_level) {
+  // Precedence climbing over the levels of kOperatorTable: every operator is
+  // left-associative, so this builds the same tree (and numbers its nodes in
+  // the same order) as one recursive production per level would, in one
+  // native frame per operand instead of one per level.
+  Result<NodePtr> ParseBinary(int min_level) {
     TURNSTILE_ASSIGN_OR_RETURN(left, ParseUnary());
-    const auto& levels = Levels();
-    std::string op;
+    ChainScope chain(&depth_);
     while (true) {
-      size_t level_index = min_level;
-      while (level_index < levels.size() && !PeekMatchesLevel(levels[level_index], &op)) {
-        ++level_index;
-      }
-      if (level_index == levels.size()) {
+      const int level = Operator(Peek().code).binary_level;
+      if (level < min_level) {  // also every non-operator, at level -1
         return left;
       }
-      Advance();
-      NodePtr node = NewNode(levels[level_index].logical ? NodeKind::kLogicalExpr
-                                                         : NodeKind::kBinaryExpr);
+      chain.Link();
+      TURNSTILE_RETURN_IF_ERROR(CheckNesting());
+      const std::string_view op = Advance().text;
+      NodePtr node =
+          NewNode(level <= kLastLogicalLevel ? NodeKind::kLogicalExpr : NodeKind::kBinaryExpr);
       node->str = op;
-      TURNSTILE_ASSIGN_OR_RETURN(right, ParseBinary(level_index + 1));
+      TURNSTILE_ASSIGN_OR_RETURN(right, ParseBinary(level + 1));
       node->children.push_back(std::move(left));
       node->children.push_back(std::move(right));
       left = std::move(node);
@@ -619,36 +573,43 @@ class Parser {
   }
 
   Result<NodePtr> ParseUnary() {
-    const Token& token = Peek();
-    if (token.IsPunct("!") || token.IsPunct("-") || token.IsPunct("+") || token.IsPunct("~") ||
-        token.IsKeyword("typeof") || token.IsKeyword("delete")) {
-      NodePtr node = NewNode(NodeKind::kUnaryExpr);
-      node->str = Advance().text;
-      TURNSTILE_ASSIGN_OR_RETURN(operand, ParseUnaryOperand());
-      node->children.push_back(std::move(operand));
-      return node;
+    switch (Peek().code) {
+      case Tok::kBang:
+      case Tok::kMinus:
+      case Tok::kPlus:
+      case Tok::kTilde:
+      case Tok::kTypeof:
+      case Tok::kDelete: {
+        NodePtr node = NewNode(NodeKind::kUnaryExpr);
+        node->str = Advance().text;
+        TURNSTILE_ASSIGN_OR_RETURN(operand, ParseUnaryOperand());
+        node->children.push_back(std::move(operand));
+        return node;
+      }
+      case Tok::kAwait: {
+        NodePtr node = NewNode(NodeKind::kAwaitExpr);
+        Advance();
+        TURNSTILE_ASSIGN_OR_RETURN(operand, ParseUnaryOperand());
+        node->children.push_back(std::move(operand));
+        return node;
+      }
+      case Tok::kPlusPlus:
+      case Tok::kMinusMinus: {
+        NodePtr node = NewNode(NodeKind::kUpdateExpr);
+        node->str = Advance().text;
+        node->num = 1;  // prefix
+        TURNSTILE_ASSIGN_OR_RETURN(operand, ParseUnaryOperand());
+        node->children.push_back(std::move(operand));
+        return node;
+      }
+      default:
+        return ParsePostfix();
     }
-    if (token.IsKeyword("await")) {
-      NodePtr node = NewNode(NodeKind::kAwaitExpr);
-      Advance();
-      TURNSTILE_ASSIGN_OR_RETURN(operand, ParseUnaryOperand());
-      node->children.push_back(std::move(operand));
-      return node;
-    }
-    if (token.IsPunct("++") || token.IsPunct("--")) {
-      NodePtr node = NewNode(NodeKind::kUpdateExpr);
-      node->str = Advance().text;
-      node->num = 1;  // prefix
-      TURNSTILE_ASSIGN_OR_RETURN(operand, ParseUnaryOperand());
-      node->children.push_back(std::move(operand));
-      return node;
-    }
-    return ParsePostfix();
   }
 
   Result<NodePtr> ParsePostfix() {
     TURNSTILE_ASSIGN_OR_RETURN(expr, ParseCallMember());
-    if (Peek().IsPunct("++") || Peek().IsPunct("--")) {
+    if (Peek().Is(Tok::kPlusPlus) || Peek().Is(Tok::kMinusMinus)) {
       NodePtr node = NewNode(NodeKind::kUpdateExpr);
       node->str = Advance().text;
       node->num = 0;  // postfix
@@ -659,12 +620,12 @@ class Parser {
   }
 
   Result<NodePtr> ParseArguments(NodePtr call) {
-    TURNSTILE_RETURN_IF_ERROR(ExpectPunct("("));
-    if (MatchPunct(")")) {
+    TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kLParen));
+    if (Match(Tok::kRParen)) {
       return call;
     }
     while (true) {
-      if (MatchPunct("...")) {
+      if (Match(Tok::kEllipsis)) {
         NodePtr spread = NewNode(NodeKind::kSpreadElement);
         TURNSTILE_ASSIGN_OR_RETURN(arg, ParseAssignment());
         spread->children.push_back(std::move(arg));
@@ -673,43 +634,48 @@ class Parser {
         TURNSTILE_ASSIGN_OR_RETURN(arg, ParseAssignment());
         call->children.push_back(std::move(arg));
       }
-      if (MatchPunct(",")) {
+      if (Match(Tok::kComma)) {
         continue;
       }
-      TURNSTILE_RETURN_IF_ERROR(ExpectPunct(")"));
+      TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kRParen));
       return call;
     }
   }
 
   Result<NodePtr> ParseCallMember() {
     TURNSTILE_ASSIGN_OR_RETURN(expr, ParsePrimary());
+    ChainScope chain(&depth_);
     while (true) {
-      if (Peek().IsPunct(".") || Peek().IsPunct("?.")) {
-        bool optional = Peek().IsPunct("?.");
+      const Tok code = Peek().code;
+      if (code != Tok::kDot && code != Tok::kQuestionDot && code != Tok::kLBracket &&
+          code != Tok::kLParen) {
+        return expr;
+      }
+      chain.Link();
+      TURNSTILE_RETURN_IF_ERROR(CheckNesting());
+      if (code == Tok::kLParen) {
+        NodePtr call = NewNode(NodeKind::kCallExpr);
+        call->children.push_back(std::move(expr));
+        TURNSTILE_ASSIGN_OR_RETURN(done, ParseArguments(std::move(call)));
+        expr = std::move(done);
+      } else if (code == Tok::kLBracket) {
+        Advance();
+        NodePtr index = NewNode(NodeKind::kIndexExpr);
+        TURNSTILE_ASSIGN_OR_RETURN(index_expr, ParseExpression());
+        TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kRBracket));
+        index->children.push_back(std::move(expr));
+        index->children.push_back(std::move(index_expr));
+        expr = std::move(index);
+      } else {
         Advance();
         if (!Peek().Is(TokenKind::kIdentifier) && !Peek().Is(TokenKind::kKeyword)) {
           return Fail("expected property name");
         }
         NodePtr member = NewNode(NodeKind::kMemberExpr);
         member->str = Advance().text;
-        member->num = optional ? 1 : 0;
+        member->num = code == Tok::kQuestionDot ? 1 : 0;
         member->children.push_back(std::move(expr));
         expr = std::move(member);
-      } else if (Peek().IsPunct("[")) {
-        Advance();
-        NodePtr index = NewNode(NodeKind::kIndexExpr);
-        TURNSTILE_ASSIGN_OR_RETURN(index_expr, ParseExpression());
-        TURNSTILE_RETURN_IF_ERROR(ExpectPunct("]"));
-        index->children.push_back(std::move(expr));
-        index->children.push_back(std::move(index_expr));
-        expr = std::move(index);
-      } else if (Peek().IsPunct("(")) {
-        NodePtr call = NewNode(NodeKind::kCallExpr);
-        call->children.push_back(std::move(expr));
-        TURNSTILE_ASSIGN_OR_RETURN(done, ParseArguments(std::move(call)));
-        expr = std::move(done);
-      } else {
-        return expr;
       }
     }
   }
@@ -732,59 +698,56 @@ class Parser {
         node->str = Advance().text;
         return node;
       }
-      case TokenKind::kKeyword: {
-        const std::string& kw = token.text;
-        if (kw == "true" || kw == "false") {
-          NodePtr node = NewNode(NodeKind::kBoolLit);
-          node->num = (kw == "true") ? 1 : 0;
-          Advance();
-          return node;
+      case TokenKind::kKeyword:
+        switch (token.code) {
+          case Tok::kTrue:
+          case Tok::kFalse: {
+            NodePtr node = NewNode(NodeKind::kBoolLit);
+            node->num = token.Is(Tok::kTrue) ? 1 : 0;
+            Advance();
+            return node;
+          }
+          case Tok::kNull:
+          case Tok::kUndefined:
+          case Tok::kThis: {
+            NodePtr node = NewNode(token.Is(Tok::kNull)        ? NodeKind::kNullLit
+                                   : token.Is(Tok::kUndefined) ? NodeKind::kUndefinedLit
+                                                               : NodeKind::kThisExpr);
+            Advance();
+            return node;
+          }
+          case Tok::kFunction:
+            return ParseFunctionExpr(/*is_async=*/false);
+          case Tok::kAsync:
+            if (Peek(1).Is(Tok::kFunction)) {
+              Advance();
+              return ParseFunctionExpr(/*is_async=*/true);
+            }
+            if (LooksLikeArrowFunction()) {
+              return ParseArrowFunction();
+            }
+            break;
+          case Tok::kNew:
+            return ParseNewExpr();
+          default:
+            break;
         }
-        if (kw == "null") {
-          NodePtr node = NewNode(NodeKind::kNullLit);
-          Advance();
-          return node;
+        return Fail("unexpected keyword '" + std::string(token.text) + "' in expression");
+      case TokenKind::kPunct:
+        switch (token.code) {
+          case Tok::kLParen: {
+            Advance();
+            TURNSTILE_ASSIGN_OR_RETURN(expr, ParseExpression());
+            TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kRParen));
+            return expr;
+          }
+          case Tok::kLBracket:
+            return ParseArrayLiteral();
+          case Tok::kLBrace:
+            return ParseObjectLiteral();
+          default:
+            return Fail("unexpected token in expression");
         }
-        if (kw == "undefined") {
-          NodePtr node = NewNode(NodeKind::kUndefinedLit);
-          Advance();
-          return node;
-        }
-        if (kw == "this") {
-          NodePtr node = NewNode(NodeKind::kThisExpr);
-          Advance();
-          return node;
-        }
-        if (kw == "function") {
-          return ParseFunctionExpr(/*is_async=*/false);
-        }
-        if (kw == "async" && Peek(1).IsKeyword("function")) {
-          Advance();
-          return ParseFunctionExpr(/*is_async=*/true);
-        }
-        if (kw == "async" && LooksLikeArrowFunction()) {
-          return ParseArrowFunction();
-        }
-        if (kw == "new") {
-          return ParseNewExpr();
-        }
-        return Fail("unexpected keyword '" + kw + "' in expression");
-      }
-      case TokenKind::kPunct: {
-        if (token.text == "(") {
-          Advance();
-          TURNSTILE_ASSIGN_OR_RETURN(expr, ParseExpression());
-          TURNSTILE_RETURN_IF_ERROR(ExpectPunct(")"));
-          return expr;
-        }
-        if (token.text == "[") {
-          return ParseArrayLiteral();
-        }
-        if (token.text == "{") {
-          return ParseObjectLiteral();
-        }
-        return Fail("unexpected token in expression");
-      }
       case TokenKind::kEndOfFile:
         return Fail("unexpected end of input in expression");
     }
@@ -812,7 +775,10 @@ class Parser {
     Advance();  // new
     // Callee: identifier with optional member accesses (no calls).
     TURNSTILE_ASSIGN_OR_RETURN(callee, ParsePrimary());
-    while (Peek().IsPunct(".")) {
+    ChainScope chain(&depth_);
+    while (Peek().Is(Tok::kDot)) {
+      chain.Link();
+      TURNSTILE_RETURN_IF_ERROR(CheckNesting());
       Advance();
       if (!Peek().Is(TokenKind::kIdentifier)) {
         return Fail("expected property name after '.'");
@@ -823,7 +789,7 @@ class Parser {
       callee = std::move(member);
     }
     node->children.push_back(std::move(callee));
-    if (Peek().IsPunct("(")) {
+    if (Peek().Is(Tok::kLParen)) {
       TURNSTILE_ASSIGN_OR_RETURN(done, ParseArguments(std::move(node)));
       return done;
     }
@@ -833,11 +799,11 @@ class Parser {
   Result<NodePtr> ParseArrayLiteral() {
     NodePtr array = NewNode(NodeKind::kArrayLit);
     Advance();  // [
-    if (MatchPunct("]")) {
+    if (Match(Tok::kRBracket)) {
       return array;
     }
     while (true) {
-      if (MatchPunct("...")) {
+      if (Match(Tok::kEllipsis)) {
         NodePtr spread = NewNode(NodeKind::kSpreadElement);
         TURNSTILE_ASSIGN_OR_RETURN(arg, ParseAssignment());
         spread->children.push_back(std::move(arg));
@@ -846,13 +812,13 @@ class Parser {
         TURNSTILE_ASSIGN_OR_RETURN(element, ParseAssignment());
         array->children.push_back(std::move(element));
       }
-      if (MatchPunct(",")) {
-        if (MatchPunct("]")) {  // trailing comma
+      if (Match(Tok::kComma)) {
+        if (Match(Tok::kRBracket)) {  // trailing comma
           return array;
         }
         continue;
       }
-      TURNSTILE_RETURN_IF_ERROR(ExpectPunct("]"));
+      TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kRBracket));
       return array;
     }
   }
@@ -860,29 +826,29 @@ class Parser {
   Result<NodePtr> ParseObjectLiteral() {
     NodePtr object = NewNode(NodeKind::kObjectLit);
     Advance();  // {
-    if (MatchPunct("}")) {
+    if (Match(Tok::kRBrace)) {
       return object;
     }
     while (true) {
       NodePtr prop = NewNode(NodeKind::kProperty);
-      if (Peek().IsPunct("[")) {
+      if (Peek().Is(Tok::kLBracket)) {
         // Computed key: [expr]: value
         Advance();
         prop->num = 1;
         TURNSTILE_ASSIGN_OR_RETURN(key, ParseAssignment());
-        TURNSTILE_RETURN_IF_ERROR(ExpectPunct("]"));
-        TURNSTILE_RETURN_IF_ERROR(ExpectPunct(":"));
+        TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kRBracket));
+        TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kColon));
         TURNSTILE_ASSIGN_OR_RETURN(value, ParseAssignment());
         prop->children.push_back(std::move(key));
         prop->children.push_back(std::move(value));
       } else if (Peek().Is(TokenKind::kString)) {
         prop->str = Advance().text;
-        TURNSTILE_RETURN_IF_ERROR(ExpectPunct(":"));
+        TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kColon));
         TURNSTILE_ASSIGN_OR_RETURN(value, ParseAssignment());
         prop->children.push_back(std::move(value));
       } else if (Peek().Is(TokenKind::kIdentifier) || Peek().Is(TokenKind::kKeyword)) {
         prop->str = Advance().text;
-        if (Peek().IsPunct("(")) {
+        if (Peek().Is(Tok::kLParen)) {
           // Method shorthand: name(params) { ... }
           NodePtr fn = NewNode(NodeKind::kFunctionExpr);
           TURNSTILE_ASSIGN_OR_RETURN(params, ParseParams());
@@ -890,7 +856,7 @@ class Parser {
           fn->children.push_back(std::move(params));
           fn->children.push_back(std::move(body));
           prop->children.push_back(std::move(fn));
-        } else if (MatchPunct(":")) {
+        } else if (Match(Tok::kColon)) {
           TURNSTILE_ASSIGN_OR_RETURN(value, ParseAssignment());
           prop->children.push_back(std::move(value));
         } else {
@@ -903,13 +869,13 @@ class Parser {
         return Fail("expected property name");
       }
       object->children.push_back(std::move(prop));
-      if (MatchPunct(",")) {
-        if (MatchPunct("}")) {  // trailing comma
+      if (Match(Tok::kComma)) {
+        if (Match(Tok::kRBrace)) {  // trailing comma
           return object;
         }
         continue;
       }
-      TURNSTILE_RETURN_IF_ERROR(ExpectPunct("}"));
+      TURNSTILE_RETURN_IF_ERROR(Expect(Tok::kRBrace));
       return object;
     }
   }
@@ -924,12 +890,12 @@ class Parser {
 }  // namespace
 
 Result<Program> ParseProgram(std::string_view source, std::string source_name) {
+  static obs::Histogram* const parse_seconds =
+      obs::Metrics::Global().GetHistogram("lang.parse_seconds");
   Stopwatch parse_watch;
   TURNSTILE_ASSIGN_OR_RETURN(tokens, Lex(source));
   Result<Program> program = Parser(std::move(tokens), std::move(source_name)).Run();
-  obs::Metrics::Global()
-      .GetHistogram("lang.parse_seconds")
-      ->Observe(parse_watch.ElapsedSeconds());
+  parse_seconds->Observe(parse_watch.ElapsedSeconds());
   return program;
 }
 

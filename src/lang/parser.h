@@ -22,8 +22,11 @@ namespace turnstile {
 // Deepest syntactic nesting ParseProgram accepts, counted across nested
 // statements and blocks (function bodies included), parenthesized and other
 // assignment-level subexpressions (array and object literal members,
-// arguments, arrow bodies, ternary arms), unary chains and `new` chains.
-// Deeper input is a ParseError rather than a native stack overflow.
+// arguments, arrow bodies, ternary arms), unary chains, `new` chains, and
+// every link of a left-associative chain (`a + b + c`, `o.a.b`, `f()()`,
+// `a[0][0]`), each of which nests the tree one level deeper. Deeper input
+// is a ParseError rather than a native stack overflow, in the parser or in
+// the recursive passes over the tree it would have built.
 inline constexpr int kMaxParseNesting = 512;
 
 // Parses `source` into a Program. `source_name` is used in diagnostics and in

@@ -1,8 +1,11 @@
 #include "src/lang/printer.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cctype>
+#include <string_view>
 
+#include "src/lang/token.h"
 #include "src/support/strings.h"
 
 namespace turnstile {
@@ -57,31 +60,93 @@ class Printer {
     Emit("\n");
   }
 
-  // True if an operand needs parentheses when nested inside another operator.
-  bool NeedsParens(const NodePtr& node) const {
+  // How tightly an expression's printed form binds, loosest first, following
+  // the parser's productions. An operand printed into a slot that requires a
+  // tighter form is parenthesized; nothing else is.
+  enum Prec : int {
+    kPrecSequence,
+    kPrecAssign,  // assignments and arrows: what ParseAssignment reads
+    kPrecConditional,
+    kPrecBinary,  // plus the operator's binary level
+    kPrecUnary = kPrecBinary + kBinaryLevels,  // prefix operators and await
+    kPrecPostfix,                              // x++ x--
+    kPrecCall,                                 // calls, members, indexes, new
+    kPrecPrimary,
+  };
+
+  static int PrecOf(const NodePtr& node) {
     switch (node->kind) {
-      case NodeKind::kBinaryExpr:
-      case NodeKind::kLogicalExpr:
-      case NodeKind::kConditionalExpr:
+      case NodeKind::kSequenceExpr:
+        return kPrecSequence;
       case NodeKind::kAssignExpr:
       case NodeKind::kArrowFunction:
-      case NodeKind::kFunctionExpr:
-      case NodeKind::kSequenceExpr:
-      case NodeKind::kAwaitExpr:
+        return kPrecAssign;
+      case NodeKind::kConditionalExpr:
+        return kPrecConditional;
+      case NodeKind::kBinaryExpr:
+      case NodeKind::kLogicalExpr:
+        return kPrecBinary + std::max<int>(0, Operator(TokenCode(node->str)).binary_level);
       case NodeKind::kUnaryExpr:
-        return true;
+      case NodeKind::kAwaitExpr:
+        return kPrecUnary;
+      case NodeKind::kUpdateExpr:
+        return node->num != 0 ? kPrecUnary : kPrecPostfix;
+      case NodeKind::kCallExpr:
+      case NodeKind::kNewExpr:
+      case NodeKind::kMemberExpr:
+      case NodeKind::kIndexExpr:
+        return kPrecCall;
       default:
-        return false;
+        return kPrecPrimary;
     }
   }
 
-  void PrintOperand(const NodePtr& node) {
-    if (NeedsParens(node)) {
+  void PrintAt(const NodePtr& node, int min_prec) {
+    if (PrecOf(node) < min_prec) {
       Emit("(");
       PrintExpr(node);
       Emit(")");
     } else {
       PrintExpr(node);
+    }
+  }
+
+  // Prints `node` where output opening with `{` would be read as a block, or
+  // at statement start also with `function` or `async function` as a
+  // declaration: such output is parenthesized.
+  void PrintGuarded(const NodePtr& node, int min_prec, bool statement_start) {
+    const size_t start = out_.size();
+    PrintAt(node, min_prec);
+    const std::string_view printed = std::string_view(out_).substr(start);
+    const auto opens_with_word = [printed](std::string_view word) {
+      if (printed.substr(0, word.size()) != word) {
+        return false;
+      }
+      if (printed.size() == word.size()) {
+        return true;
+      }
+      const char next = printed[word.size()];
+      return !(std::isalnum(static_cast<unsigned char>(next)) || next == '_' || next == '$');
+    };
+    if ((!printed.empty() && printed[0] == '{') ||
+        (statement_start && (opens_with_word("function") || opens_with_word("async function")))) {
+      out_.insert(start, 1, '(');
+      Emit(")");
+    }
+  }
+
+  // `new` takes a primary followed by `.name` links only; any other callee
+  // is parenthesized.
+  static bool IsNewCallee(const NodePtr& node) {
+    switch (node->kind) {
+      case NodeKind::kIdentifier:
+      case NodeKind::kThisExpr:
+        return true;
+      case NodeKind::kMemberExpr:
+        return node->num == 0 && KeywordCode(node->str) == Tok::kNone &&
+               IsNewCallee(node->children[0]);
+      default:
+        return false;
     }
   }
 
@@ -102,25 +167,13 @@ class Printer {
     Emit(")");
   }
 
-  // Prints an expression in a comma-separated list context; sequence
-  // expressions must keep their parentheses there.
-  void PrintListItem(const NodePtr& node) {
-    if (node->kind == NodeKind::kSequenceExpr) {
-      Emit("(");
-      PrintExpr(node);
-      Emit(")");
-    } else {
-      PrintExpr(node);
-    }
-  }
-
   void PrintArgs(const NodePtr& call, size_t first_arg_index) {
     Emit("(");
     for (size_t i = first_arg_index; i < call->children.size(); ++i) {
       if (i > first_arg_index) {
         Emit(", ");
       }
-      PrintListItem(call->children[i]);
+      PrintAt(call->children[i], kPrecAssign);
     }
     Emit(")");
   }
@@ -158,7 +211,7 @@ class Printer {
           if (i > 0) {
             Emit(", ");
           }
-          PrintListItem(node->children[i]);
+          PrintAt(node->children[i], kPrecAssign);
         }
         Emit("]");
         return;
@@ -178,7 +231,7 @@ class Printer {
         return;
       case NodeKind::kSpreadElement:
         Emit("...");
-        PrintOperand(node->children[0]);
+        PrintAt(node->children[0], kPrecAssign);
         return;
       case NodeKind::kFunctionExpr:
         Emit(node->num != 0 ? "async function" : "function");
@@ -198,83 +251,95 @@ class Printer {
         Emit(" => ");
         if (node->children[1]->kind == NodeKind::kBlockStmt) {
           PrintBlockInline(node->children[1]);
-        } else if (node->children[1]->kind == NodeKind::kObjectLit ||
-                   node->children[1]->kind == NodeKind::kSequenceExpr) {
-          Emit("(");
-          PrintExpr(node->children[1]);
-          Emit(")");
         } else {
-          PrintExpr(node->children[1]);
+          PrintGuarded(node->children[1], kPrecAssign, /*statement_start=*/false);
         }
         return;
       case NodeKind::kCallExpr:
-        PrintOperand(node->children[0]);
+        PrintAt(node->children[0], kPrecCall);
         PrintArgs(node, 1);
         return;
       case NodeKind::kNewExpr:
         Emit("new ");
-        PrintOperand(node->children[0]);
+        if (IsNewCallee(node->children[0])) {
+          PrintExpr(node->children[0]);
+        } else {
+          Emit("(");
+          PrintExpr(node->children[0]);
+          Emit(")");
+        }
         PrintArgs(node, 1);
         return;
       case NodeKind::kMemberExpr:
-        PrintOperand(node->children[0]);
+        PrintAt(node->children[0], kPrecCall);
         Emit(node->num != 0 ? "?." : ".");
         Emit(node->str);
         return;
       case NodeKind::kIndexExpr:
-        PrintOperand(node->children[0]);
+        PrintAt(node->children[0], kPrecCall);
         Emit("[");
         PrintExpr(node->children[1]);
         Emit("]");
         return;
       case NodeKind::kBinaryExpr:
-      case NodeKind::kLogicalExpr:
-        PrintOperand(node->children[0]);
+      case NodeKind::kLogicalExpr: {
+        const int prec = PrecOf(node);
+        PrintAt(node->children[0], prec);  // left-associative
         Emit(" ");
         Emit(node->str);
         Emit(" ");
-        PrintOperand(node->children[1]);
+        PrintAt(node->children[1], prec + 1);
         return;
-      case NodeKind::kUnaryExpr:
+      }
+      case NodeKind::kUnaryExpr: {
+        const NodePtr& operand = node->children[0];
         Emit(node->str);
-        if (node->str.size() > 1) {  // typeof, delete
+        // `typeof x`; and `- -x`, `+ ++x`, which unspaced would lex as `--x`
+        // and `+++x`.
+        const char sign = node->str[0];
+        const bool same_sign = (sign == '-' || sign == '+') &&
+                               (operand->kind == NodeKind::kUnaryExpr ||
+                                (operand->kind == NodeKind::kUpdateExpr && operand->num != 0)) &&
+                               operand->str[0] == sign;
+        if (node->str.size() > 1 || same_sign) {
           Emit(" ");
         }
-        PrintOperand(node->children[0]);
+        PrintAt(operand, kPrecUnary);
         return;
+      }
       case NodeKind::kUpdateExpr:
         if (node->num != 0) {
           Emit(node->str);
-          PrintOperand(node->children[0]);
+          PrintAt(node->children[0], kPrecUnary);
         } else {
-          PrintOperand(node->children[0]);
+          PrintAt(node->children[0], kPrecCall);
           Emit(node->str);
         }
         return;
       case NodeKind::kAssignExpr:
-        PrintExpr(node->children[0]);
+        PrintAt(node->children[0], kPrecCall);
         Emit(" ");
         Emit(node->str);
         Emit(" ");
-        PrintOperand(node->children[1]);
+        PrintAt(node->children[1], kPrecAssign);
         return;
       case NodeKind::kConditionalExpr:
-        PrintOperand(node->children[0]);
+        PrintAt(node->children[0], kPrecBinary);
         Emit(" ? ");
-        PrintOperand(node->children[1]);
+        PrintAt(node->children[1], kPrecAssign);
         Emit(" : ");
-        PrintOperand(node->children[2]);
+        PrintAt(node->children[2], kPrecAssign);
         return;
       case NodeKind::kAwaitExpr:
         Emit("await ");
-        PrintOperand(node->children[0]);
+        PrintAt(node->children[0], kPrecUnary);
         return;
       case NodeKind::kSequenceExpr:
         for (size_t i = 0; i < node->children.size(); ++i) {
           if (i > 0) {
             Emit(", ");
           }
-          PrintOperand(node->children[i]);
+          PrintAt(node->children[i], kPrecAssign);
         }
         return;
       default:
@@ -287,9 +352,9 @@ class Printer {
   void PrintProperty(const NodePtr& prop) {
     if (prop->num != 0) {  // computed
       Emit("[");
-      PrintExpr(prop->children[0]);
+      PrintAt(prop->children[0], kPrecAssign);
       Emit("]: ");
-      PrintExpr(prop->children[1]);
+      PrintAt(prop->children[1], kPrecAssign);
       return;
     }
     bool plain_ident = !prop->str.empty() &&
@@ -307,7 +372,7 @@ class Printer {
       Emit(QuoteString(prop->str));
     }
     Emit(": ");
-    PrintListItem(prop->children[0]);
+    PrintAt(prop->children[0], kPrecAssign);
   }
 
   // Prints a block starting at the current position (used after `) ` of a
@@ -346,22 +411,14 @@ class Printer {
           Emit(d->str);
           if (!d->children.empty()) {
             Emit(" = ");
-            PrintListItem(d->children[0]);
+            PrintAt(d->children[0], kPrecAssign);
           }
         }
         Emit(";\n");
         return;
       case NodeKind::kExprStmt:
         EmitIndent();
-        // A leading `{` or `function` would be mis-parsed as block/decl.
-        if (node->children[0]->kind == NodeKind::kObjectLit ||
-            node->children[0]->kind == NodeKind::kFunctionExpr) {
-          Emit("(");
-          PrintExpr(node->children[0]);
-          Emit(")");
-        } else {
-          PrintExpr(node->children[0]);
-        }
+        PrintGuarded(node->children[0], kPrecSequence, /*statement_start=*/true);
         Emit(";\n");
         return;
       case NodeKind::kBlockStmt:
@@ -402,7 +459,7 @@ class Printer {
             Emit(init->children[i]->str);
             if (!init->children[i]->children.empty()) {
               Emit(" = ");
-              PrintExpr(init->children[i]->children[0]);
+              PrintAt(init->children[i]->children[0], kPrecAssign);
             }
           }
         } else if (init->kind != NodeKind::kEmpty) {
@@ -427,7 +484,7 @@ class Printer {
         Emit(" ");
         Emit(node->children[0]->str);
         Emit(" of ");
-        PrintExpr(node->children[1]);
+        PrintAt(node->children[1], kPrecAssign);
         Emit(") ");
         PrintNestedStmt(node->children[2]);
         return;

@@ -1,9 +1,10 @@
 // Source-code generator for MiniScript ASTs.
 //
 // The instrumentor emits a rewritten tree; PrintProgram turns it back into
-// compilable source. The printer inserts parentheses conservatively, so
-// Parse(Print(t)) always yields a tree that evaluates identically to t, and
-// Print is a fixed point of Parse∘Print (tested).
+// compilable source. The printer inserts only the parentheses that the
+// parser's precedence needs, so Parse(Print(t)) yields t again without
+// nesting deeper than t did, and Print is a fixed point of Parse∘Print
+// (tested).
 #ifndef TURNSTILE_SRC_LANG_PRINTER_H_
 #define TURNSTILE_SRC_LANG_PRINTER_H_
 

@@ -8,6 +8,8 @@
 
 #include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/analyzer.h"
@@ -45,6 +47,75 @@ TEST(CorpusRoundTripTest, EveryAppSourceRoundTripsThroughThePrinter) {
     EXPECT_TRUE(TreesEqual(first->root, second->root)) << app.name;
     // Fixed point: printing again is byte-identical.
     EXPECT_EQ(printed, PrintProgram(*second)) << app.name;
+  }
+}
+
+// The instrumented programs print and re-parse the same way: every corpus
+// app's selective and exhaustive trees print to source that parses back to
+// the same tree, and printing that tree again gives the same text.
+TEST(CorpusRoundTripTest, EveryInstrumentedProgramRoundTripsThroughThePrinter) {
+  for (const CorpusApp& app : Corpus()) {
+    auto program = ParseProgram(app.source, app.name + ".js");
+    auto policy = Policy::FromJsonText(app.policy_json);
+    ASSERT_TRUE(program.ok() && policy.ok()) << app.name;
+    for (InstrumentMode mode : {InstrumentMode::kSelective, InstrumentMode::kExhaustive}) {
+      auto analysis = AnalyzeProgram(*program);
+      ASSERT_TRUE(analysis.ok()) << app.name;
+      auto instrumented = InstrumentProgram(*program, **policy, mode, &*analysis);
+      ASSERT_TRUE(instrumented.ok()) << app.name;
+      std::string printed = PrintProgram(instrumented->program);
+      auto reparsed = ParseProgram(printed, app.name + ".printed.js");
+      ASSERT_TRUE(reparsed.ok()) << app.name << ": " << reparsed.status().ToString();
+      EXPECT_TRUE(TreesEqual(instrumented->program.root, reparsed->root)) << app.name;
+      EXPECT_EQ(printed, PrintProgram(*reparsed)) << app.name;
+    }
+  }
+}
+
+std::string Repeat(std::string_view unit, int times) {
+  std::string out;
+  for (int i = 0; i < times; ++i) {
+    out += unit;
+  }
+  return out;
+}
+
+// camera-motion with `let deep = <expression>;` spliced into its input
+// handler, ahead of the send.
+CorpusApp WithStatement(const std::string& name, const std::string& expression) {
+  const CorpusApp* base = FindCorpusApp("camera-motion");
+  EXPECT_NE(base, nullptr);
+  CorpusApp app = *base;
+  app.name = name;
+  const std::string anchor = "node.send(msg);";
+  const size_t at = app.source.find(anchor);
+  EXPECT_NE(at, std::string::npos);
+  app.source.insert(at, "let deep = " + expression + ";\n      ");
+  return app;
+}
+
+// A 500-level prefix or conditional chain nests 500 levels deep however it is
+// written, so its printed form must not nest deeper than its source: the
+// re-parse of kRoundTrip has the same kMaxParseNesting budget.
+TEST(CorpusRoundTripTest, FiveHundredLevelChainsDeployUnderEveryVersion) {
+  constexpr int kLevels = 500;
+  const std::pair<const char*, std::string> kChains[] = {
+      {"not", Repeat("!", kLevels) + "msg"},
+      {"minus", Repeat("- ", kLevels) + "1"},
+      {"plus-minus", Repeat("+ -", kLevels / 2) + "1"},
+      {"ternary-then", Repeat("msg ? ", kLevels) + "1" + Repeat(" : 0", kLevels)},
+      {"ternary-else", Repeat("msg ? 0 : ", kLevels) + "1"},
+  };
+  for (const auto& [name, chain] : kChains) {
+    const CorpusApp app = WithStatement(name, chain);
+    for (AppVersion version : {AppVersion::kOriginal, AppVersion::kSelective,
+                               AppVersion::kExhaustive, AppVersion::kRoundTrip}) {
+      auto runtime = AppRuntime::Create(app, version);
+      ASSERT_TRUE(runtime.ok()) << name << " [" << static_cast<int>(version)
+                                << "]: " << runtime.status().ToString();
+      Rng rng(977u);
+      EXPECT_TRUE((*runtime)->DriveMessage(&rng, 0).ok()) << name;
+    }
   }
 }
 

@@ -52,20 +52,24 @@ TEST(CorpusTest, EveryAppParsesAndHasValidMetadata) {
 }
 
 TEST(CorpusTest, NoAppNestsNearTheParseCap) {
-  // Wrapped in half the cap's worth of blocks, every app still parses: its
-  // own nesting stays below kMaxParseNesting / 2.
+  // Wrapped in half the cap's worth of blocks, every app and every package
+  // (the vendored bundle plus the app, as deploy analyzes it) still parses:
+  // its own nesting, chains included, stays below kMaxParseNesting / 2.
   const int wrap = kMaxParseNesting / 2;
+  const std::string vendor = VendoredDependencyBundle(400);
   for (const CorpusApp& app : Corpus()) {
-    std::string wrapped;
-    for (int i = 0; i < wrap; ++i) {
-      wrapped += "{";
+    for (const std::string& source : {app.source, vendor + app.source}) {
+      std::string wrapped;
+      for (int i = 0; i < wrap; ++i) {
+        wrapped += "{";
+      }
+      wrapped += source;
+      for (int i = 0; i < wrap; ++i) {
+        wrapped += "}";
+      }
+      auto program = ParseProgram(wrapped, app.name + ".js");
+      EXPECT_TRUE(program.ok()) << app.name << ": " << program.status().ToString();
     }
-    wrapped += app.source;
-    for (int i = 0; i < wrap; ++i) {
-      wrapped += "}";
-    }
-    auto program = ParseProgram(wrapped, app.name + ".js");
-    EXPECT_TRUE(program.ok()) << app.name << ": " << program.status().ToString();
   }
 }
 

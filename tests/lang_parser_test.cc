@@ -2,6 +2,7 @@
 
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -292,6 +293,183 @@ TEST(ParserTest, SyntaxErrorsAreReportedWithLocation) {
   EXPECT_NE(result.status().message().find("app.js"), std::string::npos);
 }
 
+// The exact diagnostic texts: `name:line:col: what (got 'spelling')`, where
+// the spelling is the offending token's source text (a string literal's
+// decoded value; '' at end of input). Lexer errors pass through unprefixed.
+TEST(ParserTest, ErrorTextsAreExact) {
+  struct Case {
+    const char* source;
+    const char* error;
+  };
+  const Case kCases[] = {
+      {"let = 3;", "app.js:1:5: expected variable name (got '=')"},
+      {"f(1", "app.js:1:4: expected ')' (got '')"},
+      {"f(1 2)", "app.js:1:5: expected ')' (got '2')"},
+      {"f(1 0x1F)", "app.js:1:5: expected ')' (got '0x1F')"},
+      {"f(1 'a\\tb')", "app.js:1:5: expected ')' (got 'a\tb')"},
+      {"f(1\n  \"q\")", "app.js:2:3: expected ')' (got 'q')"},
+      {"if (a { }", "app.js:1:7: expected ')' (got '{')"},
+      {"while a", "app.js:1:7: expected '(' (got 'a')"},
+      {"for (x; y) {}", "app.js:1:10: expected ';' (got ')')"},
+      {"x[1;", "app.js:1:4: expected ']' (got ';')"},
+      {"x ? y", "app.js:1:6: expected ':' (got '')"},
+      {"x = {a: 1;", "app.js:1:10: expected '}' (got ';')"},
+      {"x = [1 2]", "app.js:1:8: expected ']' (got '2')"},
+      {"(a, b) => ", "app.js:1:11: unexpected end of input in expression (got '')"},
+      {"x => ;", "app.js:1:6: unexpected token in expression (got ';')"},
+      {"1 = 2;", "app.js:1:3: invalid assignment target (got '=')"},
+      {"a + b = c;", "app.js:1:7: invalid assignment target (got '=')"},
+      {"f() += 1;", "app.js:1:5: invalid assignment target (got '+=')"},
+      {"let x = let;", "app.js:1:9: unexpected keyword 'let' in expression (got 'let')"},
+      {"x = in y;", "app.js:1:5: unexpected keyword 'in' in expression (got 'in')"},
+      {"x = async + 1;", "app.js:1:5: unexpected keyword 'async' in expression (got 'async')"},
+      {")", "app.js:1:1: unexpected token in expression (got ')')"},
+      {"a.", "app.js:1:3: expected property name (got '')"},
+      {"a?.1", "app.js:1:4: expected property name (got '1')"},
+      {"x = {1: 2};", "app.js:1:6: expected property name (got '1')"},
+      {"new a.if()", "app.js:1:7: expected property name after '.' (got 'if')"},
+      {"function (x) {}", "app.js:1:10: expected function name (got '(')"},
+      {"function f(1) {}", "app.js:1:12: expected parameter name (got '1')"},
+      {"function f(...1) {}", "app.js:1:15: expected rest parameter name (got '1')"},
+      {"function f() {", "app.js:1:15: unterminated block (got '')"},
+      {"class { }", "app.js:1:7: expected class name (got '{')"},
+      {"class A extends 1 {}", "app.js:1:17: expected superclass name (got '1')"},
+      {"class A { 1() {} }", "app.js:1:11: expected method name (got '1')"},
+      {"class A { m() {}", "app.js:1:17: unterminated class body (got '')"},
+      {"try {} catch (1) {}", "app.js:1:15: expected catch parameter (got '1')"},
+      {"let x = 1, ;", "app.js:1:12: expected variable name (got ';')"},
+      {"a # b", "unexpected character '#' at 1:3"},
+      {"x = 'abc", "unterminated string literal at 1:9"},
+  };
+  for (const Case& c : kCases) {
+    auto result = ParseProgram(c.source, "app.js");
+    ASSERT_FALSE(result.ok()) << c.source;
+    EXPECT_EQ(result.status().message(), c.error) << c.source;
+  }
+}
+
+TEST(ParserTest, NestingCapErrorTextIsExact) {
+  std::string parens = "x = " + std::string(600, '(') + "1" + std::string(600, ')');
+  auto result = ParseProgram(parens, "deep.js");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().message(), "deep.js:1:515: nesting deeper than 512 levels (got '(')");
+  std::string blocks = std::string(600, '{') + std::string(600, '}');
+  result = ParseProgram(blocks, "deep.js");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().message(), "deep.js:1:513: nesting deeper than 512 levels (got '{')");
+}
+
+// Every binary operator parses to its kind and spelling, with the
+// precedence and associativity of the level it sits at.
+TEST(ParserTest, EveryBinaryOperatorAtItsLevel) {
+  struct Case {
+    const char* op;
+    NodeKind kind;
+  };
+  const Case kLevels[][4] = {
+      {{"??", NodeKind::kLogicalExpr}},
+      {{"||", NodeKind::kLogicalExpr}},
+      {{"&&", NodeKind::kLogicalExpr}},
+      {{"|", NodeKind::kBinaryExpr}},
+      {{"^", NodeKind::kBinaryExpr}},
+      {{"&", NodeKind::kBinaryExpr}},
+      {{"===", NodeKind::kBinaryExpr}, {"!==", NodeKind::kBinaryExpr},
+       {"==", NodeKind::kBinaryExpr}, {"!=", NodeKind::kBinaryExpr}},
+      {{"<", NodeKind::kBinaryExpr}, {">", NodeKind::kBinaryExpr},
+       {"<=", NodeKind::kBinaryExpr}, {">=", NodeKind::kBinaryExpr}},
+      {{"<<", NodeKind::kBinaryExpr}, {">>", NodeKind::kBinaryExpr}},
+      {{"+", NodeKind::kBinaryExpr}, {"-", NodeKind::kBinaryExpr}},
+      {{"*", NodeKind::kBinaryExpr}, {"/", NodeKind::kBinaryExpr},
+       {"%", NodeKind::kBinaryExpr}},
+      {{"**", NodeKind::kBinaryExpr}},
+  };
+  const size_t levels = std::size(kLevels);
+  for (size_t lo = 0; lo < levels; ++lo) {
+    for (const Case& low : kLevels[lo]) {
+      if (low.op == nullptr) {
+        continue;
+      }
+      // Left-associative within a level.
+      NodePtr chain = FirstExpr(std::string("a ") + low.op + " b " + low.op + " c;");
+      EXPECT_EQ(chain->kind, low.kind) << low.op;
+      EXPECT_EQ(chain->str, low.op);
+      EXPECT_EQ(chain->children[0]->str, low.op) << low.op;
+      EXPECT_EQ(chain->children[1]->str, "c") << low.op;
+      for (size_t hi = lo + 1; hi < levels; ++hi) {
+        const char* high = kLevels[hi][0].op;
+        NodePtr left = FirstExpr(std::string("a ") + high + " b " + low.op + " c;");
+        EXPECT_EQ(left->str, low.op) << high << " vs " << low.op;
+        EXPECT_EQ(left->children[0]->str, high) << high << " vs " << low.op;
+        NodePtr right = FirstExpr(std::string("a ") + low.op + " b " + high + " c;");
+        EXPECT_EQ(right->str, low.op) << low.op << " vs " << high;
+        EXPECT_EQ(right->children[1]->str, high) << low.op << " vs " << high;
+      }
+    }
+  }
+  NodePtr in = FirstExpr("a in b < c;");
+  EXPECT_EQ(in->str, "<");
+  EXPECT_EQ(in->children[0]->str, "in");
+}
+
+TEST(ParserTest, EveryAssignmentOperator) {
+  const char* kOps[] = {"=",  "+=", "-=", "*=", "/=", "%=",  "&&=", "||=",
+                        "?\?=", "&=", "|=", "^=", "<<=", ">>=", "**="};
+  for (const char* op : kOps) {
+    NodePtr assign = FirstExpr(std::string("a ") + op + " b " + op + " c;");
+    EXPECT_EQ(assign->kind, NodeKind::kAssignExpr) << op;
+    EXPECT_EQ(assign->str, op);
+    EXPECT_EQ(assign->children[1]->kind, NodeKind::kAssignExpr) << op;
+    EXPECT_EQ(assign->children[1]->str, op);
+  }
+}
+
+TEST(ParserTest, KeywordsAsPropertyAndMethodNames) {
+  NodePtr member = FirstExpr("a.if.class?.new;");
+  EXPECT_EQ(member->str, "new");
+  EXPECT_EQ(member->children[0]->str, "class");
+  EXPECT_EQ(member->children[0]->children[0]->str, "if");
+  NodePtr object = FirstExpr("({ let: 1, typeof, this() {} });");
+  ASSERT_EQ(object->children.size(), 3u);
+  EXPECT_EQ(object->children[0]->str, "let");
+  EXPECT_EQ(object->children[1]->str, "typeof");
+  EXPECT_EQ(object->children[1]->children[0]->kind, NodeKind::kIdentifier);
+  EXPECT_EQ(object->children[2]->children[0]->kind, NodeKind::kFunctionExpr);
+  NodePtr cls = FirstStmt("class A { static() {} async delete() {} }");
+  EXPECT_EQ(cls->children[1]->str, "static");
+  EXPECT_EQ(cls->children[2]->str, "delete");
+}
+
+TEST(ParserTest, StringAndNumberLiteralValues) {
+  NodePtr array = FirstExpr("['a\\n', \"q\\\"\", `t`, 0x1F, 1e3, 2.5, 123456789012345];");
+  ASSERT_EQ(array->children.size(), 7u);
+  EXPECT_EQ(array->children[0]->str, "a\n");
+  EXPECT_EQ(array->children[1]->str, "q\"");
+  EXPECT_EQ(array->children[2]->str, "t");
+  EXPECT_EQ(array->children[3]->num, 31);
+  EXPECT_EQ(array->children[4]->num, 1000);
+  EXPECT_EQ(array->children[5]->num, 2.5);
+  EXPECT_EQ(array->children[6]->num, 123456789012345.0);
+}
+
+TEST(ParserTest, NodeLocationsAreTokenStarts) {
+  Program p = MustParse("let a = 1;\n  f(a)\n    .b;");
+  NodePtr decl = p.root->children[0];
+  EXPECT_EQ(decl->loc.ToString(), "1:1");
+  EXPECT_EQ(decl->children[0]->loc.ToString(), "1:5");
+  EXPECT_EQ(decl->children[0]->children[0]->loc.ToString(), "1:9");
+  NodePtr member = p.root->children[1]->children[0];
+  EXPECT_EQ(member->kind, NodeKind::kMemberExpr);
+  // A node takes the location of the token the parser stood on when it made
+  // the node: a member's is its property name, a call's its `(`, an
+  // operator's the token after the operator.
+  EXPECT_EQ(member->loc.ToString(), "3:6");
+  EXPECT_EQ(member->children[0]->loc.ToString(), "2:4");
+  EXPECT_EQ(member->children[0]->children[0]->loc.ToString(), "2:3");
+  NodePtr sum = FirstExpr("a +\n b[c];");
+  EXPECT_EQ(sum->loc.ToString(), "2:2");
+  EXPECT_EQ(sum->children[1]->loc.ToString(), "2:4");
+}
+
 std::string Repeat(std::string_view unit, int times) {
   std::string out;
   out.reserve(unit.size() * static_cast<size_t>(times));
@@ -346,6 +524,53 @@ TEST(ParserTest, NestingBelowTheCapParses) {
     auto result = ParseProgram(Nested(form, kMaxParseNesting / 2), "deep.js");
     EXPECT_TRUE(result.ok()) << form.name << ": " << result.status().ToString();
   }
+}
+
+// A loop that wraps the operand built so far in a new node (`a + b + c`,
+// `o.a.b`, `f()()`, `a[0][0]`) nests the tree one level per link, so a long
+// chain is refused like any other deep nesting instead of building a tree
+// too deep for the recursive passes that walk it.
+TEST(ParserTest, HostileChainsAreAParseError) {
+  for (int terms : {10000, 100000}) {
+    const std::pair<const char*, std::string> kChains[] = {
+        {"sum", "x = " + Repeat("1 + ", terms) + "1;"},
+        {"and", "x = " + Repeat("1 && ", terms) + "1;"},
+        {"members", "x = o" + Repeat(".a", terms) + ";"},
+        {"optional-members", "x = o" + Repeat("?.a", terms) + ";"},
+        {"calls", "x = f" + Repeat("()", terms) + ";"},
+        {"indexes", "x = a" + Repeat("[0]", terms) + ";"},
+        {"new-members", "x = new o" + Repeat(".a", terms) + "();"},
+        {"mixed", "x = 1" + Repeat(" * 2 + 3", terms / 2) + ";"},
+    };
+    for (const auto& [name, source] : kChains) {
+      auto result = ParseProgram(source, "deep.js");
+      ASSERT_FALSE(result.ok()) << name << " x" << terms;
+      const std::string& message = result.status().message();
+      EXPECT_EQ(message.rfind("deep.js:1:", 0), 0u) << name << ": " << message;
+      EXPECT_NE(message.find("nesting deeper than " + std::to_string(kMaxParseNesting) + " levels"),
+                std::string::npos)
+          << name << ": " << message;
+    }
+  }
+  auto sum = ParseProgram("x = " + Repeat("1 + ", 600) + "1;", "deep.js");
+  ASSERT_FALSE(sum.ok());
+  EXPECT_EQ(sum.status().message(), "deep.js:1:2043: nesting deeper than 512 levels (got '+')");
+  auto members = ParseProgram("x = o" + Repeat(".a", 600) + ";", "deep.js");
+  ASSERT_FALSE(members.ok());
+  EXPECT_EQ(members.status().message(), "deep.js:1:1024: nesting deeper than 512 levels (got '.')");
+}
+
+TEST(ParserTest, ChainsBelowTheCapParse) {
+  const int terms = kMaxParseNesting / 2;
+  for (const std::string& source :
+       {"x = " + Repeat("1 + ", terms) + "1;", "x = o" + Repeat(".a", terms) + ";",
+        "x = f" + Repeat("()", terms) + ";", "x = a" + Repeat("[0]", terms) + ";",
+        "x = new o" + Repeat(".a", terms) + "();"}) {
+    auto result = ParseProgram(source, "chain.js");
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+  }
+  // A flat sequence is not a chain: its terms are siblings.
+  EXPECT_TRUE(ParseProgram("x = (" + Repeat("1, ", 100000) + "1);").ok());
 }
 
 TEST(ParserTest, PaperFigure2aParses) {

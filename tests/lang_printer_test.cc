@@ -120,6 +120,80 @@ INSTANTIATE_TEST_SUITE_P(
                       "});"}),
     [](const ::testing::TestParamInfo<RoundTripCase>& tpi) { return tpi.param.name; });
 
+TEST(PrinterTest, PrintsOnlyTheParenthesesPrecedenceNeeds) {
+  struct Case {
+    const char* source;
+    const char* printed;
+  };
+  const Case kCases[] = {
+      {"x = a + b * c;", "x = a + b * c;\n"},
+      {"x = (a + b) * c;", "x = (a + b) * c;\n"},
+      {"x = a - (b - c);", "x = a - (b - c);\n"},
+      {"x = (a - b) - c;", "x = a - b - c;\n"},
+      {"x = (a ?? b) || c;", "x = (a ?? b) || c;\n"},
+      {"x = (a || b) ?? c;", "x = a || b ?? c;\n"},
+      {"x = !(!a);", "x = !!a;\n"},
+      {"x = !(a && b);", "x = !(a && b);\n"},
+      {"x = -(-a);", "x = - -a;\n"},
+      {"x = +(+a);", "x = + +a;\n"},
+      {"x = -(--a);", "x = - --a;\n"},
+      {"x = +(++a);", "x = + ++a;\n"},
+      {"x = -(+a);", "x = -+a;\n"},
+      {"x = typeof (typeof a);", "x = typeof typeof a;\n"},
+      {"x = (-a) ** 2;", "x = -a ** 2;\n"},
+      {"x = (a++).b;", "x = (a++).b;\n"},
+      {"x = -(a++);", "x = -a++;\n"},
+      {"x = a ? (b ? c : d) : (e ? f : g);", "x = a ? b ? c : d : e ? f : g;\n"},
+      {"x = (a ? b : c) ? d : e;", "x = (a ? b : c) ? d : e;\n"},
+      {"x = (a = b);", "x = a = b;\n"},
+      {"x = (a, b);", "x = (a, b);\n"},
+      {"f((a, b), c);", "f((a, b), c);\n"},
+      {"x = (y => y)(1);", "x = ((y) => y)(1);\n"},
+      {"x = (await a).b;", "x = (await a).b;\n"},
+      {"x = await (await a);", "x = await await a;\n"},
+      {"x = [...(a, b)];", "x = [...(a, b)];\n"},
+      {"x = new (a.b)();", "x = new a.b();\n"},
+      {"x = new (f())();", "x = new (f())();\n"},
+      {"x = new (a?.b)();", "x = new (a?.b)();\n"},
+      {"x = new (a.if)();", "x = new (a.if)();\n"},
+      {"(function() {})();", "(function() {}());\n"},
+      {"(async function() {})();", "(async function() {}());\n"},
+      {"({ a: 1 }).b;", "({ a: 1 }.b);\n"},
+      {"f = () => ({ a: 1 }).b;", "f = () => ({ a: 1 }.b);\n"},
+      {"functional();", "functional();\n"},
+      {"for (let v of (a, b)) {}", "for (let v of (a, b)) {}\n"},
+  };
+  for (const Case& c : kCases) {
+    EXPECT_EQ(Reprint(c.source), c.printed) << c.source;
+    ExpectRoundTrip(c.source);
+  }
+}
+
+std::string Repeat(std::string_view unit, int times) {
+  std::string out;
+  for (int i = 0; i < times; ++i) {
+    out += unit;
+  }
+  return out;
+}
+
+// A 500-level prefix or conditional chain prints without parentheses, so its
+// re-parse nests no deeper than its source did.
+TEST(PrinterTest, DeepChainsPrintWithoutParentheses) {
+  const std::string kChains[] = {
+      "x = " + Repeat("!", 500) + "a;",
+      "x = " + Repeat("- ", 500) + "a;",
+      "x = " + Repeat("typeof ", 500) + "a;",
+      "x = " + Repeat("c ? ", 500) + "1" + Repeat(" : 0", 500) + ";",
+      "x = " + Repeat("c ? 0 : ", 500) + "1;",
+  };
+  for (const std::string& source : kChains) {
+    const std::string printed = Reprint(source);
+    EXPECT_EQ(printed.find('('), std::string::npos) << printed.substr(0, 80);
+    ExpectRoundTrip(source);
+  }
+}
+
 TEST(PrinterTest, ExpressionStatementWithLeadingObjectIsParenthesized) {
   auto program = ParseProgram("({ a: 1 });");
   ASSERT_TRUE(program.ok());
