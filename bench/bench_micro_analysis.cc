@@ -5,7 +5,7 @@
 //   - injected-call-count ablation: how much work selective instrumentation
 //     avoids (reported as counters)
 //   - the front end on deploy's package: lexing (tokens/s) and lex + parse
-//     (AST nodes/s)
+//     (AST nodes/s); and the analysis of that package (graph nodes/s)
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_main.h"
@@ -21,23 +21,8 @@
 namespace turnstile {
 namespace {
 
-// Synthesizes a program with `n` handler blocks, one sensitive flow each.
-std::string SyntheticProgram(int n) {
-  std::string source = "let net = require(\"net\");\nlet fs = require(\"fs\");\n"
-                       "let socket = net.connect(1, \"host\");\n";
-  for (int i = 0; i < n; ++i) {
-    std::string id = std::to_string(i);
-    source += "function helper" + id + "(x) { return \"h" + id + ":\" + x; }\n";
-    source += "socket.on(\"data\", chunk => {\n";
-    source += "  let derived" + id + " = helper" + id + "(chunk) + " + id + ";\n";
-    source += "  fs.writeFileSync(\"/out/" + id + "\", derived" + id + ");\n";
-    source += "});\n";
-  }
-  return source;
-}
-
 void BM_TurnstileAnalyze(benchmark::State& state) {
-  auto program = ParseProgram(SyntheticProgram(static_cast<int>(state.range(0))));
+  auto program = ParseProgram(SyntheticHandlerProgram(static_cast<int>(state.range(0))));
   if (!program.ok()) {
     std::abort();
   }
@@ -50,7 +35,7 @@ void BM_TurnstileAnalyze(benchmark::State& state) {
 BENCHMARK(BM_TurnstileAnalyze)->Arg(2)->Arg(8)->Arg(32)->Arg(96);
 
 void BM_QueryDlAnalyze(benchmark::State& state) {
-  auto program = ParseProgram(SyntheticProgram(static_cast<int>(state.range(0))));
+  auto program = ParseProgram(SyntheticHandlerProgram(static_cast<int>(state.range(0))));
   if (!program.ok()) {
     std::abort();
   }
@@ -63,7 +48,7 @@ void BM_QueryDlAnalyze(benchmark::State& state) {
 BENCHMARK(BM_QueryDlAnalyze)->Arg(2)->Arg(8)->Arg(32)->Arg(96);
 
 void BM_ParseProgram(benchmark::State& state) {
-  std::string source = SyntheticProgram(static_cast<int>(state.range(0)));
+  std::string source = SyntheticHandlerProgram(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     auto program = ParseProgram(source);
     benchmark::DoNotOptimize(program.ok());
@@ -108,13 +93,30 @@ void BM_ParsePackage(benchmark::State& state) {
 }
 BENCHMARK(BM_ParsePackage);
 
+// Turnstile's analysis of deploy's package; items/s is graph nodes/s.
+void BM_AnalyzePackage(benchmark::State& state) {
+  auto program = ParseProgram(DeployPackage());
+  if (!program.ok()) {
+    std::abort();
+  }
+  int nodes = 0;
+  for (auto _ : state) {
+    auto result = AnalyzeProgram(*program);
+    nodes = result.ok() ? result->stats.graph_nodes : 0;
+    benchmark::DoNotOptimize(nodes);
+  }
+  state.SetItemsProcessed(state.iterations() * nodes);
+  state.SetLabel(std::to_string(nodes) + " graph nodes");
+}
+BENCHMARK(BM_AnalyzePackage);
+
 struct InstrumentFixture {
   Program program;
   std::unique_ptr<Policy> policy;
   AnalysisResult analysis;
 
   explicit InstrumentFixture(int n) {
-    auto parsed = ParseProgram(SyntheticProgram(n));
+    auto parsed = ParseProgram(SyntheticHandlerProgram(n));
     auto parsed_policy =
         Policy::FromJsonText(R"json({"labellers": {}, "rules": ["A -> B"]})json");
     auto analyzed = parsed.ok() ? AnalyzeProgram(*parsed) : ParseError("x");

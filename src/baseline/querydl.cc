@@ -86,8 +86,7 @@ class QueryDl {
   const NodePtr& Ast(int id) const { return resolved_.ast_by_id[static_cast<size_t>(id)]; }
 
   int UseBinding(const NodePtr& node) const {
-    auto it = resolved_.use_to_binding.find(node->id);
-    return it == resolved_.use_to_binding.end() ? -1 : it->second;
+    return resolved_.UseBinding(node->id);
   }
 
   void AddEdge(int u, int v) {
@@ -103,9 +102,9 @@ class QueryDl {
   void LowerToIr(const NodePtr& node, int fn_index) {
     int child_fn = fn_index;
     if (node->IsFunctionLike()) {
-      auto it = resolved_.function_by_ast.find(node->id);
-      if (it != resolved_.function_by_ast.end()) {
-        child_fn = it->second;
+      int fn = resolved_.FunctionIndex(node->id);
+      if (fn >= 0) {
+        child_fn = fn;
       }
       ir_.push_back({IrInstr::Op::kMakeFn, node->id, -1, -1, ""});
     }
@@ -177,24 +176,23 @@ class QueryDl {
     ForEachNode(resolved_.program->root, [this](const NodePtr& node) {
       if (node->kind == NodeKind::kVarDecl) {
         for (const NodePtr& declarator : node->children) {
-          auto it = resolved_.decl_binding_by_ast.find(declarator->id);
-          if (it == resolved_.decl_binding_by_ast.end()) {
+          int binding = resolved_.DeclBinding(declarator->id);
+          if (binding < 0) {
             continue;
           }
-          BindingDecl& decl = binding_decls_[it->second];
+          BindingDecl& decl = binding_decls_[binding];
           ++decl.store_count;
           if (!declarator->children.empty()) {
             decl.init_ast = declarator->children[0]->id;
           }
         }
       } else if (node->kind == NodeKind::kFunctionDecl) {
-        auto it = resolved_.decl_binding_by_ast.find(node->id);
-        auto fn = resolved_.function_by_ast.find(node->id);
-        if (it != resolved_.decl_binding_by_ast.end() &&
-            fn != resolved_.function_by_ast.end()) {
-          BindingDecl& decl = binding_decls_[it->second];
+        int binding = resolved_.DeclBinding(node->id);
+        int fn = resolved_.FunctionIndex(node->id);
+        if (binding >= 0 && fn >= 0) {
+          BindingDecl& decl = binding_decls_[binding];
           ++decl.store_count;
-          decl.fn_index = fn->second;
+          decl.fn_index = fn;
         }
       } else if (node->kind == NodeKind::kAssignExpr &&
                  node->children[0]->kind == NodeKind::kIdentifier) {
@@ -211,9 +209,9 @@ class QueryDl {
       }
       const NodePtr& init = Ast(decl.init_ast);
       if (init->IsFunctionLike()) {
-        auto fn = resolved_.function_by_ast.find(init->id);
-        if (fn != resolved_.function_by_ast.end()) {
-          decl.fn_index = fn->second;
+        int fn = resolved_.FunctionIndex(init->id);
+        if (fn >= 0) {
+          decl.fn_index = fn;
         }
       } else if (init->kind == NodeKind::kObjectLit) {
         decl.object_literal = init->id;
@@ -235,8 +233,7 @@ class QueryDl {
       return -1;
     }
     for (size_t ci = 0; ci < resolved_.classes.size(); ++ci) {
-      auto it = resolved_.decl_binding_by_ast.find(resolved_.classes[ci].ast_id);
-      if (it != resolved_.decl_binding_by_ast.end() && it->second == binding) {
+      if (resolved_.DeclBinding(resolved_.classes[ci].ast_id) == binding) {
         return static_cast<int>(ci);
       }
     }
@@ -346,9 +343,9 @@ class QueryDl {
       switch (node->kind) {
         case NodeKind::kVarDecl:
           for (const NodePtr& declarator : node->children) {
-            auto it = resolved_.decl_binding_by_ast.find(declarator->id);
-            if (it != resolved_.decl_binding_by_ast.end() && !declarator->children.empty()) {
-              AddEdge(declarator->children[0]->id, it->second);
+            int binding = resolved_.DeclBinding(declarator->id);
+            if (binding >= 0 && !declarator->children.empty()) {
+              AddEdge(declarator->children[0]->id, binding);
             }
           }
           break;
@@ -373,9 +370,9 @@ class QueryDl {
           AddEdge(node->children[2]->id, node->id);
           break;
         case NodeKind::kForOfStmt: {
-          auto it = resolved_.decl_binding_by_ast.find(node->children[0]->id);
-          if (it != resolved_.decl_binding_by_ast.end()) {
-            AddEdge(node->children[1]->id, it->second);
+          int binding = resolved_.DeclBinding(node->children[0]->id);
+          if (binding >= 0) {
+            AddEdge(node->children[1]->id, binding);
           }
           break;
         }
@@ -383,11 +380,10 @@ class QueryDl {
           AddEdge(node->children[0]->id, node->id);
           break;
         case NodeKind::kArrowFunction: {
-          auto it = resolved_.function_by_ast.find(node->id);
-          if (it != resolved_.function_by_ast.end() &&
-              node->children[1]->kind != NodeKind::kBlockStmt) {
+          int fn = resolved_.FunctionIndex(node->id);
+          if (fn >= 0 && node->children[1]->kind != NodeKind::kBlockStmt) {
             AddEdge(node->children[1]->id,
-                    resolved_.functions[static_cast<size_t>(it->second)].return_binding);
+                    resolved_.functions[static_cast<size_t>(fn)].return_binding);
           }
           break;
         }
@@ -411,8 +407,7 @@ class QueryDl {
       return -1;
     }
     if (callee->kind == NodeKind::kFunctionExpr || callee->kind == NodeKind::kArrowFunction) {
-      auto it = resolved_.function_by_ast.find(callee->id);
-      return it == resolved_.function_by_ast.end() ? -1 : it->second;
+      return resolved_.FunctionIndex(callee->id);
     }
     if (callee->kind == NodeKind::kMemberExpr &&
         callee->children[0]->kind == NodeKind::kIdentifier) {
@@ -426,9 +421,9 @@ class QueryDl {
         for (const NodePtr& prop : literal->children) {
           if (prop->num == 0 && prop->str == callee->str &&
               prop->children[0]->IsFunctionLike()) {
-            auto fn = resolved_.function_by_ast.find(prop->children[0]->id);
-            if (fn != resolved_.function_by_ast.end()) {
-              return fn->second;
+            int fn = resolved_.FunctionIndex(prop->children[0]->id);
+            if (fn >= 0) {
+              return fn;
             }
           }
         }
@@ -466,8 +461,7 @@ class QueryDl {
   // accepts function literals and single-assignment function consts.
   int DirectFunctionArg(const NodePtr& arg) {
     if (arg->IsFunctionLike()) {
-      auto it = resolved_.function_by_ast.find(arg->id);
-      return it == resolved_.function_by_ast.end() ? -1 : it->second;
+      return resolved_.FunctionIndex(arg->id);
     }
     if (arg->kind == NodeKind::kIdentifier) {
       auto it = binding_decls_.find(UseBinding(arg));

@@ -83,6 +83,20 @@ std::string VendoredDependencyBundle(int chain_length) {
   return out;
 }
 
+std::string SyntheticHandlerProgram(int n) {
+  std::string source = "let net = require(\"net\");\nlet fs = require(\"fs\");\n"
+                       "let socket = net.connect(1, \"host\");\n";
+  for (int i = 0; i < n; ++i) {
+    std::string id = std::to_string(i);
+    source += "function helper" + id + "(x) { return \"h" + id + ":\" + x; }\n";
+    source += "socket.on(\"data\", chunk => {\n";
+    source += "  let derived" + id + " = helper" + id + "(chunk) + " + id + ";\n";
+    source += "  fs.writeFileSync(\"/out/" + id + "\", derived" + id + ");\n";
+    source += "});\n";
+  }
+  return source;
+}
+
 // --- Table 2 census -------------------------------------------------------------
 
 namespace {

@@ -63,6 +63,10 @@ const CorpusApp* FindCorpusApp(const std::string& name);
 // never executed by the flow engine.
 std::string VendoredDependencyBundle(int chain_length);
 
+// Synthetic analysis-scaling program: `n` handler blocks, each one sensitive
+// flow from a socket's data callback through a helper into fs.writeFileSync.
+std::string SyntheticHandlerProgram(int n);
+
 // --- Table 2 census substrate --------------------------------------------------
 
 // One synthetic repository for the framework-popularity census.

@@ -446,7 +446,7 @@ class Parser {
 
   // Checks whether the tokens starting at the current position form an arrow
   // function head: `ident =>` or `( ... ) =>` (with balanced parens).
-  bool LooksLikeArrowFunction() const {
+  bool LooksLikeArrowFunction() {
     size_t i = pos_;
     if (Peek().Is(Tok::kAsync)) {
       ++i;
@@ -459,21 +459,28 @@ class Parser {
     if (!t0.Is(Tok::kLParen)) {
       return false;
     }
-    int depth = 0;
-    for (size_t j = i; j < tokens_.size(); ++j) {
-      const Token& t = tokens_[j];
-      if (t.Is(Tok::kLParen)) {
-        ++depth;
-      } else if (t.Is(Tok::kRParen)) {
-        --depth;
-        if (depth == 0) {
-          return j + 1 < tokens_.size() && tokens_[j + 1].Is(Tok::kArrow);
-        }
-      } else if (t.Is(TokenKind::kEndOfFile)) {
-        return false;
+    if (matching_paren_.empty()) {
+      IndexMatchingParens();
+    }
+    const int close = matching_paren_[i];
+    return close >= 0 && static_cast<size_t>(close) + 1 < tokens_.size() &&
+           tokens_[static_cast<size_t>(close) + 1].Is(Tok::kArrow);
+  }
+
+  // One stack pass over the stream: each `(` maps to the index of its
+  // matching `)`, or -1 when the input ends first. Only parens count, as in
+  // the arrow-head test above; a stray `)` closes nothing.
+  void IndexMatchingParens() {
+    matching_paren_.assign(tokens_.size(), -1);
+    std::vector<int> open;
+    for (size_t j = 0; j < tokens_.size() && !tokens_[j].Is(TokenKind::kEndOfFile); ++j) {
+      if (tokens_[j].Is(Tok::kLParen)) {
+        open.push_back(static_cast<int>(j));
+      } else if (tokens_[j].Is(Tok::kRParen) && !open.empty()) {
+        matching_paren_[static_cast<size_t>(open.back())] = static_cast<int>(j);
+        open.pop_back();
       }
     }
-    return false;
   }
 
   Result<NodePtr> ParseArrowFunction() {
@@ -881,6 +888,7 @@ class Parser {
   }
 
   std::vector<Token> tokens_;
+  std::vector<int> matching_paren_;  // by token index; built on first use
   std::string source_name_;
   size_t pos_ = 0;
   int next_id_ = 0;

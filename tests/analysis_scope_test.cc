@@ -21,9 +21,9 @@ int BindingOfUse(const ResolvedProgram& resolved, const std::string& name, int l
   int result = -1;
   ForEachNode(resolved.program->root, [&](const NodePtr& node) {
     if (node->kind == NodeKind::kIdentifier && node->str == name && node->loc.line == line) {
-      auto it = resolved.use_to_binding.find(node->id);
-      if (it != resolved.use_to_binding.end()) {
-        result = it->second;
+      int binding = resolved.UseBinding(node->id);
+      if (binding >= 0) {
+        result = binding;
       }
     }
   });
@@ -88,10 +88,10 @@ TEST(ScopeTest, FunctionDeclarationsHoistWithinScope) {
   ASSERT_GE(use, 0);
   // The use resolves to the hoisted declaration binding.
   auto decl_binding = [&]() {
-    for (const auto& [ast, binding] : r.decl_binding_by_ast) {
-      if (r.ast_by_id[static_cast<size_t>(ast)]->kind == NodeKind::kFunctionDecl &&
-          r.ast_by_id[static_cast<size_t>(ast)]->str == "helper") {
-        return binding;
+    for (int ast = 0; ast < r.ast_count; ++ast) {
+      const NodePtr& node = r.ast_by_id[static_cast<size_t>(ast)];
+      if (node != nullptr && node->kind == NodeKind::kFunctionDecl && node->str == "helper") {
+        return r.DeclBinding(ast);
       }
     }
     return -1;
@@ -124,8 +124,7 @@ TEST(ScopeTest, ThisResolvesToNearestNonArrowFunction) {
   int direct_this = -1;
   ForEachNode(r.program->root, [&](const NodePtr& node) {
     if (node->kind == NodeKind::kThisExpr) {
-      auto it = r.use_to_binding.find(node->id);
-      int binding = it == r.use_to_binding.end() ? -1 : it->second;
+      int binding = r.UseBinding(node->id);
       if (node->loc.line == 3) {
         arrow_this = binding;
       } else if (node->loc.line == 5) {

@@ -130,6 +130,19 @@ TEST(ParserTest, ParenthesizedExpressionIsNotArrow) {
   EXPECT_EQ(expr->str, "*");
 }
 
+// The arrow-head test looks at the token after the `(`'s own matching `)`,
+// not after the first `)` or the last one.
+TEST(ParserTest, ArrowHeadIsDecidedByTheMatchingParen) {
+  NodePtr call = FirstExpr("(f(a))((b) => b);");
+  ASSERT_EQ(call->kind, NodeKind::kCallExpr);
+  EXPECT_EQ(call->children[0]->kind, NodeKind::kCallExpr);
+  EXPECT_EQ(call->children[1]->kind, NodeKind::kArrowFunction);
+
+  NodePtr arrow = FirstExpr("(a, b) => (a)(b);");
+  ASSERT_EQ(arrow->kind, NodeKind::kArrowFunction);
+  EXPECT_EQ(arrow->children[1]->kind, NodeKind::kCallExpr);
+}
+
 TEST(ParserTest, NestedArrowClosures) {
   NodePtr expr = FirstExpr("x => (y => x + y);");
   ASSERT_EQ(expr->kind, NodeKind::kArrowFunction);
